@@ -37,6 +37,36 @@ class MissingAlpha(ValueError):
     """Every decomposition-matrix row needs its alpha invariant."""
 
 
+#: Miller-Rabin on these bases (the first 13 primes) decides primality
+#: exactly for every n below PRIME_LIMIT, the least strong pseudoprime to all
+#: of them (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for 0 <= n < PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SpecParams:
     """Field characteristic, order of xi, and the weight integers (a, b)."""
@@ -47,9 +77,9 @@ class SpecParams:
     b: int
 
     def __post_init__(self):
-        if self.char < 0 or self.char == 1 or \
-                (self.char > 1 and any(self.char % d == 0
-                                       for d in range(2, int(self.char ** 0.5) + 1))):
+        if self.char >= PRIME_LIMIT:
+            raise ValueError(f"char must be below {PRIME_LIMIT}")
+        if self.char != 0 and not is_prime(self.char):
             raise ValueError("char must be 0 or a prime")
         if self.xi_order < 1:
             raise ValueError("xi_order must be >= 1")
@@ -145,26 +175,18 @@ def basic_set_B(params: SpecParams, n: int) -> tuple[list[Multipartition], str]:
         return _specht_index_set(params, n), "asymptotic/DJM"
 
     zero, _ = fn_zero(params, n)
-    if not zero:
-        e = e_value(params)
-        out = [lam for lam in bipartitions(n)
-               if e_regular(lam[0], e) and e_regular(lam[1], e)]
-        return out, "DJ-Morita"
+    if not zero or params.xi_power_is_one(a):
+        # a vanishing product with xi^a = 1 forces xi^b = -1
+        return _specht_index_set(params, n), "DJ-extension" if zero else "DJ-Morita"
 
-    if params.xi_power_is_one(a) and params.xi_power_is_minus_one(b):
-        e = e_value(params)
-        out = [(lam1, ()) for lam1 in partitions(n) if e_regular(lam1, e)]
-        return out, "DJ-extension"
-
-    if not params.xi_power_is_one(a):
-        l = m // math.gcd(m, a)
-        if a == b and a > 0:
-            # vanishing product forces -1 into <xi^a>, so l is even
-            p = FockParams(l=l, r=2, u=(1, l // 2), node_order=FLOTW)
-            return sorted(fock.uryu_set(p, n)), "Jacon-equal"
-        if b == 0 and a > 0:
-            p = FockParams(l=l, r=2, u=(0, l // 2), node_order=FLOTW)
-            return sorted(fock.uryu_set(p, n)), "Jacon-b0"
+    l = m // math.gcd(m, a)
+    if a == b and a > 0:
+        # vanishing product forces -1 into <xi^a>, so l is even
+        p = FockParams(l=l, r=2, u=(1, l // 2), node_order=FLOTW)
+        return sorted(fock.uryu_set(p, n)), "Jacon-equal"
+    if b == 0 and a > 0:
+        p = FockParams(l=l, r=2, u=(0, l // 2), node_order=FLOTW)
+        return sorted(fock.uryu_set(p, n)), "Jacon-b0"
 
     raise CaseNotCovered(
         f"no dispatch case for char={params.char}, m={m}, a={a}, b={b}, n={n}")
@@ -191,7 +213,7 @@ def basic_set_D(params: SpecParams, n: int) -> list[TypeDLabel]:
         l1, l2 = lam
         if l1 == l2:
             continue
-        key = frozenset((l1, l2)) if l1 != l2 else (l1,)
+        key = frozenset((l1, l2))
         if key in seen:
             continue
         seen.add(key)
@@ -237,24 +259,32 @@ class DecompMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecompMatrix":
-        rows = data["rows"]
+        """Ingest the documented JSON schema; any mismatch raises ValueError."""
+        rows = data.get("rows") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ValueError("expected an object whose 'rows' is a list of objects")
         labels: list[Label] = []
         alpha: list[int] = []
         dims: list[Optional[int]] = []
         entries: list[list[int]] = []
         for row in rows:
-            lab = row["label"]
+            lab = row.get("label")
             if isinstance(lab, str):
                 labels.append(lab)
-            elif lab and isinstance(lab[0], list):
+            elif _is_int_list(lab):
+                labels.append(check_partition(lab))
+            elif isinstance(lab, list) and all(_is_int_list(c) for c in lab):
                 labels.append(tuple(check_partition(c) for c in lab))
             else:
-                labels.append(check_partition(lab))
+                raise ValueError(f"row label {lab!r} is neither a string nor part lists")
             if "alpha" not in row:
                 raise MissingAlpha(f"row {lab} lacks alpha")
-            alpha.append(int(row["alpha"]))
+            if not isinstance(row["alpha"], int) or not _is_int_list(row.get("entries")):
+                raise ValueError(f"row {lab}: alpha must be an integer and entries "
+                                 "a list of integers")
+            alpha.append(row["alpha"])
             dims.append(row.get("dim"))
-            entries.append([int(x) for x in row["entries"]])
+            entries.append(list(row["entries"]))
         meta = {k: data[k] for k in ("type", "n", "a", "b", "xi_order", "char")
                 if k in data}
         has_dims = any(d is not None for d in dims)
@@ -264,6 +294,10 @@ class DecompMatrix:
     def load(cls, path) -> "DecompMatrix":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(i, int) for i in x)
 
 
 @dataclass

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-from .laurent import LaurentPoly, vpow
-from .schur import Partition, check_partition, e_regular, partitions
+from .laurent import LaurentPoly, add_into, vpow
+from .schur import Partition, check_partition, partitions
 
 Multipartition = tuple[Partition, ...]
 FockVector = dict[Multipartition, LaurentPoly]
@@ -109,23 +109,18 @@ def content(node: Node, params: FockParams) -> int:
     return node.col - node.row + params.u[node.comp - 1]
 
 
-def above(g: Node, g2: Node, params: FockParams) -> bool:
-    """Strict order: is g above g2 under the configured node order?"""
-    if params.node_order == FLOTW:
-        c1, c2 = content(g, params), content(g2, params)
-        if c1 != c2:
-            return c1 < c2
-        return g2.comp < g.comp
-    # parameter-free component order
-    if g.comp != g2.comp:
-        return g2.comp < g.comp
-    return g2.row < g.row
-
-
 def _sort_key(params: FockParams):
+    """Sort key of the configured node order, highest node first."""
     if params.node_order == FLOTW:
         return lambda nd: (content(nd, params), -nd.comp)
+    # parameter-free component order
     return lambda nd: (-nd.comp, -nd.row)
+
+
+def above(g: Node, g2: Node, params: FockParams) -> bool:
+    """Strict order: is g above g2 under the configured node order?"""
+    key = _sort_key(params)
+    return key(g) < key(g2)
 
 
 def addable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[Node]:
@@ -195,15 +190,6 @@ def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
 # quantum and classical operators
 # ---------------------------------------------------------------------------
 
-def _accumulate(vec: FockVector, mp: Multipartition, coeff: LaurentPoly):
-    cur = vec.get(mp)
-    cur = coeff if cur is None else cur + coeff
-    if cur:
-        vec[mp] = cur
-    elif mp in vec:
-        del vec[mp]
-
-
 def unit_vector(mp: Multipartition) -> FockVector:
     return {mp: LaurentPoly.one()}
 
@@ -216,11 +202,13 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
     """
     out: FockVector = {}
     for mp, coeff in vec.items():
+        terms = {}
         for g in removable(mp, i, params):
             smaller = remove_node(mp, g)
             na = (sum(1 for g2 in addable(smaller, i, params) if above(g2, g, params))
                   - sum(1 for g2 in removable(mp, i, params) if above(g2, g, params)))
-            _accumulate(out, smaller, coeff * vpow(-na))
+            terms[smaller] = vpow(-na)
+        add_into(out, terms, coeff)
     return out
 
 
@@ -232,74 +220,61 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     """
     out: FockVector = {}
     for mp, coeff in vec.items():
+        terms = {}
         for g in addable(mp, i, params):
             larger = add_node(mp, g)
             nb = (sum(1 for g2 in addable(mp, i, params) if above(g, g2, params))
                   - sum(1 for g2 in removable(larger, i, params) if above(g, g2, params)))
-            _accumulate(out, larger, coeff * vpow(nb))
+            terms[larger] = vpow(nb)
+        add_into(out, terms, coeff)
     return out
+
+
+def _diagonal(vec: FockVector, eigenvalue) -> FockVector:
+    """The operator scaling each multipartition mp by eigenvalue(mp)."""
+    return add_into({}, {mp: coeff * eigenvalue(mp) for mp, coeff in vec.items()})
 
 
 def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        _accumulate(out, mp, coeff * vpow(power * ncount(mp, i, params)))
-    return out
+    return _diagonal(vec, lambda mp: vpow(power * ncount(mp, i, params)))
 
 
 def quantum_D(vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
+    return _diagonal(vec, lambda mp: vpow(-power * icount(mp, 0, params)))
+
+
+def classical_e(i: Optional[int], vec: FockVector, params: FockParams) -> FockVector:
+    """Remove one i-node in every way (one node of any residue when i is None)."""
     out: FockVector = {}
     for mp, coeff in vec.items():
-        _accumulate(out, mp, coeff * vpow(-power * icount(mp, 0, params)))
+        add_into(out, {remove_node(mp, g): coeff for g in removable(mp, i, params)})
     return out
 
 
-def classical_e(i: int, vec: FockVector, params: FockParams) -> FockVector:
+def classical_f(i: Optional[int], vec: FockVector, params: FockParams) -> FockVector:
+    """Add one i-node in every way (one node of any residue when i is None)."""
     out: FockVector = {}
     for mp, coeff in vec.items():
-        for g in removable(mp, i, params):
-            _accumulate(out, remove_node(mp, g), coeff)
-    return out
-
-
-def classical_f(i: int, vec: FockVector, params: FockParams) -> FockVector:
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        for g in addable(mp, i, params):
-            _accumulate(out, add_node(mp, g), coeff)
+        add_into(out, {add_node(mp, g): coeff for g in addable(mp, i, params)})
     return out
 
 
 def classical_h(i: int, vec: FockVector, params: FockParams) -> FockVector:
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        _accumulate(out, mp, coeff * LaurentPoly.const(ncount(mp, i, params)))
-    return out
+    return _diagonal(vec, lambda mp: LaurentPoly.const(ncount(mp, i, params)))
 
 
 def classical_d(vec: FockVector, params: FockParams) -> FockVector:
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        _accumulate(out, mp, coeff * LaurentPoly.const(-icount(mp, 0, params)))
-    return out
+    return _diagonal(vec, lambda mp: LaurentPoly.const(-icount(mp, 0, params)))
 
 
 def ind(vec: FockVector, params: FockParams) -> FockVector:
     """Branching sum: increase exactly one part (any residue)."""
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        for g in addable(mp, None, params):
-            _accumulate(out, add_node(mp, g), coeff)
-    return out
+    return classical_f(None, vec, params)
 
 
 def res(vec: FockVector, params: FockParams) -> FockVector:
     """Branching sum: decrease exactly one part (any residue)."""
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        for g in removable(mp, None, params):
-            _accumulate(out, remove_node(mp, g), coeff)
-    return out
+    return classical_e(None, vec, params)
 
 
 def cartan_pairing(i: int, j: int, l: int) -> int:

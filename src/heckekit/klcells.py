@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Optional
 
 from .coxeter import GroupElement, WeylGroup, WeightFunction
-from .laurent import LaurentPoly, vpow
+from .laurent import LaurentPoly, add_into, vpow
 
 Coeffs = dict[int, LaurentPoly]
 
@@ -51,18 +51,10 @@ class HeckeElement:
         self.coeffs = {w: c for w, c in coeffs.items() if c}
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        data = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = data.get(w, None)
-            s = c if s is None else s + c
-            if s:
-                data[w] = s
-            elif w in data:
-                del data[w]
-        return HeckeElement(self.algebra, data)
+        return HeckeElement(self.algebra, add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(LaurentPoly.const(-1))
+        return HeckeElement(self.algebra, add_into(dict(self.coeffs), other.coeffs, -1))
 
     def scale(self, f: LaurentPoly) -> "HeckeElement":
         if not f:
@@ -77,9 +69,6 @@ class HeckeElement:
 
     def __hash__(self):
         return hash(frozenset((w, c) for w, c in self.coeffs.items()))
-
-    def support(self):
-        return set(self.coeffs)
 
     def text(self) -> str:
         if not self.coeffs:
@@ -112,7 +101,6 @@ class HeckeAlgebra:
         self.group = group
         self.weights = weights
         self.zeta = [vpow(weights(s)) - vpow(-weights(s)) for s in range(group.rank)]
-        self._lweights = [group.lweight(w, weights) for w in group.elements]
         self._bar_rows: dict[int, Coeffs] = {}
 
     # -- basis elements ----------------------------------------------------
@@ -127,56 +115,21 @@ class HeckeAlgebra:
     def element(self, coeffs: Coeffs) -> HeckeElement:
         return HeckeElement(self, coeffs)
 
-    def lweight(self, idx: int) -> int:
-        return self._lweights[idx]
-
     # -- multiplication ------------------------------------------------------
 
-    def _lgen(self, s: int, coeffs: Coeffs) -> Coeffs:
-        """Left multiplication of a coefficient dict by Tt_s."""
-        group = self.group
-        table = group.left_table[s]
-        lengths = group.elements
-        zeta = self.zeta[s]
-        out: Coeffs = {}
+    def _lgen(self, s: int, coeffs: Coeffs, inverse: bool = False) -> Coeffs:
+        """Left multiplication of a coefficient dict by Tt_s, or by Tt_s^-1.
 
-        def add(w, c):
-            cur = out.get(w)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[w] = cur
-            elif w in out:
-                del out[w]
-
-        for y, c in coeffs.items():
-            sy = table[y]
-            add(sy, c)
-            if lengths[sy].length < lengths[y].length:
-                add(y, c * zeta)
-        return out
-
-    def _lgen_inv(self, s: int, coeffs: Coeffs) -> Coeffs:
-        """Left multiplication by Tt_s^-1 = Tt_s - zeta_s."""
-        group = self.group
-        table = group.left_table[s]
-        elements = group.elements
-        zeta = self.zeta[s]
-        out: Coeffs = {}
-
-        def add(w, c):
-            cur = out.get(w)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[w] = cur
-            elif w in out:
-                del out[w]
-
-        for y, c in coeffs.items():
-            sy = table[y]
-            add(sy, c)
-            if elements[sy].length > elements[y].length:
-                add(y, c * (-zeta))
-        return out
+        Tt_s Tt_y = Tt_sy, plus zeta_s Tt_y when sy < y.  Since
+        Tt_s^-1 = Tt_s - zeta_s, the inverse puts -zeta_s Tt_y on the y with
+        sy > y instead.
+        """
+        table = self.group.left_table[s]
+        elements = self.group.elements
+        out = {table[y]: c for y, c in coeffs.items()}  # y -> sy is a bijection
+        zeta_terms = {y: c for y, c in coeffs.items()
+                      if (elements[table[y]].length < elements[y].length) != inverse}
+        return add_into(out, zeta_terms, -self.zeta[s] if inverse else self.zeta[s])
 
     def lmul_basis(self, w_idx: int, coeffs: Coeffs) -> Coeffs:
         """Tt_w times an element, by folding the reduced word of w."""
@@ -188,14 +141,7 @@ class HeckeAlgebra:
     def mul(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         out: Coeffs = {}
         for w, c in h1.coeffs.items():
-            part = self.lmul_basis(w, h2.coeffs)
-            for y, d in part.items():
-                cur = out.get(y)
-                cur = c * d if cur is None else cur + c * d
-                if cur:
-                    out[y] = cur
-                elif y in out:
-                    del out[y]
+            add_into(out, self.lmul_basis(w, h2.coeffs), c)
         return HeckeElement(self, out)
 
     # -- the three (semi)linear maps -----------------------------------------
@@ -211,15 +157,15 @@ class HeckeAlgebra:
         else:
             s = word[0]
             rest = self.group.left_table[s][w_idx]
-            row = self._lgen_inv(s, self.bar_row(rest))
+            row = self._lgen(s, self.bar_row(rest), inverse=True)
         self._bar_rows[w_idx] = row
         return row
 
     def bar(self, h: HeckeElement) -> HeckeElement:
-        out = HeckeElement(self, {})
+        out: Coeffs = {}
         for w, c in h.coeffs.items():
-            out = out + HeckeElement(self, self.bar_row(w)).scale(c.bar())
-        return out
+            add_into(out, self.bar_row(w), c.bar())
+        return HeckeElement(self, out)
 
     def jmap(self, h: HeckeElement) -> HeckeElement:
         elements = self.group.elements
@@ -231,11 +177,10 @@ class HeckeAlgebra:
     def dagger(self, h: HeckeElement) -> HeckeElement:
         """The A-linear algebra automorphism sending Tt_w to (-1)^l(w) bar(Tt_w)."""
         elements = self.group.elements
-        out = HeckeElement(self, {})
+        out: Coeffs = {}
         for w, c in h.coeffs.items():
-            sign = c if elements[w].length % 2 == 0 else -c
-            out = out + HeckeElement(self, self.bar_row(w)).scale(sign)
-        return out
+            add_into(out, self.bar_row(w), c if elements[w].length % 2 == 0 else -c)
+        return HeckeElement(self, out)
 
     def tau(self, h: HeckeElement) -> LaurentPoly:
         """The symmetrizing trace: coefficient of the identity basis element."""
@@ -337,17 +282,8 @@ class KLData:
         elements = self.group.elements
         while rest:
             z = max(rest, key=lambda i: (elements[i].length, i))
-            f = rest.pop(z)
-            out[z] = f
-            for y, p in self.cbasis[z].coeffs.items():
-                if y == z:
-                    continue
-                cur = rest.get(y, None)
-                cur = -(f * p) if cur is None else cur - f * p
-                if cur:
-                    rest[y] = cur
-                elif y in rest:
-                    del rest[y]
+            f = out[z] = rest[z]
+            add_into(rest, self.cbasis[z].coeffs, -f)  # c_z has 1 at z: clears z
         return out
 
     def cexpand_dagger(self, h: HeckeElement) -> Coeffs:
@@ -374,21 +310,9 @@ class KLData:
             for x in range(n):
                 acc: Coeffs = {}
                 for u, p in self.cbasis[x].coeffs.items():
-                    for zi, q in col[u].items():
-                        cur = acc.get(zi)
-                        cur = p * q if cur is None else cur + p * q
-                        if cur:
-                            acc[zi] = cur
-                        elif zi in acc:
-                            del acc[zi]
+                    add_into(acc, col[u], p)
                 table[(x, y)] = self.cexpand(self.algebra.element(acc))
         return table
-
-    def structure_constants(self, x, y) -> Coeffs:
-        """Expansion of c_x c_y in the c-basis, as a map z -> coefficient."""
-        x = x.index if isinstance(x, GroupElement) else int(x)
-        y = y.index if isinstance(y, GroupElement) else int(y)
-        return dict(self.hconst[(x, y)])
 
     # -- stage 3: a-function, gamma, distinguished involutions -------------------
 
@@ -580,16 +504,8 @@ class KLData:
         out: dict[int, LaurentPoly] = {}
         a = self.afn
         for d in self.dinv:
-            for z, h in self.hconst[(w, d)].items():
-                if a[z] != a[d]:
-                    continue
-                term = h * self.nhat[z]
-                cur = out.get(z)
-                cur = term if cur is None else cur + term
-                if cur:
-                    out[z] = cur
-                elif z in out:
-                    del out[z]
+            add_into(out, {z: h * self.nhat[z] for z, h in self.hconst[(w, d)].items()
+                           if a[z] == a[d]})
         return out
 
     def phi(self, h: HeckeElement) -> dict[int, LaurentPoly]:
@@ -597,13 +513,7 @@ class KLData:
         self.require_checks()
         out: dict[int, LaurentPoly] = {}
         for w, f in self.cexpand_dagger(h).items():
-            for z, g in self.phi_cdagger(w).items():
-                cur = out.get(z)
-                cur = f * g if cur is None else cur + f * g
-                if cur:
-                    out[z] = cur
-                elif z in out:
-                    del out[z]
+            add_into(out, self.phi_cdagger(w), f)
         return out
 
     @cached_property
@@ -671,18 +581,12 @@ class JRing:
 
     def mul(self, jx: dict[int, int], jy: dict[int, int]) -> dict[int, int]:
         inv = self.group.inverse_index
+        gamma = self.kl.gamma
         out: dict[int, int] = {}
         for x, cx in jx.items():
             for y, cy in jy.items():
-                for z in range(len(self.group)):
-                    g = self.kl.gamma.get((x, y, z))
-                    if g:
-                        zi = inv(z)
-                        c = out.get(zi, 0) + cx * cy * g
-                        if c:
-                            out[zi] = c
-                        elif zi in out:
-                            del out[zi]
+                add_into(out, {inv(z): gamma[x, y, z] for z in range(len(self.group))
+                               if (x, y, z) in gamma}, cx * cy)
         return out
 
     def basis(self, w: int) -> dict[int, int]:

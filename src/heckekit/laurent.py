@@ -4,13 +4,14 @@ This is the coefficient ring of the whole package: Hecke structure constants,
 Schur elements and crystal edge weights all live in Z[v, v^-1].  Polynomials
 are stored sparsely as a map exponent -> nonzero coefficient (the zero
 polynomial is the empty map) and are immutable; every operation returns a new
-object.
+object.  Hecke elements, c-basis rows and Fock vectors are sparse maps
+key -> nonzero coefficient in turn, and ``add_into`` is their one accumulate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, MutableMapping, Union
 
 
 class DivisionByZero(ArithmeticError):
@@ -227,10 +228,6 @@ class LaurentPoly:
         """Value at v = 1."""
         return sum(self._terms.values())
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        return sum((Fraction(c) * Fraction(x) ** e for e, c in self._terms.items()),
-                   Fraction(0))
-
     # -- comparisons and hashing ----------------------------------------
 
     def __eq__(self, other):
@@ -292,6 +289,25 @@ _ONE = _wrap({0: 1})
 
 #: the generator v
 V = LaurentPoly.monomial(1)
+
+
+def add_into(acc: MutableMapping, terms: Mapping, scale=None) -> MutableMapping:
+    """Add scale * terms into acc entry by entry and return acc.
+
+    Values may be ints or LaurentPolys.  No zero is ever stored: a key whose
+    sum cancels is deleted, and a zero term on a new key creates no entry.
+    """
+    for key, c in terms.items():
+        if scale is not None:
+            c = c * scale
+        cur = acc.get(key)
+        if cur is not None:
+            c = cur + c
+        if c:
+            acc[key] = c
+        elif cur is not None:
+            del acc[key]
+    return acc
 
 
 def vpow(k: int, coeff: int = 1) -> LaurentPoly:

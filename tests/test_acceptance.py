@@ -16,9 +16,9 @@ from heckekit.coxeter import CoxeterType, build, weight_from_ab
 from heckekit.fock import (ARIKI, FLOTW, FockParams, crystal, flotw_member,
                            multipartitions, normal_nodes_literal, quantum_E,
                            quantum_F, quantum_K, unit_vector, uryu_set,
-                           _accumulate, _reduced_word)
+                           _reduced_word)
 from heckekit.klcells import HeckeAlgebra, KLData, kl_cbasis
-from heckekit.laurent import LaurentPoly, vpow
+from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import (G2_LABELS, bipartitions, dominance_leq, e_regular,
                             f4_invariants, f4_labels, g2_invariants, g2_schur,
                             invariants_A, invariants_asymptotic, invariants_B,
@@ -223,10 +223,6 @@ def test_criterion_7_quantum_relations():
             for op in reversed(ops):
                 vec = op(vec)
             return vec
-
-        def add_into(acc, vec, scale=None):
-            for k, c in vec.items():
-                _accumulate(acc, k, c if scale is None else c * scale)
 
         for n in range(0, 5):
             for mp in multipartitions(r, n):

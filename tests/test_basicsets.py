@@ -9,7 +9,8 @@ from heckekit.basicsets import (BasicSetResult, CaseNotCovered,
                                 OddOrderUnsupported, SpecParams, basic_set_B,
                                 basic_set_D, basic_set_sym,
                                 check_dominance_triangularity, dim_bipartition,
-                                e_value, fn_zero, verify_decomp)
+                                PRIME_LIMIT, e_value, fn_zero, is_prime,
+                                verify_decomp)
 from heckekit.fock import ARIKI, FLOTW, FockParams, uryu_set
 from heckekit.schur import bipartitions, e_regular, invariants_B, partitions
 
@@ -34,6 +35,26 @@ class TestEValue:
     def test_positive_characteristic(self):
         assert e_value(SpecParams(char=3, xi_order=1, a=1, b=0)) == 3
         assert e_value(SpecParams(char=5, xi_order=5, a=5, b=0)) == 5
+
+
+class TestCharacteristic:
+    def test_small_numbers_oracle(self):
+        for n in range(-3, 2000):
+            trial = n > 1 and all(n % d for d in range(2, n))
+            assert is_prime(n) == trial, n
+
+    def test_large_primes_and_pseudoprimes(self):
+        assert is_prime(10**18 + 3)          # 19 digits: too slow for trial division
+        assert not is_prime(10**18 + 1)
+        assert not is_prime(3215031751)      # strong pseudoprime to 2, 3, 5, 7
+        assert not is_prime(3825123056546413051)  # ... to every base up to 23
+        assert is_prime(2**61 - 1)
+
+    def test_spec_params_bounds(self):
+        assert SpecParams(char=10**18 + 3, xi_order=2, a=1, b=0).char == 10**18 + 3
+        for char in (-3, 1, 4, 10**18 + 1, PRIME_LIMIT, 2 * 10**400):
+            with pytest.raises(ValueError):
+                SpecParams(char=char, xi_order=2, a=1, b=0)
 
 
 class TestFnZero:

@@ -12,6 +12,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in out + err
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -193,6 +199,21 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify-decomp", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("body", [
+        [],
+        {"rows": "x"},
+        {"rows": [5]},
+        {"rows": [{"label": 5, "alpha": 0, "entries": [1]}]},
+        {"rows": [{"label": [[1], 2], "alpha": 0, "entries": [1]}]},
+        {"rows": [{"label": [[1], []], "alpha": None, "entries": [1]}]},
+        {"rows": [{"label": [[1], []], "alpha": 0, "entries": 1}]},
+        {"rows": [{"label": [[1], []], "alpha": 0, "entries": ["1"]}]},
+    ])
+    def test_wrong_shape_is_an_input_error(self, tmp_path, capsys, body):
+        bad = tmp_path / "shape.json"
+        bad.write_text(json.dumps(body))
+        assert_input_error(*run(capsys, "verify-decomp", str(bad)))
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -200,3 +221,24 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("crystal", "--l", "2", "--r", "2", "--u", "0,1", "--n", "-1"),
+        ("basicset", "--type", "A", "--n", "-1", "--xi-order", "2"),
+        ("basicset", "--type", "B", "--n", "-2", "--xi-order", "2"),
+        ("schur", "--type", "B", "--n", "-1"),
+        ("schur", "--type", "A", "--n", "-3"),
+    ])
+    def test_negative_n(self, capsys, argv):
+        assert_input_error(*run(capsys, *argv))
+
+    @pytest.mark.parametrize("char", [str(2 * 10**400), "4", "-3"],
+                             ids=["huge", "composite", "negative"])
+    def test_bad_char(self, capsys, char):
+        assert_input_error(*run(capsys, "basicset", "--type", "B", "--n", "3",
+                                "--xi-order", "2", "--char", char))
+
+    def test_nineteen_digit_prime_char(self, capsys):
+        data = run_json(capsys, "basicset", "--type", "B", "--n", "3",
+                        "--xi-order", "2", "--char", str(10**18 + 3))
+        assert data["tag"] == "Jacon-b0"

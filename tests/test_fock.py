@@ -10,8 +10,8 @@ from heckekit.fock import (ARIKI, FLOTW, CrystalGraph, FockParams,
                            multipartitions, ncount, normal_nodes_literal,
                            quantum_D, quantum_E, quantum_F, quantum_K,
                            removable, res, residue, unit_vector, uryu_set)
-from heckekit.fock import _accumulate, _reduced_word
-from heckekit.laurent import LaurentPoly, vpow
+from heckekit.fock import _reduced_word
+from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
 
 P22 = FockParams(l=2, r=2, u=(0, 1), node_order=FLOTW)
@@ -36,10 +36,7 @@ def vec_scale(vec, poly):
 
 
 def vec_sub(v1, v2):
-    out = dict(v1)
-    for k, c in v2.items():
-        _accumulate(out, k, -c)
-    return out
+    return add_into(dict(v1), v2, -1)
 
 
 class TestResidues:
@@ -290,13 +287,11 @@ class TestClassicalAction:
                 vec = unit_vector(mp)
                 acc = {}
                 for i in range(3):
-                    for k, c in classical_f(i, vec, p).items():
-                        _accumulate(acc, k, c)
+                    add_into(acc, classical_f(i, vec, p))
                 assert ind(vec, p) == acc
                 acc = {}
                 for i in range(3):
-                    for k, c in classical_e(i, vec, p).items():
-                        _accumulate(acc, k, c)
+                    add_into(acc, classical_e(i, vec, p))
                 assert res(vec, p) == acc
 
     def test_classical_serre_l3(self):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckekit.laurent import (DivisionByZero, LaurentPoly, NotDivisible,
-                              ZeroPolynomial, geometric, vpow)
+                              ZeroPolynomial, add_into, geometric, vpow)
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
 nonzero_polys = polys.filter(bool)
@@ -110,6 +110,33 @@ class TestRendering:
     def test_geometric(self):
         assert geometric(3, 2) == P({0: 1, 2: 1, 4: 1})
         assert geometric(4, 0) == P({0: 4})
+
+
+class TestAddInto:
+    def test_cancellation_deletes_the_key(self):
+        acc = {"x": vpow(1), "y": LaurentPoly.one()}
+        assert add_into(acc, {"x": -vpow(1)}) is acc
+        assert acc == {"y": LaurentPoly.one()}
+
+    def test_zero_input_creates_no_key(self):
+        acc = {}
+        add_into(acc, {"x": LaurentPoly.zero(), "y": 0})
+        add_into(acc, {"z": vpow(2)}, LaurentPoly.zero())
+        assert acc == {}
+
+    def test_scale(self):
+        acc = {"x": vpow(1)}
+        add_into(acc, {"x": vpow(1), "y": vpow(-1)}, vpow(1) - 1)
+        assert acc == {"x": vpow(2), "y": 1 - vpow(-1)}
+        add_into(acc, {"x": LaurentPoly.one()}, -vpow(2))
+        assert acc == {"y": 1 - vpow(-1)}
+
+    def test_int_values(self):
+        acc = {1: 2}
+        add_into(acc, {1: 1, 2: 3}, -2)
+        assert acc == {2: -6}
+        add_into(acc, {2: 6, 3: 0})
+        assert acc == {}
 
 
 class TestRingAxioms:
