@@ -271,15 +271,15 @@ class DecompMatrix:
             lab = row.get("label")
             if isinstance(lab, str):
                 labels.append(lab)
-            elif _is_int_list(lab):
+            elif is_int_list(lab):
                 labels.append(check_partition(lab))
-            elif isinstance(lab, list) and all(_is_int_list(c) for c in lab):
+            elif isinstance(lab, list) and all(is_int_list(c) for c in lab):
                 labels.append(tuple(check_partition(c) for c in lab))
             else:
                 raise ValueError(f"row label {lab!r} is neither a string nor part lists")
             if "alpha" not in row:
                 raise MissingAlpha(f"row {lab} lacks alpha")
-            if not isinstance(row["alpha"], int) or not _is_int_list(row.get("entries")):
+            if not isinstance(row["alpha"], int) or not is_int_list(row.get("entries")):
                 raise ValueError(f"row {lab}: alpha must be an integer and entries "
                                  "a list of integers")
             alpha.append(row["alpha"])
@@ -296,7 +296,7 @@ class DecompMatrix:
             return cls.from_json_dict(json.load(fh))
 
 
-def _is_int_list(x) -> bool:
+def is_int_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(i, int) for i in x)
 
 

@@ -23,6 +23,13 @@ def _render_mp(mp):
     return [list(c) for c in mp]
 
 
+def _parse_bipartition(text: str):
+    lam = json.loads(text)
+    if not (isinstance(lam, list) and len(lam) == 2 and all(map(basicsets.is_int_list, lam))):
+        raise ValueError(f"--bipartition {text!r} is not a JSON list of two integer lists")
+    return tuple(tuple(c) for c in lam)
+
+
 def _print_json(data):
     print(json.dumps(data, sort_keys=True))
 
@@ -91,7 +98,7 @@ def _cmd_schur(args) -> int:
         out = {"type": "A", "n": args.n, "a": args.a, "rows": rows}
     else:
         if args.bipartition:
-            lam = tuple(tuple(c) for c in json.loads(args.bipartition))
+            lam = _parse_bipartition(args.bipartition)
             poly = schur.schur_element_B(lam, args.a, args.b)
             pair = schur.invariants_B(lam, args.a, args.b)
             out = {"type": "B", "label": _render_mp(lam), "a": args.a, "b": args.b,

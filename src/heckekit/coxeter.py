@@ -163,10 +163,8 @@ class GroupElement:
 class WeylGroup:
     """A fully enumerated finite Weyl group."""
 
-    def __init__(self, ctype: CoxeterType, cap: int = 2000):
+    def __init__(self, ctype: CoxeterType):
         order = ctype.order()
-        if order > cap:
-            raise GroupTooLarge(f"{ctype} has order {order} > cap {cap}")
         self.ctype = ctype
         self.rank = ctype.rank
         self.names = ctype.generator_names()
@@ -350,10 +348,12 @@ def weight_from_ab(ctype: CoxeterType, a: int, b: int | None = None) -> WeightFu
 
 
 @lru_cache(maxsize=None)
-def _cached_group(family: str, rank: int, cap: int) -> WeylGroup:
-    return WeylGroup(CoxeterType(family, rank), cap=cap)
+def _cached_group(family: str, rank: int) -> WeylGroup:
+    return WeylGroup(CoxeterType(family, rank))
 
 
 def build(ctype: CoxeterType, cap: int = 2000) -> WeylGroup:
-    """Enumerate the group (cached per type)."""
-    return _cached_group(ctype.family, ctype.rank, cap)
+    """Enumerate the group, once per type; the cap is checked before the cache."""
+    if ctype.order() > cap:
+        raise GroupTooLarge(f"{ctype} has order {ctype.order()} > cap {cap}")
+    return _cached_group(ctype.family, ctype.rank)

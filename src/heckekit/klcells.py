@@ -14,7 +14,6 @@ computation deterministic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -191,43 +190,27 @@ class HeckeAlgebra:
 # the Kazhdan-Lusztig basis
 # ---------------------------------------------------------------------------
 
-def kl_cbasis(algebra: HeckeAlgebra, tie_rng: Optional[random.Random] = None) -> list[Coeffs]:
+def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
     """The bar-invariant basis congruent to {Tt_w} modulo negative degrees.
 
-    For each w the coefficients p_{y,w} in v^-1 Z[v^-1] are found by a
-    descending triangular solve against the bar matrix; tie_rng optionally
-    permutes elements within each length class (any linear extension works
-    and must give the same answer, which the tests exercise).
+    For each w, rest[z] collects bar(p_{y,w}) * bar_row(y)[z] over the y
+    solved so far, and p_{z,w} = neg_part(rest[z]) for the largest z left: a
+    bar row reaches only shorter elements besides its own, and the canonical
+    index order sorts by length.
     """
-    group = algebra.group
-    order = list(range(len(group)))
-    if tie_rng is not None:
-        blocks: dict[int, list[int]] = {}
-        for i in order:
-            blocks.setdefault(group.elements[i].length, []).append(i)
-        order = []
-        for length in sorted(blocks):
-            blk = blocks[length]
-            tie_rng.shuffle(blk)
-            order.extend(blk)
-    pos = {w: k for k, w in enumerate(order)}
-
-    basis: list[Coeffs] = [None] * len(group)  # type: ignore[list-item]
-    for w in range(len(group)):
-        lw = group.elements[w].length
+    basis: list[Coeffs] = []
+    for w in range(len(algebra.group)):
         known: Coeffs = {w: _ONE}
-        for z in sorted((z for z in range(len(group))
-                         if group.elements[z].length < lw),
-                        key=lambda z: -pos[z]):
-            q = LaurentPoly.zero()
-            for y, p in known.items():
-                r = algebra.bar_row(y).get(z)
-                if r is not None:
-                    q = q + p.bar() * r
-            p_zw = q.neg_part()
-            if p_zw:
-                known[z] = p_zw
-        basis[w] = known
+        rest = dict(algebra.bar_row(w))
+        del rest[w]
+        while rest:
+            z = max(rest)
+            p = rest[z].neg_part()
+            if p:
+                known[z] = p
+                add_into(rest, algebra.bar_row(z), p.bar())
+            rest.pop(z, None)
+        basis.append(known)
     return basis
 
 
@@ -275,20 +258,23 @@ class KLData:
     def cbasis(self) -> list[HeckeElement]:
         return [self.algebra.element(c) for c in kl_cbasis(self.algebra)]
 
-    def cexpand(self, h: HeckeElement) -> Coeffs:
-        """Coordinates of h in the c-basis (triangular back-substitution)."""
-        rest = dict(h.coeffs)
+    def cexpand(self, coeffs: Coeffs) -> Coeffs:
+        """c-basis coordinates of the element with Tt-coefficients coeffs.
+
+        Triangular back-substitution: c_z is Tt_z plus shorter terms, so the
+        largest index left is always the next pivot.
+        """
+        rest = dict(coeffs)
         out: Coeffs = {}
-        elements = self.group.elements
         while rest:
-            z = max(rest, key=lambda i: (elements[i].length, i))
+            z = max(rest)
             f = out[z] = rest[z]
             add_into(rest, self.cbasis[z].coeffs, -f)  # c_z has 1 at z: clears z
         return out
 
     def cexpand_dagger(self, h: HeckeElement) -> Coeffs:
         """Coordinates of h in the dagger image of the c-basis."""
-        return self.cexpand(self.algebra.dagger(h))
+        return self.cexpand(self.algebra.dagger(h).coeffs)
 
     # -- stage 2: structure constants ------------------------------------------
 
@@ -311,7 +297,7 @@ class KLData:
                 acc: Coeffs = {}
                 for u, p in self.cbasis[x].coeffs.items():
                     add_into(acc, col[u], p)
-                table[(x, y)] = self.cexpand(self.algebra.element(acc))
+                table[(x, y)] = self.cexpand(acc)
         return table
 
     # -- stage 3: a-function, gamma, distinguished involutions -------------------
@@ -455,34 +441,33 @@ class KLData:
         return CheckResult("P8", True)
 
     def _check_P15prime(self) -> CheckResult:
+        """Sum_u gamma_{w,x',u^-1} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^-1} if a(w) = a(y).
+
+        Per x, both sides are summed over nonzero gammas into dicts keyed
+        (w, y, x'); the first differing key is the witness (x, x', y, w).
+        """
         n = len(self.group)
         a = self.afn
         inv = self.group.inverse_index
-        gamma = self.gamma
         hconst = self.hconst
-        # gamma_{w,x',u^-1} as a sparse map (w, x') -> {u: value}
-        by_wx: dict[tuple[int, int], dict[int, int]] = {}
-        for (w, xp, z), g in gamma.items():
-            by_wx.setdefault((w, xp), {})[inv(z)] = g
+        by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        by_first: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for (w, xp, z), g in self.gamma.items():
+            by_last[inv(z)].append((w, xp, g))
+            by_first[w].append((xp, inv(z), g))
         for x in range(n):
+            lhs: dict[tuple[int, int, int], LaurentPoly] = {}
+            rhs: dict[tuple[int, int, int], LaurentPoly] = {}
+            for u in range(n):
+                row = hconst[(x, u)]
+                for w, xp, g in by_last[u]:
+                    add_into(lhs, {(w, y, xp): h for y, h in row.items() if a[y] == a[w]}, g)
             for w in range(n):
-                row_xw = hconst[(x, w)]
-                for y in range(n):
-                    if a[w] != a[y]:
-                        continue
-                    for xp in range(n):
-                        lhs = LaurentPoly.zero()
-                        for u, g in by_wx.get((w, xp), {}).items():
-                            h = hconst[(x, u)].get(y)
-                            if h is not None:
-                                lhs = lhs + h * g
-                        rhs = LaurentPoly.zero()
-                        for u, h in row_xw.items():
-                            g = gamma.get((u, xp, inv(y)))
-                            if g is not None:
-                                rhs = rhs + h * g
-                        if lhs != rhs:
-                            return CheckResult("P15'", False, (x, xp, y, w))
+                for u, h in hconst[(x, w)].items():
+                    add_into(rhs, {(w, y, xp): g for xp, y, g in by_first[u] if a[y] == a[w]}, h)
+            for w, y, xp in sorted(lhs.keys() | rhs.keys()):
+                if lhs.get((w, y, xp)) != rhs.get((w, y, xp)):
+                    return CheckResult("P15'", False, (x, xp, y, w))
         return CheckResult("P15'", True)
 
     def require_checks(self):

@@ -10,7 +10,6 @@ key -> nonzero coefficient in turn, and ``add_into`` is their one accumulate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, MutableMapping, Union
 
 
@@ -201,26 +200,23 @@ class LaurentPoly:
             raise DivisionByZero("division by the zero polynomial")
         if not self._terms:
             return _ZERO
-        plo, phi = min(self._terms), max(self._terms)
-        qlo, qhi = min(other._terms), max(other._terms)
-        dq = qhi - qlo
-        dp = phi - plo
-        if dp < dq:
-            raise NotDivisible("degree spread too small")
-        # Shift both to ordinary polynomials and long-divide over Q.
-        num = [Fraction(self._terms.get(plo + i, 0)) for i in range(dp + 1)]
-        den = [Fraction(other._terms.get(qlo + i, 0)) for i in range(dq + 1)]
-        quot = [Fraction(0)] * (dp - dq + 1)
-        for i in range(dp - dq, -1, -1):
-            c = num[i + dq] / den[dq]
-            quot[i] = c
-            if c:
-                for j in range(dq + 1):
-                    num[i + j] -= c * den[j]
-        if any(num[: dq]) or any(c.denominator != 1 for c in quot):
-            raise NotDivisible("remainder nonzero or quotient not integral")
-        base = plo - qlo
-        return _wrap({base + i: int(c) for i, c in enumerate(quot) if c})
+        # Sparse long division from the top term: every quotient term clears
+        # the remainder's leading term, and none may fall below the lowest
+        # exponent the quotient can have.
+        qhi = max(other._terms)
+        lead = other._terms[qhi]
+        floor = min(self._terms) - min(other._terms)
+        rest = dict(self._terms)
+        quot: dict[int, int] = {}
+        while rest:
+            top = max(rest)
+            e = top - qhi
+            c, r = divmod(rest[top], lead)
+            if r or e < floor:
+                raise NotDivisible("remainder nonzero or quotient not integral")
+            quot[e] = c
+            add_into(rest, {e2 + e: c2 for e2, c2 in other._terms.items()}, -c)
+        return _wrap(quot)
 
     # -- specialization ------------------------------------------------
 

@@ -116,6 +116,14 @@ class TestSchurCommand:
         assert data["alpha"] == 0 and data["f"] == 1
         assert data["element"][0] == [0, "1"]
 
+    @pytest.mark.parametrize("body", [
+        "[1]", "[]", "{}", "null", "[[1.5],[]]", '[["a"],[]]', "[[1],[1],[1]]",
+        "[[1],2]", "[[1],[2]", "[[0],[]]",
+    ])
+    def test_malformed_bipartition(self, capsys, body):
+        assert_input_error(*run(capsys, "schur", "--type", "B", "--a", "1",
+                                "--b", "1", "--bipartition", body))
+
     def test_regime_not_covered(self, capsys):
         code, _, _ = run(capsys, "schur", "--type", "G2", "--a", "2", "--b", "1")
         assert code == 2

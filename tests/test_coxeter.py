@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from heckekit import coxeter
 from heckekit.coxeter import (CoxeterType, GroupTooLarge, WeightFunction,
                               build, weight_from_ab)
 
@@ -20,6 +21,19 @@ def test_classical_orders():
 def test_cap():
     with pytest.raises(GroupTooLarge):
         build(CoxeterType("A", 7), cap=2000)
+
+
+def test_cache_is_keyed_by_type_alone(monkeypatch):
+    ct = CoxeterType("A", 4)
+    W = build(ct)
+    assert build(ct, cap=5000) is W
+    with pytest.raises(GroupTooLarge):
+        build(ct, cap=100)  # cached, and still refused
+    enumerated = []
+    monkeypatch.setattr(coxeter, "WeylGroup", lambda *args, **kw: enumerated.append(args))
+    with pytest.raises(GroupTooLarge):
+        build(CoxeterType("A", 9))
+    assert not enumerated
 
 
 def test_unique_extremes():

@@ -5,7 +5,7 @@ import pytest
 from heckekit.coxeter import CoxeterType, GroupTooLarge, build, weight_from_ab
 from heckekit.klcells import (HeckeAlgebra, KLData, PropertyFailure,
                               det_laurent_matrix, kl_cbasis)
-from heckekit.laurent import LaurentPoly, vpow
+from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 
 
@@ -17,6 +17,46 @@ def algebra(family, rank, a, b=None):
 S3 = algebra("A", 2, 1)
 B2_13 = algebra("B", 2, 1, 3)
 G2_EQ = algebra("G2", 2, 1, 1)
+A3 = algebra("A", 3, 1)
+B3_12 = algebra("B", 3, 1, 2)
+
+
+def assert_kl_basis(alg, rows):
+    """bar(c_w) = c_w, p_{w,w} = 1, other p_{y,w} in v^-1 Z[v^-1] with y <= w."""
+    W = alg.group
+    for w, row in enumerate(rows):
+        assert alg.bar(alg.element(row)).coeffs == row
+        assert row[w] == LaurentPoly.one()
+        for y, p in row.items():
+            if y != w:
+                assert p.extremal()[2] < 0  # strictly negative degrees
+                assert W.bruhat_leq(W.elements[y], W.elements[w])
+
+
+def p15prime_sides(data, x, xp, y, w):
+    """Both sides of P15' at one (x, x', y, w), summed over all u."""
+    n, inv = len(data.group), data.group.inverse_index
+    zero = LaurentPoly.zero()
+    lhs = sum((data.hconst[(x, u)].get(y, zero) * data.gamma.get((w, xp, inv(u)), 0)
+               for u in range(n)), zero)
+    rhs = sum((data.hconst[(x, w)].get(u, zero) * data.gamma.get((u, xp, inv(y)), 0)
+               for u in range(n)), zero)
+    return lhs, rhs
+
+
+def p15prime_dense_witness(data):
+    """Oracle: the first failing (x, x', y, w) of the dense O(|W|^5) scan, or None."""
+    n, a = len(data.group), data.afn
+    for x in range(n):
+        for w in range(n):
+            for y in range(n):
+                if a[w] != a[y]:
+                    continue
+                for xp in range(n):
+                    lhs, rhs = p15prime_sides(data, x, xp, y, w)
+                    if lhs != rhs:
+                        return (x, xp, y, w)
+    return None
 
 
 def kl(alg):
@@ -134,27 +174,21 @@ class TestKLBasis:
         assert data.cbasis[w0.index].coeffs == \
             {y.index: vpow(y.length - 3) for y in S3.group.elements}
 
-    @pytest.mark.parametrize("alg", [S3, B2_13, G2_EQ], ids=["S3", "B2", "G2"])
+    @pytest.mark.parametrize("alg", [S3, B2_13, G2_EQ, A3, B3_12],
+                             ids=["S3", "B2", "G2", "A3", "B3"])
     def test_bar_invariance_and_congruence(self, alg):
-        data = kl(alg)
-        W = alg.group
-        for w in range(len(W)):
-            cw = data.cbasis[w]
-            assert alg.bar(cw) == cw
-            for y, p in cw.coeffs.items():
-                if y == w:
-                    assert p == LaurentPoly.one()
-                else:
-                    assert p.extremal()[2] < 0  # strictly negative degrees
-                    assert W.bruhat_leq(W.elements[y], W.elements[w])
+        assert_kl_basis(alg, [c.coeffs for c in kl(alg).cbasis])
 
-    def test_uniqueness_under_reordering(self):
-        base = kl_cbasis(S3)
-        for seed in (1, 2, 3):
-            assert kl_cbasis(S3, tie_rng=random.Random(seed)) == base
-        base = kl_cbasis(B2_13)
-        for seed in (4, 5):
-            assert kl_cbasis(B2_13, tie_rng=random.Random(seed)) == base
+    def test_properties_fix_the_basis(self):
+        # Adding q*Tt_y with q in v^-1 Z[v^-1] to c_w keeps every property but
+        # bar invariance, so the properties leave no other choice of c_w.
+        for alg in (S3, B2_13):
+            W = alg.group
+            for w, row in enumerate(kl_cbasis(alg)):
+                for y in range(len(W)):
+                    if y != w and W.bruhat_leq(W.elements[y], W.elements[w]):
+                        moved = alg.element(add_into(dict(row), {y: vpow(-1)}))
+                        assert alg.bar(moved) != moved
 
 
 class TestStructureConstants:
@@ -263,6 +297,23 @@ class TestPropertyChecks:
         data = kl(S3)
         for (x, y, z) in data.gamma:
             assert data.afn[x] == data.afn[y] == data.afn[z]
+
+    @pytest.mark.parametrize("alg", [B2_13, algebra("B", 2, 1, 1)], ids=["B2", "B2eq"])
+    def test_p15prime_fails_on_a_raised_gamma(self, alg):
+        base = kl(alg)
+        failures = 0
+        for key in sorted(base.gamma):
+            data = KLData(alg)
+            data.hconst, data.afn = base.hconst, base.afn
+            data.gamma = dict(base.gamma)
+            data.gamma[key] += 1
+            res = data.check_property("P15")
+            assert res.witness == p15prime_dense_witness(data)
+            if not res.passed:
+                failures += 1
+                lhs, rhs = p15prime_sides(data, *res.witness)
+                assert lhs != rhs
+        assert failures
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):

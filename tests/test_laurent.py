@@ -72,6 +72,28 @@ class TestExactDiv:
         with pytest.raises(NotDivisible):
             P({2: 1, 0: 1}).exact_div(P({1: 1, 0: 1}))
 
+    def test_non_monic_divisor(self):
+        den = P({1: 2, 0: 2})  # 2v + 2
+        quot = P({2: 1, 0: -3})
+        assert (den * quot).exact_div(den) == quot
+
+    def test_negative_leading_coefficient(self):
+        den = P({2: -1, 1: 3, 0: -1})
+        quot = P({-1: 1, 0: 4, 3: -2})
+        assert (den * quot).exact_div(den) == quot
+
+    def test_rational_quotient_is_not_divisible(self):
+        # (v^2 - 1) / (2v + 2) = (v - 1) / 2 lies in Q[v, v^-1] only
+        with pytest.raises(NotDivisible):
+            P({2: 1, 0: -1}).exact_div(P({1: 2, 0: 2}))
+        with pytest.raises(NotDivisible):
+            P({1: 1, -1: -1}).exact_div(P({0: 2, -1: 2}))
+
+    def test_remainder_below_lowest_degree(self):
+        # v^-2 (v^5 + 2) leaves the remainder v^-2 after dividing by v + 1
+        with pytest.raises(NotDivisible):
+            P({3: 1, -2: 2}).exact_div(P({1: 1, 0: 1}))
+
     def test_zero_divisor(self):
         with pytest.raises(DivisionByZero):
             P({0: 1}).exact_div(LaurentPoly.zero())
