@@ -279,7 +279,7 @@ class DecompMatrix:
                 raise ValueError(f"row label {lab!r} is neither a string nor part lists")
             if "alpha" not in row:
                 raise MissingAlpha(f"row {lab} lacks alpha")
-            if not isinstance(row["alpha"], int) or not is_int_list(row.get("entries")):
+            if not is_int(row["alpha"]) or not is_int_list(row.get("entries")):
                 raise ValueError(f"row {lab}: alpha must be an integer and entries "
                                  "a list of integers")
             alpha.append(row["alpha"])
@@ -296,8 +296,13 @@ class DecompMatrix:
             return cls.from_json_dict(json.load(fh))
 
 
+def is_int(x) -> bool:
+    """An integer, but not a bool (JSON true/false parse to bool, a subclass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_int_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(i, int) for i in x)
+    return isinstance(x, list) and all(map(is_int, x))
 
 
 @dataclass

@@ -16,7 +16,8 @@ from . import basicsets, fock, schur
 from .basicsets import DecompMatrix, SpecParams
 from .coxeter import CoxeterType, build, weight_from_ab
 from .fock import ARIKI, FLOTW, FockParams
-from .klcells import HeckeAlgebra, KLData, PropertyFailure
+from .klcells import (CBASIS_CAP, HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
+                      check_cap)
 
 
 def _render_mp(mp):
@@ -123,8 +124,16 @@ def _element_name(group, idx: int) -> str:
     return group.elements[idx].name()
 
 
+#: The emits that need the |W|^2 structure constants; so does --check.
+_HCONST_EMITS = ("gamma", "jring", "phimatrix")
+
+
 def _cmd_kl(args) -> int:
     ctype = CoxeterType(args.type, args.rank)
+    if not args.force:  # refuse before the group is enumerated
+        if args.check or args.emit in _HCONST_EMITS:
+            check_cap(ctype.order(), HCONST_CAP, "structure constants")
+        check_cap(ctype.order(), CBASIS_CAP, "Kazhdan-Lusztig data")
     weights = args.weights
     if ctype.family in ("B", "G2", "F4"):
         if len(weights) != 2:
@@ -264,7 +273,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", type=lambda s: s.split(","), default=None,
                    help="comma separated property names, e.g. P2,P7,P15")
     p.add_argument("--force", action="store_true",
-                   help="allow structure constants beyond the size cap")
+                   help=f"lift the size caps: |W| <= {CBASIS_CAP} for the "
+                        f"c-basis and cells, <= {HCONST_CAP} for structure "
+                        "constants (--check, gamma, jring, phimatrix)")
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_kl)
 

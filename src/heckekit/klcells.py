@@ -2,10 +2,11 @@
 
 Everything is computed in the rescaled basis Tt_w := v^(-L(w)) T_w, where the
 quadratic relation reads Tt_s^2 = 1 + (v^L(s) - v^-L(s)) Tt_s.  From the
-bar-invariant basis {c_w} we derive structure constants h_{x,y,z}, the
-a-function, the gamma constants, distinguished involutions, the asymptotic
-ring J with its homomorphism phi, and a battery of machine checks (P2-P8,
-P15') that gate the J-ring constructions.
+bar-invariant basis {c_w} we derive the left cells and from them the
+a-function and the distinguished involutions; the structure constants
+h_{x,y,z} are built only for the gamma constants, the asymptotic ring J with
+its homomorphism phi, and a battery of machine checks (P2-P8, P15') that gate
+the J-ring constructions.
 
 Element coefficients are dicts {element index: LaurentPoly}; the group's
 canonical index order (by length, then lexicographic word) makes every
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .coxeter import GroupElement, WeylGroup, WeightFunction
+from .coxeter import GroupElement, GroupTooLarge, WeylGroup, WeightFunction
 from .laurent import LaurentPoly, add_into, vpow
 
 Coeffs = dict[int, LaurentPoly]
@@ -236,20 +237,83 @@ def det_laurent_matrix(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return det if sign == 1 else -det
 
 
+def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
+    """Tarjan's algorithm on vertices 0..n-1, iterative so depth is no limit.
+
+    Each component comes out sorted, and the list is sorted by first vertex.
+    """
+    n = len(edges)
+    order: list[Optional[int]] = [None] * n  # discovery number
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if order[root] is not None:
+            continue
+        work = [(root, 0)]  # (vertex, next edge to follow)
+        while work:
+            v, i = work.pop()
+            if i == 0:
+                order[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on_stack[v] = True
+            for j in range(i, len(edges[v])):
+                u = edges[v][j]
+                if order[u] is None:
+                    work.append((v, j + 1))
+                    work.append((u, 0))
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], order[u])
+            else:
+                if low[v] == order[v]:  # v is the root of a component
+                    component = []
+                    u = None
+                    while u != v:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        component.append(u)
+                    components.append(sorted(component))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return sorted(components)
+
+
 PROPERTY_NAMES = ("P2", "P3", "P4", "P5", "P6", "P7", "P8", "P15'")
+
+#: Largest |W| for the c-basis and the cells (B4 has 384 elements).
+CBASIS_CAP = 400
+#: Largest |W| for the |W|^2 structure constants: A4 (120) takes about 50 s,
+#: D4 (192) about 6 minutes.
+HCONST_CAP = 120
+#: Largest |W| where afn checks itself against the structure constants even
+#: when nothing else needs them: up to A3 (24) they take under 0.25 s.
+AFN_CHECK_CAP = 24
+
+
+def check_cap(order: int, cap: int, what: str) -> None:
+    if order > cap:
+        raise GroupTooLarge(f"{what} for |W| = {order} exceed the cap {cap}; "
+                            "pass --force (force=True) to override")
 
 
 class KLData:
-    """All Kazhdan-Lusztig-derived data of one algebra, built lazily."""
+    """All Kazhdan-Lusztig-derived data of one algebra, built lazily.
 
-    def __init__(self, algebra: HeckeAlgebra, cap: int = 400, force: bool = False):
-        if len(algebra.group) > cap and not force:
-            from .coxeter import GroupTooLarge
-            raise GroupTooLarge(
-                f"structure constants for |W| = {len(algebra.group)} exceed the "
-                f"cap {cap}; pass force=True to override")
+    The c-basis, the left cells and the a-function are capped at cap
+    elements, the structure constants at HCONST_CAP; force lifts both.
+    """
+
+    def __init__(self, algebra: HeckeAlgebra, cap: int = CBASIS_CAP, force: bool = False):
+        if not force:
+            check_cap(len(algebra.group), cap, "Kazhdan-Lusztig data")
         self.algebra = algebra
         self.group = algebra.group
+        self.force = force
         self._checks: dict[str, CheckResult] = {}
 
     # -- stage 1: the c-basis -------------------------------------------------
@@ -276,56 +340,7 @@ class KLData:
         """Coordinates of h in the dagger image of the c-basis."""
         return self.cexpand(self.algebra.dagger(h).coeffs)
 
-    # -- stage 2: structure constants ------------------------------------------
-
-    @cached_property
-    def hconst(self) -> dict[tuple[int, int], Coeffs]:
-        """h[(x, y)][z] = coefficient of c_z in c_x c_y."""
-        n = len(self.group)
-        table: dict[tuple[int, int], Coeffs] = {}
-        elements = self.group.elements
-        for y in range(n):
-            # column: Tt_w * c_y for every w, by increasing length
-            col: list[Coeffs] = [None] * n  # type: ignore[list-item]
-            col[0] = self.cbasis[y].coeffs
-            for w in range(1, n):
-                word = elements[w].word
-                s = word[0]
-                rest = self.group.left_table[s][w]
-                col[w] = self.algebra._lgen(s, col[rest])
-            for x in range(n):
-                acc: Coeffs = {}
-                for u, p in self.cbasis[x].coeffs.items():
-                    add_into(acc, col[u], p)
-                table[(x, y)] = self.cexpand(acc)
-        return table
-
-    # -- stage 3: a-function, gamma, distinguished involutions -------------------
-
-    @cached_property
-    def afn(self) -> list[int]:
-        n = len(self.group)
-        a = [0] * n
-        for (_, _), row in self.hconst.items():
-            for z, p in row.items():
-                neg = -p.mindeg
-                if neg > a[z]:
-                    a[z] = neg
-        return a
-
-    @cached_property
-    def gamma(self) -> dict[tuple[int, int, int], int]:
-        """gamma[x, y, z] = coefficient of v^(-a(z)) in h_{x,y,z^-1}, nonzero only."""
-        inv = self.group.inverse_index
-        a = self.afn
-        out: dict[tuple[int, int, int], int] = {}
-        for (x, y), row in self.hconst.items():
-            for zinv, p in row.items():
-                z = inv(zinv)
-                c = p.coeff(-a[z])
-                if c:
-                    out[(x, y, z)] = c
-        return out
+    # -- stage 2: trace data, left cells, a-function, distinguished involutions --
 
     @cached_property
     def trace_leading(self) -> tuple[list[int], list[int]]:
@@ -353,10 +368,117 @@ class KLData:
         return self.trace_leading[1]
 
     @cached_property
+    def left_cells(self) -> list[list[int]]:
+        """Strongly connected components of the graph w -> z, c_z in c_s c_w.
+
+        Only the s with sw > w give edges: otherwise c_s c_w is a multiple of
+        c_w.  That is rank * |W| products, where the preorder from all of the
+        structure constants would take |W|^2.
+        """
+        group, algebra = self.group, self.algebra
+        elements = group.elements
+        edges: list[list[int]] = []
+        for w in range(len(group)):
+            cw = self.cbasis[w].coeffs
+            targets: set[int] = set()
+            for s in range(group.rank):
+                if elements[group.left_table[s][w]].length < elements[w].length:
+                    continue
+                # c_s = Tt_s + v^-L(s), so c_s c_w = Tt_s c_w + v^-L(s) c_w
+                prod = add_into(algebra._lgen(s, cw), cw, vpow(-algebra.weights(s)))
+                targets.update(self.cexpand(prod))
+            edges.append(list(targets))
+        return strongly_connected_components(edges)
+
+    @cached_property
+    def afn(self) -> list[int]:
+        """a(z) = the least delta over the left cell of z (Lusztig P1, P4, P13).
+
+        For unequal weights P1-P15 are conjectures, so the values are checked
+        against the structure constants wherever those are built: in gamma,
+        and here when |W| <= AFN_CHECK_CAP.
+        """
+        a = [0] * len(self.group)
+        delta = self.delta
+        for cell in self.left_cells:
+            low = min(delta[z] for z in cell)
+            for z in cell:
+                a[z] = low
+        if len(self.group) <= AFN_CHECK_CAP:
+            self.check_afn(a)
+        return a
+
+    @cached_property
     def dinv(self) -> frozenset[int]:
         """Distinguished involutions: a(z) equals the trace drop delta(z)."""
         return frozenset(z for z in range(len(self.group))
                          if self.afn[z] == self.delta[z])
+
+    # -- stage 3: structure constants, gamma ----------------------------------------
+
+    @cached_property
+    def hconst(self) -> dict[tuple[int, int], Coeffs]:
+        """h[(x, y)][z] = coefficient of c_z in c_x c_y."""
+        n = len(self.group)
+        if not self.force:
+            check_cap(n, HCONST_CAP, "structure constants")
+        table: dict[tuple[int, int], Coeffs] = {}
+        elements = self.group.elements
+        for y in range(n):
+            # column: Tt_w * c_y for every w, by increasing length
+            col: list[Coeffs] = [None] * n  # type: ignore[list-item]
+            col[0] = self.cbasis[y].coeffs
+            for w in range(1, n):
+                word = elements[w].word
+                s = word[0]
+                rest = self.group.left_table[s][w]
+                col[w] = self.algebra._lgen(s, col[rest])
+            for x in range(n):
+                acc: Coeffs = {}
+                for u, p in self.cbasis[x].coeffs.items():
+                    add_into(acc, col[u], p)
+                table[(x, y)] = self.cexpand(acc)
+        return table
+
+    def check_afn(self, a: list[int]) -> None:
+        """Raise PropertyFailure unless a is the a-function of the structure constants.
+
+        Every h_{x,y,z} must lie in v^(-a(z)) Z[v], and each z must have some
+        h_{x,y,z} with a v^(-a(z)) term.
+        """
+        attained = [False] * len(self.group)
+        name = [w.name() for w in self.group.elements]
+        for (x, y), row in self.hconst.items():
+            for z, p in row.items():
+                lo = p.mindeg
+                if lo < -a[z]:
+                    raise PropertyFailure(
+                        f"h_{{{name[x]},{name[y]},{name[z]}}} has a term v^{lo} "
+                        f"below v^-a = v^{-a[z]}")
+                if lo == -a[z]:
+                    attained[z] = True
+        if not all(attained):
+            z = attained.index(False)
+            raise PropertyFailure(f"no h_{{x,y,{name[z]}}} reaches v^-a = v^{-a[z]}")
+
+    @cached_property
+    def gamma(self) -> dict[tuple[int, int, int], int]:
+        """gamma[x, y, z] = coefficient of v^(-a(z)) in h_{x,y,z^-1}, nonzero only.
+
+        The a-function from the cells is checked against the structure
+        constants first.
+        """
+        inv = self.group.inverse_index
+        a = self.afn
+        self.check_afn(a)
+        out: dict[tuple[int, int, int], int] = {}
+        for (x, y), row in self.hconst.items():
+            for zinv, p in row.items():
+                z = inv(zinv)
+                c = p.coeff(-a[z])
+                if c:
+                    out[(x, y, z)] = c
+        return out
 
     @cached_property
     def nhat(self) -> list[int]:

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from heckekit.cli import main
+from heckekit.coxeter import _cached_group
 
 
 def run(capsys, *argv):
@@ -118,7 +119,7 @@ class TestSchurCommand:
 
     @pytest.mark.parametrize("body", [
         "[1]", "[]", "{}", "null", "[[1.5],[]]", '[["a"],[]]', "[[1],[1],[1]]",
-        "[[1],2]", "[[1],[2]", "[[0],[]]",
+        "[[1],2]", "[[1],[2]", "[[0],[]]", "[[true],[]]",
     ])
     def test_malformed_bipartition(self, capsys, body):
         assert_input_error(*run(capsys, "schur", "--type", "B", "--a", "1",
@@ -165,6 +166,23 @@ class TestKlCommand:
         code, _, _ = run(capsys, "kl", "--type", "F4", "--rank", "4",
                          "--weights", "1,1", "--emit", "afn")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--type", "F4", "--rank", "4", "--weights", "1,1", "--emit", "afn"),
+        ("--type", "D", "--rank", "4", "--weights", "1", "--emit", "gamma"),
+        ("--type", "D", "--rank", "4", "--weights", "1", "--emit", "jring"),
+        ("--type", "D", "--rank", "4", "--weights", "1", "--check", "P2"),
+    ], ids=["F4-afn", "D4-gamma", "D4-jring", "D4-check"])
+    def test_over_the_cap_is_refused_before_enumeration(self, capsys, argv):
+        before = _cached_group.cache_info()
+        assert_input_error(*run(capsys, "kl", *argv))
+        assert _cached_group.cache_info() == before
+
+    def test_d4_afn_is_under_the_cells_cap(self, capsys):
+        data = run_json(capsys, "kl", "--type", "D", "--rank", "4",
+                        "--weights", "1", "--emit", "afn")
+        assert len(data["afn"]) == 192
+        assert data["afn"]["e"] == 0
 
     def test_weight_count_validation(self, capsys):
         code, _, _ = run(capsys, "kl", "--type", "B", "--rank", "2",
@@ -216,6 +234,8 @@ class TestVerifyCommand:
         {"rows": [{"label": [[1], []], "alpha": None, "entries": [1]}]},
         {"rows": [{"label": [[1], []], "alpha": 0, "entries": 1}]},
         {"rows": [{"label": [[1], []], "alpha": 0, "entries": ["1"]}]},
+        {"rows": [{"label": [[1], []], "alpha": 0, "entries": [True]}]},
+        {"rows": [{"label": [[1], []], "alpha": True, "entries": [1]}]},
     ])
     def test_wrong_shape_is_an_input_error(self, tmp_path, capsys, body):
         bad = tmp_path / "shape.json"

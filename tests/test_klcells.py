@@ -1,10 +1,14 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from heckekit import cli
 from heckekit.coxeter import CoxeterType, GroupTooLarge, build, weight_from_ab
-from heckekit.klcells import (HeckeAlgebra, KLData, PropertyFailure,
-                              det_laurent_matrix, kl_cbasis)
+from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
+                              det_laurent_matrix, kl_cbasis,
+                              strongly_connected_components)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 
@@ -61,6 +65,25 @@ def p15prime_dense_witness(data):
 
 def kl(alg):
     return KLData(alg)
+
+
+@lru_cache(maxsize=None)
+def shared_kl(family, rank, a, b=None):
+    """One KLData per algebra, for tests that only read it (B3 hconst takes seconds)."""
+    return KLData(algebra(family, rank, a, b))
+
+
+def afn_from_hconst(data):
+    """Oracle: a(z) = the largest -deg over every h_{x,y,z}, from all |W|^2 products."""
+    a = [0] * len(data.group)
+    for row in data.hconst.values():
+        for z, p in row.items():
+            a[z] = max(a[z], -p.mindeg)
+    return a
+
+
+def involution_count(group):
+    return sum(1 for z in range(len(group)) if group.inverse_index(z) == z)
 
 
 class TestHeckeMultiplication:
@@ -215,6 +238,28 @@ class TestStructureConstants:
         with pytest.raises(GroupTooLarge):
             KLData(alg, cap=400)
 
+    def test_hconst_cap(self):
+        # D4 (192 elements) is under the c-basis cap but over the
+        # structure-constant cap; the refusal comes before any c-basis work.
+        data = KLData(algebra("D", 4, 1))
+        assert len(data.group) > HCONST_CAP
+        with pytest.raises(GroupTooLarge):
+            data.hconst
+        assert "cbasis" not in data.__dict__
+
+
+class TestStronglyConnected:
+    def test_small_graph(self):
+        edges = [[1], [2], [0, 3], [4], [3], []]
+        assert strongly_connected_components(edges) == [[0, 1, 2], [3, 4], [5]]
+
+    def test_long_path_needs_no_recursion(self):
+        n = 5000
+        cycle = [[i + 1] for i in range(n - 1)] + [[0]]
+        assert strongly_connected_components(cycle) == [list(range(n))]
+        path = [[i + 1] for i in range(n - 1)] + [[]]
+        assert strongly_connected_components(path) == [[i] for i in range(n)]
+
 
 class TestAFunction:
     def test_s3_values(self):
@@ -252,30 +297,104 @@ class TestAFunction:
         W = data.group
         assert {W.inverse_index(d) for d in data.dinv} == set(data.dinv)
 
+    @pytest.mark.parametrize("family,rank,a,b", [
+        ("G2", 2, 1, 2), ("G2", 2, 1, 1), ("G2", 2, 2, 1), ("A", 2, 1, None),
+        ("A", 3, 1, None), ("B", 2, 1, 3), ("B", 2, 1, 1), ("B", 2, 2, 5),
+        ("B", 3, 1, 2), ("B", 3, 1, 3)])
+    def test_cells_afn_matches_hconst_oracle(self, family, rank, a, b):
+        data = shared_kl(family, rank, a, b)
+        assert data.afn == afn_from_hconst(data)
+        assert data.gamma  # the cross-check in the gamma scan passes too
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
+    def test_gamma_rejects_a_moved_afn(self, step):
+        base = shared_kl("B", 2, 1, 3)
+        moved = 0
+        for z in range(len(base.group)):
+            if base.afn[z] + step < 0:
+                continue
+            data = KLData(base.algebra)
+            data.hconst = base.hconst
+            data.afn = list(base.afn)
+            data.afn[z] += step
+            with pytest.raises(PropertyFailure):
+                data.gamma
+            moved += 1
+        assert moved
+
+    def test_small_groups_check_afn_at_once(self):
+        base = shared_kl("B", 2, 1, 3)
+        delta, nz = base.trace_leading
+        data = KLData(base.algebra)
+        data.trace_leading = ([d - 1 for d in delta], nz)
+        with pytest.raises(PropertyFailure):
+            data.afn
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_asymptotic_left_cells_are_counted_by_involutions(self, rank):
+        # weights (1, 3): L(t) = 3 > (rank - 1) L(s), the asymptotic case
+        data = shared_kl("B", rank, 1, 3)
+        assert len(data.left_cells) == involution_count(data.group)
+        assert sorted(z for cell in data.left_cells for z in cell) == \
+            list(range(len(data.group)))
+
+    @pytest.mark.parametrize("emit", ["afn", "dinv"])
+    def test_afn_and_dinv_emits_skip_structure_constants(self, emit, monkeypatch, capsys):
+        made = []
+
+        class Recorded(KLData):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "KLData", Recorded)
+        assert cli.main(["kl", "--type", "B", "--rank", "3", "--weights", "1,3",
+                         "--emit", emit]) == 0
+        capsys.readouterr()
+        (data,) = made
+        assert "afn" in data.__dict__
+        assert "hconst" not in data.__dict__
+
     def test_a_level_sizes_are_squared_dimensions(self):
         """Each a-level block has size sum of (dim E)^2 over alpha_E = a.
 
         The level sizes come from the Kazhdan-Lusztig machinery alone; the
         right-hand side comes from Schur invariants and hook-length counts,
-        so this ties three independent computations together.
+        so this ties three independent computations together.  A4 and D4 are
+        past the reach of the structure-constant oracle.
         """
-        from collections import Counter
         from heckekit.basicsets import dim_bipartition
         from heckekit.schur import (G2_LABELS, g2_invariants, invariants_A,
-                                    standard_tableaux)
+                                    standard_tableaux, typeD_invariants,
+                                    typeD_invariants_split)
 
-        data = kl(S3)
-        expect = Counter()
-        for nu in partitions(3):
-            expect[invariants_A(nu, 1).alpha] += standard_tableaux(nu) ** 2
-        assert Counter(data.afn) == expect
-
-        for a, b in [(1, 3), (2, 5), (1, 1)]:
-            data = kl(algebra("B", 2, a, b))
+        for n in (3, 5):
+            data = kl(algebra("A", n - 1, 1))
             expect = Counter()
-            for lam in bipartitions(2):
+            for nu in partitions(n):
+                expect[invariants_A(nu, 1).alpha] += standard_tableaux(nu) ** 2
+            assert Counter(data.afn) == expect
+
+        for rank, a, b in [(2, 1, 3), (2, 2, 5), (2, 1, 1),
+                           (3, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 3)]:
+            data = shared_kl("B", rank, a, b)
+            expect = Counter()
+            for lam in bipartitions(rank):
                 expect[invariants_B(lam, a, b).alpha] += dim_bipartition(lam) ** 2
             assert Counter(data.afn) == expect
+
+        # D4: an unordered pair {lam, mu} gives one character; lam = mu gives
+        # two, each of half the dimension.
+        data = kl(algebra("D", 4, 1))
+        expect = Counter()
+        for lam, mu in bipartitions(4):
+            if lam < mu:
+                expect[typeD_invariants(lam, mu, 1).alpha] += dim_bipartition((lam, mu)) ** 2
+            elif lam == mu:
+                half = dim_bipartition((lam, lam)) // 2
+                expect[typeD_invariants_split(lam, 1).alpha] += 2 * half ** 2
+        assert sum(expect.values()) == 192
+        assert Counter(data.afn) == expect
 
         dims = {"1": 1, "eps": 1, "eps1": 1, "eps2": 1, "E+": 2, "E-": 2}
         for a, b in [(1, 1), (1, 2)]:
