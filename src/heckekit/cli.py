@@ -17,7 +17,7 @@ from .basicsets import DecompMatrix, SpecParams
 from .coxeter import CoxeterType, build, weight_from_ab
 from .fock import ARIKI, FLOTW, FockParams
 from .klcells import (CBASIS_CAP, HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
-                      check_cap)
+                      check_cap, property_name)
 
 
 def _render_mp(mp):
@@ -130,8 +130,9 @@ _HCONST_EMITS = ("gamma", "jring", "phimatrix")
 
 def _cmd_kl(args) -> int:
     ctype = CoxeterType(args.type, args.rank)
+    checks = [property_name(name) for name in args.check or ()]
     if not args.force:  # refuse before the group is enumerated
-        if args.check or args.emit in _HCONST_EMITS:
+        if checks or args.emit in _HCONST_EMITS:
             check_cap(ctype.order(), HCONST_CAP, "structure constants")
         check_cap(ctype.order(), CBASIS_CAP, "Kazhdan-Lusztig data")
     weights = args.weights
@@ -151,9 +152,9 @@ def _cmd_kl(args) -> int:
                     "elements": {w.name(): list(w.word) for w in group.elements}}
     failures = False
 
-    if args.check:
+    if checks:
         results = []
-        for name in args.check:
+        for name in checks:
             res = kl.check_property(name)
             entry = {"property": res.name, "passed": res.passed}
             if res.witness is not None:

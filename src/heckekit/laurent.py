@@ -189,6 +189,12 @@ class LaurentPoly:
         """Truncation to strictly negative exponents."""
         return _wrap({e: c for e, c in self._terms.items() if e < 0})
 
+    def bar_symmetric_part(self) -> "LaurentPoly":
+        """The bar-invariant polynomial that agrees with self in degrees >= 0."""
+        data = {e: c for e, c in self._terms.items() if e >= 0}
+        data.update([(-e, c) for e, c in data.items() if e])
+        return _wrap(data)
+
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / other in Z[v, v^-1].
 

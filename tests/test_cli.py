@@ -5,6 +5,7 @@ import pytest
 
 from heckekit.cli import main
 from heckekit.coxeter import _cached_group
+from heckekit.klcells import KLData
 
 
 def run(capsys, *argv):
@@ -176,6 +177,15 @@ class TestKlCommand:
     def test_over_the_cap_is_refused_before_enumeration(self, capsys, argv):
         before = _cached_group.cache_info()
         assert_input_error(*run(capsys, "kl", *argv))
+        assert _cached_group.cache_info() == before
+
+    def test_unknown_check_is_refused_before_any_work(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(KLData, "_check_P2", lambda self: calls.append(self))
+        before = _cached_group.cache_info()
+        assert_input_error(*run(capsys, "kl", "--type", "A", "--rank", "2",
+                                "--weights", "1", "--check", "P2,P9"))
+        assert calls == []
         assert _cached_group.cache_info() == before
 
     def test_d4_afn_is_under_the_cells_cap(self, capsys):

@@ -7,7 +7,7 @@ import pytest
 from heckekit import cli
 from heckekit.coxeter import CoxeterType, GroupTooLarge, build, weight_from_ab
 from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
-                              det_laurent_matrix, kl_cbasis,
+                              cs_times_cw, det_laurent_matrix, kl_cbasis,
                               strongly_connected_components)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
@@ -63,6 +63,30 @@ def p15prime_dense_witness(data):
     return None
 
 
+def kl_cbasis_pushed(alg):
+    """Oracle: the c-basis by a pushed solve over whole bar rows.
+
+    For each w, rest[z] collects bar(p_{y,w}) * bar_row(y)[z] over the y
+    solved so far, and p_{z,w} = neg_part(rest[z]) for the largest z left: a
+    bar row reaches only shorter elements besides its own, and the canonical
+    index order sorts by length.
+    """
+    basis = []
+    for w in range(len(alg.group)):
+        known = {w: LaurentPoly.one()}
+        rest = dict(alg.bar_row(w))
+        del rest[w]
+        while rest:
+            z = max(rest)
+            p = rest[z].neg_part()
+            if p:
+                known[z] = p
+                add_into(rest, alg.bar_row(z), p.bar())
+            rest.pop(z, None)
+        basis.append(known)
+    return basis
+
+
 def kl(alg):
     return KLData(alg)
 
@@ -80,6 +104,21 @@ def afn_from_hconst(data):
         for z, p in row.items():
             a[z] = max(a[z], -p.mindeg)
     return a
+
+
+def left_cells_by_cexpand(data):
+    """Oracle: left cells from the c-coordinates of every c_s c_w with sw > w."""
+    alg, W = data.algebra, data.group
+    edges = []
+    for w in range(len(W)):
+        cw = data.cbasis[w].coeffs
+        targets = set()
+        for s in range(W.rank):
+            if W.left_table[s][w] > w:
+                prod = add_into(alg._lgen(s, cw), cw, vpow(-alg.weights(s)))
+                targets.update(data.cexpand(prod))
+        edges.append(list(targets))
+    return strongly_connected_components(edges)
 
 
 def involution_count(group):
@@ -202,6 +241,35 @@ class TestKLBasis:
     def test_bar_invariance_and_congruence(self, alg):
         assert_kl_basis(alg, [c.coeffs for c in kl(alg).cbasis])
 
+    @pytest.mark.parametrize("family,rank,a,b", [
+        ("A", 2, 1, None), ("A", 3, 1, None), ("A", 4, 1, None), ("D", 4, 1, None),
+        ("G2", 2, 1, 1), ("G2", 2, 1, 2), ("B", 2, 1, 3), ("B", 2, 1, 1), ("B", 2, 2, 5),
+        ("B", 3, 1, 2), ("B", 3, 1, 1), ("B", 3, 2, 1), ("B", 3, 1, 3)])
+    def test_recursion_matches_pushed_solve_oracle(self, family, rank, a, b):
+        alg = algebra(family, rank, a, b)
+        assert kl_cbasis(alg) == kl_cbasis_pushed(alg)
+
+    def test_w_graph_edges_give_the_c_expansion(self):
+        # c_s c_w = c_sw + sum of M^s_{z,w} c_z, each M bar-invariant and
+        # nonzero only for sz < z < w
+        data = shared_kl("B", 3, 1, 2)
+        W, alg = data.group, data.algebra
+        basis = [c.coeffs for c in data.cbasis]
+        for w in range(len(W)):
+            for s in range(W.rank):
+                sw = W.left_table[s][w]
+                if sw < w:
+                    continue
+                csw, M = cs_times_cw(alg, basis, s, w)
+                assert csw == basis[sw]
+                cs = alg.element(basis[W.generators[s].index])
+                expected = alg.mul(cs, alg.element(basis[w])).coeffs
+                for z, m in M.items():
+                    assert m.bar() == m
+                    assert W.left_table[s][z] < z < w
+                    add_into(expected, basis[z], -m)
+                assert expected == csw
+
     def test_properties_fix_the_basis(self):
         # Adding q*Tt_y with q in v^-1 Z[v^-1] to c_w keeps every property but
         # bar invariance, so the properties leave no other choice of c_w.
@@ -306,6 +374,13 @@ class TestAFunction:
         assert data.afn == afn_from_hconst(data)
         assert data.gamma  # the cross-check in the gamma scan passes too
 
+    @pytest.mark.parametrize("family,rank,a,b", [
+        ("G2", 2, 1, 2), ("A", 3, 1, None), ("D", 4, 1, None), ("B", 3, 1, 2),
+        ("B", 3, 1, 1), ("B", 3, 2, 1)])
+    def test_w_graph_cells_match_cexpand_oracle(self, family, rank, a, b):
+        data = shared_kl(family, rank, a, b)
+        assert data.left_cells == left_cells_by_cexpand(data)
+
     @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
     def test_gamma_rejects_a_moved_afn(self, step):
         base = shared_kl("B", 2, 1, 3)
@@ -330,11 +405,12 @@ class TestAFunction:
         with pytest.raises(PropertyFailure):
             data.afn
 
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_asymptotic_left_cells_are_counted_by_involutions(self, rank):
-        # weights (1, 3): L(t) = 3 > (rank - 1) L(s), the asymptotic case
-        data = shared_kl("B", rank, 1, 3)
-        assert len(data.left_cells) == involution_count(data.group)
+    @pytest.mark.parametrize("rank,b,cells", [(2, 3, 6), (3, 3, 20), (4, 4, 76)],
+                             ids=["2", "3", "4"])
+    def test_asymptotic_left_cells_are_counted_by_involutions(self, rank, b, cells):
+        # weights (1, b): L(t) = b > (rank - 1) L(s), the asymptotic case
+        data = shared_kl("B", rank, 1, b)
+        assert len(data.left_cells) == involution_count(data.group) == cells
         assert sorted(z for cell in data.left_cells for z in cell) == \
             list(range(len(data.group)))
 
@@ -360,8 +436,8 @@ class TestAFunction:
 
         The level sizes come from the Kazhdan-Lusztig machinery alone; the
         right-hand side comes from Schur invariants and hook-length counts,
-        so this ties three independent computations together.  A4 and D4 are
-        past the reach of the structure-constant oracle.
+        so this ties three independent computations together.  A4, D4 and B4
+        are past the reach of the structure-constant oracle.
         """
         from heckekit.basicsets import dim_bipartition
         from heckekit.schur import (G2_LABELS, g2_invariants, invariants_A,
@@ -376,7 +452,8 @@ class TestAFunction:
             assert Counter(data.afn) == expect
 
         for rank, a, b in [(2, 1, 3), (2, 2, 5), (2, 1, 1),
-                           (3, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 3)]:
+                           (3, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 3),
+                           (4, 1, 4), (4, 1, 1)]:
             data = shared_kl("B", rank, a, b)
             expect = Counter()
             for lam in bipartitions(rank):
@@ -385,7 +462,7 @@ class TestAFunction:
 
         # D4: an unordered pair {lam, mu} gives one character; lam = mu gives
         # two, each of half the dimension.
-        data = kl(algebra("D", 4, 1))
+        data = shared_kl("D", 4, 1)
         expect = Counter()
         for lam, mu in bipartitions(4):
             if lam < mu:

@@ -47,6 +47,16 @@ class TestBasics:
         p = P({3: 1, 0: -2, -5: 7})
         assert p.bar().bar() == p
 
+    def test_bar_symmetric_part(self):
+        assert P({3: 1, 0: -2, -5: 7}).bar_symmetric_part() == P({3: 1, 0: -2, -3: 1})
+        assert P({-1: 4}).bar_symmetric_part() == LaurentPoly.zero()
+
+    @given(polys)
+    def test_bar_symmetric_part_differs_by_negative_degrees(self, p):
+        m = p.bar_symmetric_part()
+        assert m.bar() == m
+        assert (p - m).neg_part() == p - m
+
 
 class TestExactDiv:
     def test_factorization(self):
