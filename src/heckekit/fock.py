@@ -203,10 +203,11 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
     out: FockVector = {}
     for mp, coeff in vec.items():
         terms = {}
-        for g in removable(mp, i, params):
+        rems = removable(mp, i, params)
+        for g in rems:
             smaller = remove_node(mp, g)
             na = (sum(1 for g2 in addable(smaller, i, params) if above(g2, g, params))
-                  - sum(1 for g2 in removable(mp, i, params) if above(g2, g, params)))
+                  - sum(1 for g2 in rems if above(g2, g, params)))
             terms[smaller] = vpow(-na)
         add_into(out, terms, coeff)
     return out
@@ -221,9 +222,10 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     out: FockVector = {}
     for mp, coeff in vec.items():
         terms = {}
-        for g in addable(mp, i, params):
+        adds = addable(mp, i, params)
+        for g in adds:
             larger = add_node(mp, g)
-            nb = (sum(1 for g2 in addable(mp, i, params) if above(g, g2, params))
+            nb = (sum(1 for g2 in adds if above(g, g2, params))
                   - sum(1 for g2 in removable(larger, i, params) if above(g, g2, params)))
             terms[larger] = vpow(nb)
         add_into(out, terms, coeff)
@@ -291,39 +293,74 @@ def cartan_pairing(i: int, j: int, l: int) -> int:
 # signature cancellation and crystal operators
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _words(mp: Multipartition, params: FockParams) -> tuple[tuple[list, list], ...]:
+    """The i-word and the reduced i-word of every residue i, from one walk over the rims.
+
+    Row a of a component has an addable node at its end exactly when row a-1
+    is longer, and then row a-1 ends in a removable node.  Each node goes
+    into the bucket of its residue as an entry (key, 'A'|'R', row, col,
+    comp), where key is that of `_sort_key`; at equal keys 'A' sorts before
+    'R'.  Each bucket is sorted, highest first, and a removable node directly
+    above an addable one cancels with it.  Entry i of the result is the pair
+    (i-word, reduced i-word); callers must not mutate them.  The single slot
+    serves the l back-to-back calls for one multipartition in `crystal`.
+    """
+    l, flotw = params.l, params.node_order == FLOTW
+    buckets: list[list] = [[] for _ in range(l)]
+    for c, (part, u) in enumerate(zip(mp, params.u), start=1):
+        prev = None
+        for a, cur in enumerate(part + (0,), start=1):
+            if cur == prev:
+                continue
+            cont = cur + 1 - a + u
+            buckets[cont % l].append(
+                ((cont, -c) if flotw else (-c, -a), "A", a, cur + 1, c))
+            if prev is not None:
+                cont = prev + 1 - a + u
+                buckets[cont % l].append(
+                    ((cont, -c) if flotw else (-c, 1 - a), "R", a - 1, prev, c))
+            prev = cur
+    out = []
+    for bucket in buckets:
+        bucket.sort()
+        stack: list[tuple] = []
+        for entry in bucket:
+            if entry[1] == "A" and stack and stack[-1][1] == "R":
+                stack.pop()  # a removable directly above an addable cancels
+            else:
+                stack.append(entry)
+        out.append((bucket, stack))
+    return tuple(out)
+
+
+def _node_word(entries) -> list[tuple[Node, str]]:
+    return [(Node(a, b, c), kind) for _, kind, a, b, c in entries]
+
+
 def i_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
     """Addable/removable i-nodes as an (node, 'A'|'R') word, highest first."""
-    entries = [(nd, "A") for nd in addable(mp, i, params)]
-    entries += [(nd, "R") for nd in removable(mp, i, params)]
-    entries.sort(key=lambda e: _sort_key(params)(e[0]))
-    return entries
+    return _node_word(_words(mp, params)[i][0])
 
 
 def _reduced_word(mp, i, params) -> list[tuple[Node, str]]:
-    stack: list[tuple[Node, str]] = []
-    for nd, kind in i_word(mp, i, params):
-        if kind == "A" and stack and stack[-1][1] == "R":
-            stack.pop()  # a removable directly above an addable cancels
-        else:
-            stack.append((nd, kind))
-    return stack
+    return _node_word(_words(mp, params)[i][1])
 
 
 def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Highest removable i-node surviving cancellation, if any."""
-    for nd, kind in _reduced_word(mp, i, params):
+    for _, kind, a, b, c in _words(mp, params)[i][1]:
         if kind == "R":
-            return nd
+            return Node(a, b, c)
     return None
 
 
 def cogood_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Lowest addable i-node surviving cancellation, if any."""
-    best = None
-    for nd, kind in _reduced_word(mp, i, params):
+    for _, kind, a, b, c in reversed(_words(mp, params)[i][1]):
         if kind == "A":
-            best = nd
-    return best
+            return Node(a, b, c)
+    return None
 
 
 def normal_nodes_literal(mp: Multipartition, i: int, params: FockParams) -> list[Node]:
@@ -378,11 +415,14 @@ class CrystalGraph:
         return {mp for level in self.levels for mp in level}
 
     def to_json_dict(self) -> dict:
+        """Levels in order and edges sorted by their text; for int lists
+        `str` and `json.dumps` agree, so each vertex is rendered once."""
+        lists = {mp: list(map(list, mp)) for level in self.levels for mp in level}
+        text = {mp: str(lst) for mp, lst in lists.items()}
+        edges = sorted(self.edges, key=lambda e: f"[{text[e[0]]}, {text[e[1]]}, {e[2]}]")
         return {
-            "levels": [[list(map(list, mp)) for mp in level] for level in self.levels],
-            "edges": sorted(
-                [[list(map(list, a)), list(map(list, b)), i] for a, b, i in self.edges],
-                key=str),
+            "levels": [[lists[mp] for mp in level] for level in self.levels],
+            "edges": [[lists[a], lists[b], i] for a, b, i in edges],
         }
 
     def to_dot(self) -> str:
@@ -458,21 +498,23 @@ def flotw_member(mp: Multipartition, params: FockParams) -> bool:
     return all(len(resset) < l for resset in by_length.values())
 
 
-@lru_cache(maxsize=None)
-def _component_member(l: int, u: tuple[int, ...], order: str,
-                      mp: Multipartition) -> bool:
-    params = FockParams(l=l, r=len(u), u=u, node_order=order)
-    if mp_size(mp) == 0:
-        return True
-    for i in range(l):
-        smaller = etilde(mp, i, params)
-        if smaller is not None and _component_member(l, u, order, smaller):
-            return True
-    return False
-
-
 def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:
-    """Membership in the component-order crystal at the residue classes of u."""
+    """Membership in the component-order crystal at the residue classes of u.
+
+    mp is a member when some chain of good-node removals reaches the empty
+    multipartition; the memo of visited multipartitions lives for one call.
+    """
     mp = check_multipartition(mp, params.r)
-    u_mod = tuple(x % params.l for x in params.u)
-    return _component_member(params.l, u_mod, ARIKI, mp)
+    params = FockParams(l=params.l, r=params.r, u=tuple(x % params.l for x in params.u),
+                        node_order=ARIKI)
+    memo: dict[Multipartition, bool] = {}
+
+    def member(mp: Multipartition) -> bool:
+        if mp not in memo:
+            # all l good nodes before any recursion: one scan of mp's rim
+            below = [etilde(mp, i, params) for i in range(params.l)]
+            memo[mp] = mp_size(mp) == 0 or any(
+                smaller is not None and member(smaller) for smaller in below)
+        return memo[mp]
+
+    return member(mp)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from heckekit.fock import (ARIKI, FLOTW, CrystalGraph, FockParams,
@@ -10,7 +12,7 @@ from heckekit.fock import (ARIKI, FLOTW, CrystalGraph, FockParams,
                            multipartitions, ncount, normal_nodes_literal,
                            quantum_D, quantum_E, quantum_F, quantum_K,
                            removable, res, residue, unit_vector, uryu_set)
-from heckekit.fock import _reduced_word
+from heckekit.fock import _reduced_word, _sort_key
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
 
@@ -29,6 +31,70 @@ TABLE2_EDGES = {
     (((2,), ()), ((3,), ()), 0), (((2,), ()), ((2,), (1,)), 1),
     (((), (2,)), ((1,), (2,)), 0), (((), (2,)), ((), (3,)), 1),
 }
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-residue word construction that `fock._words` replaced
+# ---------------------------------------------------------------------------
+
+def i_word_oracle(mp, i, params):
+    """The i-word from the full addable and removable lists of residue i,
+    merged by a stable sort on the node order (addable first at equal keys)."""
+    entries = [(nd, "A") for nd in addable(mp, i, params)]
+    entries += [(nd, "R") for nd in removable(mp, i, params)]
+    entries.sort(key=lambda e: _sort_key(params)(e[0]))
+    return entries
+
+
+def reduced_word_oracle(mp, i, params):
+    stack = []
+    for nd, kind in i_word_oracle(mp, i, params):
+        if kind == "A" and stack and stack[-1][1] == "R":
+            stack.pop()
+        else:
+            stack.append((nd, kind))
+    return stack
+
+
+def good_node_oracle(mp, i, params):
+    rems = [nd for nd, kind in reduced_word_oracle(mp, i, params) if kind == "R"]
+    return rems[0] if rems else None
+
+
+def cogood_node_oracle(mp, i, params):
+    adds = [nd for nd, kind in reduced_word_oracle(mp, i, params) if kind == "A"]
+    return adds[-1] if adds else None
+
+
+def ftilde_oracle(mp, i, params):
+    g = cogood_node_oracle(mp, i, params)
+    return None if g is None else add_node(mp, g)
+
+
+def crystal_oracle(params, n):
+    """Levels and edges of the closure of the empty multipartition under
+    `ftilde_oracle`."""
+    levels, edges = [[empty_mp(params.r)]], set()
+    for _ in range(n):
+        nxt = set()
+        for mp in levels[-1]:
+            for i in range(params.l):
+                target = ftilde_oracle(mp, i, params)
+                if target is not None:
+                    edges.add((mp, target, i))
+                    nxt.add(target)
+        levels.append(sorted(nxt))
+    return levels, edges
+
+
+def json_oracle(graph):
+    """The crystal JSON with every edge rendered and sorted by `str`."""
+    return json.dumps({
+        "levels": [[list(map(list, mp)) for mp in level] for level in graph.levels],
+        "edges": sorted(
+            [[list(map(list, a)), list(map(list, b)), i] for a, b, i in graph.edges],
+            key=str),
+    }, sort_keys=True)
 
 
 def vec_scale(vec, poly):
@@ -182,6 +248,62 @@ class TestOracleEquivalences:
                 assert uryu_set(pf, n) == uryu_set(pa, n)
 
 
+WORD_PARAMS = [
+    P22, A22,
+    FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW),
+    FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI),
+    FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW),
+    FockParams(l=3, r=3, u=(0, 0, 2), node_order=ARIKI),
+    FockParams(l=6, r=2, u=(0, 3), node_order=FLOTW),
+    FockParams(l=5, r=1, u=(2,), node_order=FLOTW),
+]
+
+
+class TestSignatureOracle:
+    @pytest.mark.parametrize("p", WORD_PARAMS, ids=lambda p: f"l{p.l}-u{''.join(map(str, p.u))}-{p.node_order}")
+    def test_words_match_per_residue_construction(self, p):
+        for n in range(7):
+            for mp in multipartitions(p.r, n):
+                for i in range(p.l):
+                    assert i_word(mp, i, p) == i_word_oracle(mp, i, p), (mp, i)
+                    assert _reduced_word(mp, i, p) == reduced_word_oracle(mp, i, p)
+                    assert good_node(mp, i, p) == good_node_oracle(mp, i, p)
+                    assert cogood_node(mp, i, p) == cogood_node_oracle(mp, i, p)
+
+    @pytest.mark.parametrize("p, n", [
+        (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 9),
+        (FockParams(l=6, r=2, u=(0, 3), node_order=FLOTW), 10),
+    ], ids=["l4-n9", "l6-n10"])
+    def test_crystal_matches_oracle_closure(self, p, n):
+        levels, edges = crystal_oracle(p, n)
+        g = crystal(p, n)
+        assert g.levels == levels
+        assert g.edges == edges
+
+    def test_one_slot_cache_keys_on_params(self):
+        pf = FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW)
+        others = [FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI),
+                  FockParams(l=3, r=2, u=(0, 2), node_order=FLOTW)]
+        differ = 0
+        for p2 in others:
+            for n in range(5):
+                for mp in multipartitions(2, n):
+                    for i in range(3):
+                        first, second = ftilde(mp, i, pf), ftilde(mp, i, p2)
+                        assert first == ftilde_oracle(mp, i, pf)
+                        assert second == ftilde_oracle(mp, i, p2)
+                        differ += first != second
+        assert differ > 0
+
+    @pytest.mark.parametrize("p", [
+        FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW),
+        FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI),
+    ], ids=["l4-flotw", "l3-ariki"])
+    def test_json_rendering_matches_str_sort(self, p):
+        g = crystal(p, 8)
+        assert json.dumps(g.to_json_dict(), sort_keys=True) == json_oracle(g)
+
+
 class TestCrystalOperators:
     def test_ftilde_from_empty(self):
         assert ftilde(empty_mp(2), 1, P22) == ((), (1,))
@@ -209,6 +331,15 @@ class TestCrystalOperators:
         assert kleshchev_member(((2, 1), ()), A22)
         assert not kleshchev_member(((), (3,)), A22)
         assert kleshchev_member(((3,), ()), A22)
+
+    def test_kleshchev_member_is_the_ariki_crystal(self):
+        for u in ((0, 1), (1, 4)):
+            p = FockParams(l=3, r=2, u=u, node_order=FLOTW)
+            pa = FockParams(l=3, r=2, u=tuple(x % 3 for x in u), node_order=ARIKI)
+            for n in range(6):
+                level = uryu_set(pa, n)
+                for mp in multipartitions(2, n):
+                    assert kleshchev_member(mp, p) == (mp in level), (u, mp)
 
 
 class TestQuantumAction:
