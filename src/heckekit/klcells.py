@@ -5,10 +5,12 @@ quadratic relation reads Tt_s^2 = 1 + (v^L(s) - v^-L(s)) Tt_s.  The
 bar-invariant basis {c_w} comes from Lusztig's recursion: for sw > w,
 c_s c_w = c_sw + sum of M^s_{z,w} c_z with bar-invariant M^s_{z,w}, the
 edges of the W-graph.  Those edges give the left cells, and the cells give
-the a-function and the distinguished involutions; the structure constants
-h_{x,y,z} are built only for the gamma constants, the asymptotic ring J with
-its homomorphism phi, and a battery of machine checks (P2-P8, P15') that gate
-the J-ring constructions.
+the a-function and the distinguished involutions.  The same W-graph gives
+left multiplication by each c_s in c-coordinates, so the structure constants
+h_{x,y,z} come from a recursion on x with no Tt-coordinates; they are built
+only for the gamma constants, the asymptotic ring J with its homomorphism
+phi, and a battery of machine checks (P2-P8, P15') that gate the J-ring
+constructions.
 
 Element coefficients are dicts {element index: LaurentPoly}; the group's
 canonical index order (by length, then lexicographic word) makes every
@@ -318,11 +320,13 @@ def property_name(name: str) -> str:
 #: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.4 s and
 #: 1.3 s.  F4 (1152) takes about 4 s and 10 s and needs force.
 CBASIS_CAP = 400
-#: Largest |W| for the |W|^2 structure constants: A4 (120) takes about 50 s,
-#: D4 (192) about 6 minutes.
+#: Largest |W| for the |W|^2 structure constants.  They take about 0.5 s on
+#: A4 (120) and 2 s on D4 (192), but the jobs that need them cost more: D4
+#: --check about 7 s (5 s of it P15'), and phimatrix is a determinant of size
+#: |W| (B3, 48, takes 12-40 s).
 HCONST_CAP = 120
 #: Largest |W| where afn checks itself against the structure constants even
-#: when nothing else needs them: up to A3 (24) they take under 0.25 s.
+#: when nothing else needs them: up to A3 (24) they take under 0.01 s.
 AFN_CHECK_CAP = 24
 
 
@@ -399,26 +403,37 @@ class KLData:
         return self.trace_leading[1]
 
     @cached_property
-    def left_cells(self) -> list[list[int]]:
-        """Strongly connected components of the graph w -> z, c_z in c_s c_w.
+    def wgraph(self) -> list[list[Coeffs]]:
+        """wgraph[s][w] = c-coordinates of c_s c_w, the W-graph of Lusztig ch. 6.
 
-        Only the s with sw > w give edges: otherwise c_s c_w is a multiple of
-        c_w.  Then c_s c_w = c_sw + sum of M^s_{z,w} c_z (cs_times_cw), so
-        the edges from w are sw and the z with M^s_{z,w} != 0: rank * |W|
-        products, where the preorder from all of the structure constants
-        would take |W|^2.
+        (v^L(s) + v^-L(s)) c_w when sw < w; c_sw + sum of M^s_{z,w} c_z
+        (cs_times_cw) when sw > w.  rank * |W| small dicts.
         """
         group = self.group
         basis = [c.coeffs for c in self.cbasis]
-        edges: list[list[int]] = []
-        for w in range(len(group)):
-            targets: set[int] = set()
-            for s in range(group.rank):
-                sw = group.left_table[s][w]
-                if sw > w:  # the canonical index order sorts by length
-                    targets.add(sw)
-                    targets.update(cs_times_cw(self.algebra, basis, s, w)[1])
-            edges.append(list(targets))
+        rows = []
+        for s in range(group.rank):
+            L = self.algebra.weights(s)
+            both = vpow(L) + vpow(-L)
+            table = group.left_table[s]
+            rows.append([
+                {w: both} if table[w] < w  # the canonical index order sorts by length
+                else {table[w]: _ONE, **cs_times_cw(self.algebra, basis, s, w)[1]}
+                for w in range(len(group))])
+        return rows
+
+    @cached_property
+    def left_cells(self) -> list[list[int]]:
+        """Strongly connected components of the graph w -> z, c_z in c_s c_w.
+
+        The edges are read off the W-graph stage: rank * |W| products, where
+        the preorder from all of the structure constants would take |W|^2.
+        When sw < w, c_s c_w is a multiple of c_w and adds only a loop.
+        """
+        rank = self.group.rank
+        wgraph = self.wgraph
+        edges = [list({z for s in range(rank) for z in wgraph[s][w]})
+                 for w in range(len(self.group))]
         return strongly_connected_components(edges)
 
     @cached_property
@@ -449,26 +464,34 @@ class KLData:
 
     @cached_property
     def hconst(self) -> dict[tuple[int, int], Coeffs]:
-        """h[(x, y)][z] = coefficient of c_z in c_x c_y."""
+        """h[(x, y)][z] = coefficient of c_z in c_x c_y, computed in c-coordinates.
+
+        Recursion on x in index order: with s the first letter of x and
+        r = sx, c_s c_r = c_x + sum of M^s_{z,r} c_z (z < r), so
+        h(x, y) = c_s h(r, y) less the M^s_{z,r} h(z, y).  Left
+        multiplication by c_s reads each c_s c_w off the W-graph stage, so
+        no Tt-coordinates and no back-substitution are involved.
+        """
         n = len(self.group)
         if not self.force:
             check_cap(n, HCONST_CAP, "structure constants")
-        table: dict[tuple[int, int], Coeffs] = {}
         elements = self.group.elements
+        left_table = self.group.left_table
+        wgraph = self.wgraph
+        table: dict[tuple[int, int], Coeffs] = {}
         for y in range(n):
-            # column: Tt_w * c_y for every w, by increasing length
-            col: list[Coeffs] = [None] * n  # type: ignore[list-item]
-            col[0] = self.cbasis[y].coeffs
-            for w in range(1, n):
-                word = elements[w].word
-                s = word[0]
-                rest = self.group.left_table[s][w]
-                col[w] = self.algebra._lgen(s, col[rest])
-            for x in range(n):
+            table[(0, y)] = {y: _ONE}
+            for x in range(1, n):
+                s = elements[x].word[0]
+                r = left_table[s][x]
+                cs = wgraph[s]
                 acc: Coeffs = {}
-                for u, p in self.cbasis[x].coeffs.items():
-                    add_into(acc, col[u], p)
-                table[(x, y)] = self.cexpand(acc)
+                for w, f in table[(r, y)].items():
+                    add_into(acc, cs[w], f)
+                for z, m in cs[r].items():
+                    if z != x:
+                        add_into(acc, table[(z, y)], -m)
+                table[(x, y)] = acc
         return table
 
     def check_afn(self, a: list[int]) -> None:

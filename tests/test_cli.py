@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckekit.cli import main
 from heckekit.coxeter import _cached_group
-from heckekit.klcells import KLData
+from heckekit.klcells import PROPERTY_NAMES, KLData
 
 
 def run(capsys, *argv):
@@ -198,6 +202,49 @@ class TestKlCommand:
         code, _, _ = run(capsys, "kl", "--type", "B", "--rank", "2",
                          "--weights", "1", "--emit", "afn")
         assert code == 2
+
+
+KL_EMITS = ["cbasis", "afn", "gamma", "dinv", "jring", "phimatrix"]
+
+
+@st.composite
+def kl_argv(draw):
+    """kl argv over types A/B/G2 of rank <= 3, mostly well-formed."""
+    family, rank = draw(st.sampled_from([
+        ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2),
+        ("A", 0), ("B", 1), ("G2", 3)]))
+    count = 1 if family == "A" else 2
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        weights = ",".join(map(str, draw(st.lists(st.integers(1, 3), min_size=count,
+                                                  max_size=count))))
+    elif kind == 2:  # any count, zero and negative weights
+        weights = ",".join(map(str, draw(st.lists(st.integers(-1, 3), max_size=3))))
+    else:
+        weights = draw(st.sampled_from(["", ",", "1,,2", "x", "1.5", "2,b", "--"]))
+    argv = ["kl", "--type", family, "--rank", str(rank), "--weights", weights]
+    # the phimatrix determinant has size |W|: B3 (48) takes 12-40 s
+    emits = KL_EMITS[:-1] if (family, rank) == ("B", 3) else KL_EMITS
+    emit = draw(st.sampled_from([None, *emits]))
+    if emit:
+        argv += ["--emit", emit]
+    names = st.sampled_from([*PROPERTY_NAMES, "P15", "P15prime", "P1", "P9", "p2", ""])
+    if draw(st.booleans()):
+        argv += ["--check", ",".join(draw(st.lists(names, min_size=1, max_size=3)))]
+    return argv
+
+
+class TestKlFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(kl_argv())
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            json.loads(out.getvalue())
 
 
 class TestVerifyCommand:

@@ -106,6 +106,29 @@ def afn_from_hconst(data):
     return a
 
 
+def hconst_by_cexpand(data):
+    """Oracle: h[(x, y)] from Tt-coordinates and back-substitution, over all |W|^2 pairs.
+
+    For each y, the column Tt_w c_y comes from Tt_sw c_y by one left
+    multiplication by Tt_s; c_x c_y sums p_{u,x} Tt_u c_y over the Tt-terms of
+    c_x, and cexpand turns it into c-coordinates.
+    """
+    n = len(data.group)
+    alg, W = data.algebra, data.group
+    table = {}
+    for y in range(n):
+        col = [data.cbasis[y].coeffs]  # col[w] = Tt_w c_y, by increasing length
+        for w in range(1, n):
+            s = W.elements[w].word[0]
+            col.append(alg._lgen(s, col[W.left_table[s][w]]))
+        for x in range(n):
+            acc = {}
+            for u, p in data.cbasis[x].coeffs.items():
+                add_into(acc, col[u], p)
+            table[(x, y)] = data.cexpand(acc)
+    return table
+
+
 def left_cells_by_cexpand(data):
     """Oracle: left cells from the c-coordinates of every c_s c_w with sw > w."""
     alg, W = data.algebra, data.group
@@ -300,6 +323,26 @@ class TestStructureConstants:
             for p in row.values():
                 assert p.bar() == p
 
+    @pytest.mark.parametrize("family,rank,a,b", [
+        ("G2", 2, 1, 2), ("G2", 2, 1, 1), ("G2", 2, 2, 1), ("A", 2, 1, None),
+        ("A", 3, 1, None), ("B", 2, 1, 3), ("B", 2, 1, 1), ("B", 2, 2, 5),
+        ("B", 3, 1, 2), ("B", 3, 1, 1), ("B", 3, 2, 1), ("B", 3, 1, 3)])
+    def test_w_graph_recursion_matches_cexpand_oracle(self, family, rank, a, b):
+        data = shared_kl(family, rank, a, b)
+        assert data.hconst == hconst_by_cexpand(data)
+
+    @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("G2", 2, 1, 2)])
+    def test_w_graph_rows_are_c_coordinates_of_cs_cw(self, family, rank, a, b):
+        # both kinds of row: c_s c_w = (v^L + v^-L) c_w when sw < w, and
+        # c_sw + sum of M^s_{z,w} c_z when sw > w
+        data = shared_kl(family, rank, a, b)
+        W, alg = data.group, data.algebra
+        for s in range(W.rank):
+            cs = data.cbasis[W.generators[s].index]
+            for w in range(len(W)):
+                expected = data.cexpand(alg.mul(cs, data.cbasis[w]).coeffs)
+                assert data.wgraph[s][w] == expected
+
     def test_cap(self):
         ct = CoxeterType("F4", 4)
         alg = HeckeAlgebra(build(ct), weight_from_ab(ct, 1, 1))
@@ -380,6 +423,15 @@ class TestAFunction:
     def test_w_graph_cells_match_cexpand_oracle(self, family, rank, a, b):
         data = shared_kl(family, rank, a, b)
         assert data.left_cells == left_cells_by_cexpand(data)
+
+    @pytest.mark.parametrize("family,rank", [("A", 4), ("D", 4)])
+    def test_cells_afn_matches_hconst_beyond_the_oracle(self, family, rank):
+        # A4 (120 elements) and D4 (192): the structure constants from the
+        # W-graph take about 0.5 s and 2 s, so the a-function from the cells
+        # is tied to them past the reach of the cexpand oracle
+        data = KLData(algebra(family, rank, 1), force=True)
+        assert data.afn == afn_from_hconst(data)
+        data.check_afn(data.afn)
 
     @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
     def test_gamma_rejects_a_moved_afn(self, step):
