@@ -101,7 +101,7 @@ def _cmd_schur(args) -> int:
         if args.bipartition:
             lam = _parse_bipartition(args.bipartition)
             poly = schur.schur_element_B(lam, args.a, args.b)
-            pair = schur.invariants_B(lam, args.a, args.b)
+            pair = schur._extract_invariants(poly)
             out = {"type": "B", "label": _render_mp(lam), "a": args.a, "b": args.b,
                    "f": pair.f, "alpha": pair.alpha,
                    "element": poly.json_pairs(), "text": poly.text()}

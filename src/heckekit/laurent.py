@@ -315,12 +315,3 @@ def add_into(acc: MutableMapping, terms: Mapping, scale=None) -> MutableMapping:
 def vpow(k: int, coeff: int = 1) -> LaurentPoly:
     """Shorthand for coeff * v^k."""
     return LaurentPoly.monomial(k, coeff)
-
-
-def geometric(k: int, step: int) -> LaurentPoly:
-    """1 + v^step + ... + v^((k-1)*step); the constant k when step = 0."""
-    if k < 0:
-        raise ValueError("length must be nonnegative")
-    if step == 0:
-        return LaurentPoly.const(k)
-    return LaurentPoly({j * step: 1 for j in range(k)})

@@ -13,12 +13,13 @@ f a positive integer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Iterator, NamedTuple, Optional
 
-from .laurent import LaurentPoly, geometric, vpow
+from .laurent import LaurentPoly, vpow
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -144,7 +145,6 @@ def hooks_product(nu: Partition) -> int:
 
 def standard_tableaux(nu: Partition) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
-    import math
     n = sum(nu)
     return math.factorial(n) // hooks_product(nu) if n else 1
 
@@ -179,12 +179,34 @@ def symbol_of(lam: Bipartition, m: int) -> Symbol:
     return Symbol(top, bottom, m)
 
 
-def schur_element_B(lam: Bipartition, a: int, b: int, m: Optional[int] = None) -> LaurentPoly:
-    """Schur element of the weight-(a, b) type-B algebra at a bipartition.
+#: Largest n at which invariants_B checks its lowest-term pair against the
+#: full product formula (the exact division is the runtime proof that the
+#: formula yields a Laurent polynomial): a whole n = 3 table costs about
+#: 2 ms that way, n = 5 about 20 ms and n = 7 about 150 ms.
+SCHUR_CHECK_CAP = 3
 
-    Evaluates the symbol product formula exactly.  The (v^2a - 1)-type factors
-    occurring in numerator and denominator are cancelled in matched pairs
-    before specialization, which keeps the a = 0 case well defined.
+
+def _vsum(e1: int, e2: int) -> dict[int, int]:
+    """v^e1 + v^e2 as an {exponent: coefficient} map."""
+    return {e1: 2} if e1 == e2 else {e1: 1, e2: 1}
+
+
+def _geometric(k: int, step: int, shift: int = 0) -> dict[int, int]:
+    """v^shift * (1 + v^step + ... + v^((k-1)*step)); k * v^shift when step = 0."""
+    if step == 0:
+        return {shift: k}
+    return {shift + j * step: 1 for j in range(k)}
+
+
+def _factors_B(lam: Bipartition, a: int, b: int,
+               m: Optional[int] = None) -> Iterator[tuple[bool, dict[int, int]]]:
+    """The factors of the type-B symbol product formula at a bipartition.
+
+    Yields (is_denominator, {exponent: coefficient}); every factor has
+    positive coefficients.  The (v^2a - 1)-type factors occurring in numerator
+    and denominator are cancelled in matched pairs before specialization,
+    which keeps the a = 0 case well defined: each v^(2ak) - 1 appears as
+    1 + v^2a + ... + v^(2a(k-1)), which is the constant k when a = 0.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise DomainError("weights must be nonnegative and not both zero")
@@ -196,53 +218,55 @@ def schur_element_B(lam: Bipartition, a: int, b: int, m: Optional[int] = None) -
     alpha, beta = sym.top, sym.bottom
     x = 2 * a  # exponent of v carried by one power of the a-parameter
     y = 2 * b
-
-    num: list[LaurentPoly] = []
-    den: list[LaurentPoly] = []
     num_c1 = den_c1 = 0  # matched (v^(2a) - 1) factor counts
 
     # Leading monomial and the (v^2a + v^2b)^m factor.  The b-part of the
     # exponent makes the value independent of the padding size m; without it
     # the result drifts by v^(-2b) per increment of the triangular number
     # m(m-1)/2 (anchored at m = 0 by the Poincare polynomial of the group).
-    num.append(vpow(a * 2 * m * (2 * m + 1) * (m - 2) // 3 + b * m * (m - 1)))
+    yield False, {a * 2 * m * (2 * m + 1) * (m - 2) // 3 + b * m * (m - 1): 1}
     for _ in range(m):
-        num.append(LaurentPoly({x: 1}) + LaurentPoly({y: 1}))
+        yield False, _vsum(x, y)
 
     for ai in alpha:
         for k in range(1, ai + 1):
             num_c1 += 1
-            num.append(geometric(k, x))                    # (v^(2ak) - 1) factor
-            num.append(vpow(x * (k - 1) + y) + 1)
+            yield False, _geometric(k, x)                  # (v^(2ak) - 1) factor
+            yield False, _vsum(x * (k - 1) + y, 0)
     for bj in beta:
         for k in range(1, bj + 1):
             num_c1 += 1
-            num.append(geometric(k, x))
-            num.append(vpow(x * (k + 1) - y) + 1)
+            yield False, _geometric(k, x)
+            yield False, _vsum(x * (k + 1) - y, 0)
 
     den_c1 += n                                            # (v^(2a) - 1)^n
-    den.append(LaurentPoly.const(1))
     for ai in alpha:
         for bj in beta:
-            den.append(vpow(x * (ai - 1) + y) + vpow(x * bj))
+            yield True, _vsum(x * (ai - 1) + y, x * bj)
     for i2 in range(len(alpha)):
         for i1 in range(i2):
             den_c1 += 1                                    # v^(2a*ai2) - v^(2a*ai1)
-            den.append(vpow(x * alpha[i1]) * geometric(alpha[i2] - alpha[i1], x))
+            yield True, _geometric(alpha[i2] - alpha[i1], x, x * alpha[i1])
     for j2 in range(len(beta)):
         for j1 in range(j2):
             den_c1 += 1
-            den.append(vpow(x * beta[j1]) * geometric(beta[j2] - beta[j1], x))
+            yield True, _geometric(beta[j2] - beta[j1], x, x * beta[j1])
 
     if num_c1 != den_c1:
         raise AssertionError("unbalanced cancellation in Schur product formula")
 
-    p = LaurentPoly.one()
-    for f in num:
-        p = p * f
-    q = LaurentPoly.one()
-    for f in den:
-        q = q * f
+
+def schur_element_B(lam: Bipartition, a: int, b: int, m: Optional[int] = None) -> LaurentPoly:
+    """Schur element of the weight-(a, b) type-B algebra at a bipartition.
+
+    Evaluates the symbol product formula (``_factors_B``) exactly.
+    """
+    p = q = LaurentPoly.one()
+    for is_den, terms in _factors_B(lam, a, b, m):
+        if is_den:
+            q = q * LaurentPoly(terms)
+        else:
+            p = p * LaurentPoly(terms)
     return p.exact_div(q)
 
 
@@ -256,8 +280,31 @@ def _extract_invariants(c: LaurentPoly) -> InvariantPair:
 
 
 def invariants_B(lam: Bipartition, a: int, b: int) -> InvariantPair:
-    """(alpha, f) read off the extremal term of the type-B Schur element."""
-    return _extract_invariants(schur_element_B(lam, a, b))
+    """(alpha, f) read off the lowest term of the type-B Schur element.
+
+    Over Z the lowest term of a product is the product of the lowest terms,
+    and the Schur element is an exact quotient, so only each factor's lowest
+    exponent and coefficient are needed.  Up to SCHUR_CHECK_CAP the pair is
+    checked against the fully divided element.
+    """
+    lo, num, den = 0, 1, 1
+    for is_den, terms in _factors_B(lam, a, b):
+        e = min(terms)
+        if is_den:
+            lo -= e
+            den *= terms[e]
+        else:
+            lo += e
+            num *= terms[e]
+    f, rem = divmod(num, den)
+    if rem or lo % 2 != 0 or f <= 0:
+        raise ArithmeticError(f"lowest term {num}/{den} * v^{lo} of the Schur "
+                              "element is not f * v^(-2 alpha) with f a positive integer")
+    pair = InvariantPair(alpha=-lo // 2, f=f)
+    if sum(map(sum, lam)) <= SCHUR_CHECK_CAP \
+            and pair != _extract_invariants(schur_element_B(lam, a, b)):
+        raise AssertionError(f"lowest terms disagree with the Schur element at {lam}")
+    return pair
 
 
 def invariants_asymptotic(lam: Bipartition, a: int, b: int) -> InvariantPair:
@@ -271,8 +318,16 @@ def invariants_asymptotic(lam: Bipartition, a: int, b: int) -> InvariantPair:
 
 
 def invariants_A(nu: Partition, a: int) -> InvariantPair:
-    """Symmetric-group closed form: alpha = n(nu) * a and f = 1."""
-    return InvariantPair(alpha=nfun(check_partition(nu)) * a, f=1)
+    """Symmetric-group closed form: alpha = n(nu) * a and f = 1 for a > 0.
+
+    At a = 0 the algebra is Q[S_n], whose Schur elements are n! / dim E.
+    """
+    nu = check_partition(nu)
+    if a < 0:
+        raise DomainError(f"type A requires a >= 0, got a={a}")
+    if a == 0:
+        return InvariantPair(alpha=0, f=math.factorial(sum(nu)) // standard_tableaux(nu))
+    return InvariantPair(alpha=nfun(nu) * a, f=1)
 
 
 def invariants_azero(lam: Bipartition, b: int) -> InvariantPair:
@@ -280,7 +335,7 @@ def invariants_azero(lam: Bipartition, b: int) -> InvariantPair:
     if b <= 0:
         raise DomainError("a = 0 requires b > 0")
     alpha = sum(lam[1]) * b
-    pair = _extract_invariants(schur_element_B(lam, 0, b))
+    pair = invariants_B(lam, 0, b)
     if pair.alpha != alpha:
         raise AssertionError("closed form disagrees with the product formula")
     return InvariantPair(alpha=alpha, f=pair.f)
@@ -421,8 +476,9 @@ def all_invariants(family: str, a: int, b: int = 0, n: int = 0):
         seen = set()
         for lam, mu in bipartitions(n):
             if lam == mu:
-                out.append((("split", lam, "+"), typeD_invariants_split(lam, a)))
-                out.append((("split", lam, "-"), typeD_invariants_split(lam, a)))
+                pair = typeD_invariants_split(lam, a)
+                out.append((("split", lam, "+"), pair))
+                out.append((("split", lam, "-"), pair))
             elif (mu, lam) not in seen:
                 seen.add((lam, mu))
                 out.append((("pair", lam, mu), typeD_invariants(lam, mu, a)))

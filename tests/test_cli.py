@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckekit import schur
 from heckekit.cli import main
 from heckekit.coxeter import _cached_group
 from heckekit.klcells import PROPERTY_NAMES, KLData
@@ -130,6 +131,22 @@ class TestSchurCommand:
         assert_input_error(*run(capsys, "schur", "--type", "B", "--a", "1",
                                 "--b", "1", "--bipartition", body))
 
+    def test_bipartition_builds_the_element_once(self, capsys, monkeypatch):
+        calls = []
+        real = schur.schur_element_B
+        monkeypatch.setattr(schur, "schur_element_B",
+                            lambda *args: calls.append(args) or real(*args))
+        data = run_json(capsys, "schur", "--type", "B", "--a", "1", "--b", "2",
+                        "--bipartition", "[[2,1],[1]]")
+        assert len(calls) == 1
+        assert (data["alpha"], data["f"]) == tuple(schur.invariants_B(((2, 1), (1,)), 1, 2))
+
+    def test_type_a_weights(self, capsys):
+        assert_input_error(*run(capsys, "schur", "--type", "A", "--n", "3", "--a", "-2"))
+        data = run_json(capsys, "schur", "--type", "A", "--n", "3", "--a", "0")
+        assert {str(r["label"]): r["f"] for r in data["rows"]} == \
+            {"[3]": 6, "[2, 1]": 3, "[1, 1, 1]": 6}
+
     def test_regime_not_covered(self, capsys):
         code, _, _ = run(capsys, "schur", "--type", "G2", "--a", "2", "--b", "1")
         assert code == 2
@@ -244,6 +261,38 @@ class TestKlFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):
+            json.loads(out.getvalue())
+
+
+@st.composite
+def schur_argv(draw):
+    """schur argv over types A/B/G2/F4, n <= 10, weights in [-1, 4]."""
+    argv = ["schur", "--type", draw(st.sampled_from(["A", "B", "G2", "F4"])),
+            "--n", str(draw(st.integers(0, 10))),
+            "--a", str(draw(st.integers(-1, 4))), "--b", str(draw(st.integers(-1, 4)))]
+    kind = draw(st.integers(0, 3))
+    if kind == 1:  # a well-formed pair of lists, not always of partitions
+        parts = st.lists(st.integers(-1, 3), max_size=3)
+        lam = draw(st.tuples(parts, parts).filter(
+            lambda lam: sum(map(abs, lam[0] + lam[1])) <= 6))
+        argv += ["--bipartition", json.dumps(lam)]
+    elif kind == 2:
+        argv += ["--bipartition", draw(st.sampled_from([
+            "", "[", "[[1],[2]", "[[1]]", "[[1],[1],[1]]", "[[1.5],[]]", '[["1"],[]]',
+            "[[true],[]]", "[[1],null]", "{}", "7", "[[0],[]]", "[[1,2],[]]"]))]
+    return argv
+
+
+class TestSchurFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(schur_argv())
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
             json.loads(out.getvalue())
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckekit.laurent import (DivisionByZero, LaurentPoly, NotDivisible,
-                              ZeroPolynomial, add_into, geometric, vpow)
+                              ZeroPolynomial, add_into, vpow)
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
 nonzero_polys = polys.filter(bool)
@@ -138,10 +138,6 @@ class TestRendering:
 
     def test_json_pairs(self):
         assert P({2: -1, -1: 3}).json_pairs() == [[-1, "3"], [2, "-1"]]
-
-    def test_geometric(self):
-        assert geometric(3, 2) == P({0: 1, 2: 1, 4: 1})
-        assert geometric(4, 0) == P({0: 4})
 
 
 class TestAddInto:

@@ -1,14 +1,21 @@
+import hashlib
+import json
+from fractions import Fraction
+
 import pytest
 
+from heckekit import schur
 from heckekit.laurent import vpow
-from heckekit.schur import (G2_LABELS, DomainError, MTooSmall, RegimeNotCovered,
-                            Symbol, bipartitions, conjugate, dominance_leq,
-                            dominance_leq_multi, e_regular, f4_invariants,
-                            f4_labels, g2_invariants, g2_schur, invariants_A,
-                            invariants_asymptotic, invariants_azero,
-                            invariants_B, l_good, min_symbol_size, nfun,
-                            partitions, schur_element_B, standard_tableaux,
-                            symbol_of, typeD_invariants, typeD_invariants_split)
+from heckekit.schur import (G2_LABELS, SCHUR_CHECK_CAP, DomainError, MTooSmall,
+                            RegimeNotCovered, Symbol, _extract_invariants,
+                            all_invariants, bipartitions, conjugate,
+                            dominance_leq, dominance_leq_multi, e_regular,
+                            f4_invariants, f4_labels, g2_invariants, g2_schur,
+                            invariants_A, invariants_asymptotic,
+                            invariants_azero, invariants_B, l_good,
+                            min_symbol_size, nfun, partitions, schur_element_B,
+                            standard_tableaux, symbol_of, typeD_invariants,
+                            typeD_invariants_split)
 
 # Table of alpha values per weight pair, one block per even b
 TABLE3_ALPHA = {
@@ -21,6 +28,25 @@ TABLE3_ALPHA = {
     (1, 4): {((3,), ()): 0, ((2, 1), ()): 1, ((1, 1, 1), ()): 3, ((2,), (1,)): 4,
              ((1, 1), (1,)): 5, ((1,), (2,)): 7, ((), (3,)): 9,
              ((1,), (1, 1)): 10, ((), (2, 1)): 13, ((), (1, 1, 1)): 18},
+}
+
+
+#: Weight pairs covering a = 0, b = 0, b = a, b < a, b > a and b > (n-1)a.
+REGIMES = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (1, 7), (0, 1), (3, 2)]
+
+#: sha256 of the JSON list [[label, element.json_pairs()], ...] over every
+#: bipartition with n <= 4, as the full-polynomial product formula gave it
+#: before the factors were shared with invariants_B.
+ELEMENT_DIGESTS = {
+    (1, 0): "89eb8d460c0d023ce1b3c0cb56b04c3ab47c9f1b9c8aa4af6488a3424aa09848",
+    (1, 1): "257d6ee4ba0955da322aad4b5c26429a21dc10911f5bc833d79d388346daabc9",
+    (1, 2): "795835ccded4f7b31db38649d2dd58c8a78ab12b75c68f6f11cdbf7c3177d0de",
+    (1, 3): "2b55aff20ec0bda11152f6c98af111cfa06520a8d0f6d0be93540db8f0ecf659",
+    (2, 1): "36dee598e558c776fcb43a1001fa599f1f89666f3e51beb02be8993ffcd36c73",
+    (2, 3): "675616dd18e844a8f5b7978d4da50dc4fe0cbfea23cf7cbd69210c615d2e5736",
+    (1, 7): "7707e43ce0831228752d21cbbac03371d863d7bb79baafc69babebf408205413",
+    (0, 1): "e7b8408408672fd43b6570b783ea3c3ffddf04fabb4336360d00d83d2d644a72",
+    (3, 2): "834357f9c6713d8dc5ff78fe540c95e73a4b73b8b30a1d71119a1471e2e576cf",
 }
 
 
@@ -124,6 +150,18 @@ class TestSchurElementB:
                 assert invariants_A(nu, 1) == (nfun(nu), 1)
                 assert invariants_asymptotic((nu, ()), 1, n) == (nfun(nu) * 1, 1)
 
+    def test_type_a_negative_weight(self):
+        with pytest.raises(DomainError):
+            invariants_A((2, 1), -2)
+
+    def test_type_a_group_algebra(self):
+        # a = 0 gives Q[S_n], whose Schur elements n!/dim E satisfy
+        # sum dim(E)/c_E = 1
+        assert [invariants_A(nu, 0) for nu in partitions(3)] == [(0, 6), (0, 3), (0, 6)]
+        for n in range(7):
+            assert sum(Fraction(standard_tableaux(nu), invariants_A(nu, 0).f)
+                       for nu in partitions(n)) == 1
+
     def test_azero(self):
         assert invariants_azero(((2,), (1,)), 5).alpha == 5
         for lam in bipartitions(3):
@@ -132,6 +170,45 @@ class TestSchurElementB:
     def test_bad_weights(self):
         with pytest.raises(DomainError):
             schur_element_B(((1,), ()), 0, 0)
+        with pytest.raises(DomainError):
+            invariants_B(((1,), ()), -1, 2)
+
+
+class TestLowestTerms:
+    """invariants_B reads (alpha, f) off the factors' lowest terms."""
+
+    @pytest.mark.parametrize("ab", REGIMES)
+    def test_equals_the_divided_element(self, ab):
+        for n in range(7):
+            for lam in bipartitions(n):
+                assert invariants_B(lam, *ab) == _extract_invariants(schur_element_B(lam, *ab))
+
+    @pytest.mark.parametrize("ab", REGIMES)
+    def test_element_unchanged(self, ab):
+        rows = [[[list(c) for c in lam], schur_element_B(lam, *ab).json_pairs()]
+                for n in range(5) for lam in bipartitions(n)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ELEMENT_DIGESTS[ab]
+
+    @pytest.mark.parametrize("n, a, b", [(10, 1, 10), (12, 1, 12), (10, 2, 19)])
+    def test_asymptotic_past_the_oracle(self, n, a, b):
+        for lam, pair in all_invariants("B", a, b, n):
+            assert pair == invariants_asymptotic(lam, a, b)
+
+    def test_full_element_only_up_to_the_cap(self, monkeypatch):
+        calls = []
+        real = schur.schur_element_B
+        monkeypatch.setattr(schur, "schur_element_B",
+                            lambda *args: calls.append(args) or real(*args))
+        invariants_B(((1,), (1,) * (SCHUR_CHECK_CAP - 1)), 1, 2)
+        assert len(calls) == 1
+        calls.clear()
+        invariants_B(((2,), (1,) * (SCHUR_CHECK_CAP - 1)), 1, 2)
+        assert calls == []
+
+    def test_self_check_catches_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(schur, "_extract_invariants", lambda c: (-1, 1))
+        with pytest.raises(AssertionError):
+            invariants_B(((1,), ()), 1, 1)
 
 
 class TestTypeD:
@@ -142,6 +219,15 @@ class TestTypeD:
         base = invariants_B(((1,), (1,)), 1, 0)
         split = typeD_invariants_split((1,), 1)
         assert split == (base.alpha, 2 * base.f)
+
+    def test_split_label_computed_once(self, monkeypatch):
+        calls = []
+        real = schur.typeD_invariants_split
+        monkeypatch.setattr(schur, "typeD_invariants_split",
+                            lambda lam, a: calls.append(lam) or real(lam, a))
+        rows = dict(all_invariants("D", 1, n=4))
+        assert sorted(calls) == [(1, 1), (2,)]
+        assert rows[("split", (2,), "+")] == rows[("split", (2,), "-")]
 
     def test_unordered_symmetry(self):
         for (lam, mu) in [((2,), (1,)), ((3,), ()), ((2, 1), (1,))]:
