@@ -44,7 +44,7 @@ def _cmd_crystal(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     else:
-        _print_json(graph.to_json_dict())
+        print(graph.to_json())
     return 0
 
 

@@ -198,17 +198,20 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
     """Sum over removals of an i-node gamma, weighted by v^-N_i^a.
 
     N_i^a counts addable i-nodes of the smaller diagram above gamma minus
-    removable i-nodes of the larger diagram above gamma.
+    removable i-nodes of the larger diagram above gamma.  Removing gamma
+    turns it addable and changes only the (i+-1)-nodes, so N_i^a is #A - #R
+    strictly above gamma in the larger diagram's own i-word.
     """
     out: FockVector = {}
     for mp, coeff in vec.items():
         terms = {}
-        rems = removable(mp, i, params)
-        for g in rems:
-            smaller = remove_node(mp, g)
-            na = (sum(1 for g2 in addable(smaller, i, params) if above(g2, g, params))
-                  - sum(1 for g2 in rems if above(g2, g, params)))
-            terms[smaller] = vpow(-na)
+        na = 0
+        for _, kind, a, b, c in _words(mp, params)[i][0]:
+            if kind == "R":
+                terms[remove_node(mp, Node(a, b, c))] = vpow(-na)
+                na -= 1
+            else:
+                na += 1
         add_into(out, terms, coeff)
     return out
 
@@ -217,17 +220,20 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     """Sum over additions of an i-node gamma, weighted by v^N_i^b.
 
     N_i^b counts addable i-nodes of the smaller diagram below gamma minus
-    removable i-nodes of the larger diagram below gamma.
+    removable i-nodes of the larger diagram below gamma.  Adding gamma turns
+    it removable and changes only the (i+-1)-nodes, so N_i^b is #A - #R
+    strictly below gamma in the smaller diagram's own i-word.
     """
     out: FockVector = {}
     for mp, coeff in vec.items():
         terms = {}
-        adds = addable(mp, i, params)
-        for g in adds:
-            larger = add_node(mp, g)
-            nb = (sum(1 for g2 in adds if above(g, g2, params))
-                  - sum(1 for g2 in removable(larger, i, params) if above(g, g2, params)))
-            terms[larger] = vpow(nb)
+        nb = 0
+        for _, kind, a, b, c in reversed(_words(mp, params)[i][0]):
+            if kind == "A":
+                terms[add_node(mp, Node(a, b, c))] = vpow(nb)
+                nb += 1
+            else:
+                nb -= 1
         add_into(out, terms, coeff)
     return out
 
@@ -396,8 +402,12 @@ def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipart
 
 
 def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
-    g = cogood_node(mp, i, params)
-    return None if g is None else add_node(mp, g)
+    """mp plus its cogood i-node, read straight off the reduced i-word."""
+    for _, kind, a, b, c in reversed(_words(mp, params)[i][1]):
+        if kind == "A":
+            part = mp[c - 1]
+            return mp[:c - 1] + (part[:a - 1] + (b,) + part[a:],) + mp[c:]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +424,15 @@ class CrystalGraph:
     def vertices(self) -> set[Multipartition]:
         return {mp for level in self.levels for mp in level}
 
-    def to_json_dict(self) -> dict:
-        """Levels in order and edges sorted by their text; for int lists
-        `str` and `json.dumps` agree, so each vertex is rendered once."""
-        lists = {mp: list(map(list, mp)) for level in self.levels for mp in level}
-        text = {mp: str(lst) for mp, lst in lists.items()}
-        edges = sorted(self.edges, key=lambda e: f"[{text[e[0]]}, {text[e[1]]}, {e[2]}]")
-        return {
-            "levels": [[lists[mp] for mp in level] for level in self.levels],
-            "edges": [[lists[a], lists[b], i] for a, b, i in edges],
-        }
+    def to_json(self) -> str:
+        """The text of `json.dumps({"levels": ..., "edges": ...}, sort_keys=True)`
+        with edges sorted by their text, built from one rendering per vertex:
+        for int lists `str` and `json.dumps` agree."""
+        text = {mp: str(list(map(list, mp))) for level in self.levels for mp in level}
+        edges = sorted(f"[{text[a]}, {text[b]}, {i}]" for a, b, i in self.edges)
+        levels = ("[" + ", ".join(map(text.__getitem__, level)) + "]"
+                  for level in self.levels)
+        return '{"edges": [' + ", ".join(edges) + '], "levels": [' + ", ".join(levels) + "]}"
 
     def to_dot(self) -> str:
         lines = ["digraph crystal {", "  rankdir=BT;"]

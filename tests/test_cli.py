@@ -10,13 +10,25 @@ from hypothesis import strategies as st
 from heckekit import schur
 from heckekit.cli import main
 from heckekit.coxeter import _cached_group
+from heckekit.fock import ARIKI, FLOTW, FockParams, crystal
 from heckekit.klcells import PROPERTY_NAMES, KLData
+from test_fock import json_oracle
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    """Exit code and stdout of main(argv) for hypothesis tests, which cannot
+    use the function-scoped capsys fixture; stderr must hold no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
 
 
 def assert_input_error(code, out, err):
@@ -67,6 +79,16 @@ class TestCrystalCommand:
         code, _, _ = run(capsys, "crystal", "--l", "1", "--r", "2", "--u", "0,1",
                          "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("l, u, n, order", [
+        (4, (0, 1, 3), 7, FLOTW), (3, (0, 1), 7, ARIKI)])
+    def test_json_bytes_match_oracle(self, capsys, l, u, n, order):
+        code, out, _ = run(capsys, "crystal", "--l", str(l), "--r", str(len(u)),
+                           "--u", ",".join(map(str, u)), "--n", str(n),
+                           "--order", order, "--format", "json")
+        assert code == 0
+        p = FockParams(l=l, r=len(u), u=u, node_order=order)
+        assert out == json_oracle(crystal(p, n)) + "\n"
 
 
 class TestBasicsetCommand:
@@ -255,13 +277,10 @@ class TestKlFuzz:
     @settings(max_examples=40, deadline=None)
     @given(kl_argv())
     def test_exit_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out = run_quiet(argv)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
         if code in (0, 1):
-            json.loads(out.getvalue())
+            json.loads(out)
 
 
 @st.composite
@@ -287,13 +306,57 @@ class TestSchurFuzz:
     @settings(max_examples=60, deadline=None)
     @given(schur_argv())
     def test_exit_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out = run_quiet(argv)
         assert code in (0, 2)
-        assert "Traceback" not in err.getvalue()
         if code == 0:
-            json.loads(out.getvalue())
+            json.loads(out)
+
+
+@st.composite
+def crystal_argv(draw):
+    """crystal argv with n <= 8, l and r in [0, 4], u of any length, u_j in [-1, 4]."""
+    u = draw(st.lists(st.integers(-1, 4), max_size=5))
+    return ["crystal", "--l", str(draw(st.integers(0, 4))),
+            "--r", str(draw(st.integers(0, 4))), "--u=" + ",".join(map(str, u)),
+            "--n", str(draw(st.integers(0, 8))),
+            "--order", draw(st.sampled_from([FLOTW, ARIKI])),
+            "--format", draw(st.sampled_from(["json", "dot"]))]
+
+
+@st.composite
+def basicset_argv(draw):
+    """basicset argv with n <= 8, xi-order in [0, 6], a and b in [-1, 3], char 0 or 2."""
+    return ["basicset", "--type", draw(st.sampled_from(["A", "B", "D"])),
+            "--n", str(draw(st.integers(0, 8))),
+            "--a", str(draw(st.integers(-1, 3))), "--b", str(draw(st.integers(-1, 3))),
+            "--xi-order", str(draw(st.integers(0, 6))),
+            "--char", str(draw(st.sampled_from([0, 2]))),
+            "--format", draw(st.sampled_from(["json", "text"]))]
+
+
+class TestCrystalBasicsetFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(crystal_argv())
+    def test_crystal_exit_contract(self, argv):
+        code, out = run_quiet(argv)
+        assert code in (0, 2)
+        if code == 0 and argv[-1] == "json":
+            json.loads(out)
+        elif code == 0:
+            assert out.startswith("digraph crystal {") and out.endswith("}\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(basicset_argv())
+    def test_basicset_exit_contract(self, argv):
+        code, out = run_quiet(argv)
+        assert code in (0, 2)
+        if code == 0 and argv[-1] == "json":
+            json.loads(out)
+        elif code == 0:
+            header, *labels = out.splitlines()
+            assert header.startswith("# ")
+            for line in labels:
+                json.loads(line)
 
 
 class TestVerifyCommand:

@@ -11,7 +11,8 @@ from heckekit.fock import (ARIKI, FLOTW, CrystalGraph, FockParams,
                            i_word, icount, ind, kleshchev_member, mp_size,
                            multipartitions, ncount, normal_nodes_literal,
                            quantum_D, quantum_E, quantum_F, quantum_K,
-                           removable, res, residue, unit_vector, uryu_set)
+                           removable, remove_node, res, residue, unit_vector,
+                           uryu_set)
 from heckekit.fock import _reduced_word, _sort_key
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
@@ -85,6 +86,36 @@ def crystal_oracle(params, n):
                     nxt.add(target)
         levels.append(sorted(nxt))
     return levels, edges
+
+
+def quantum_E_oracle(i, vec, params):
+    """E_i with N_i^a counted pair by pair over the nodes of both diagrams."""
+    out = {}
+    for mp, coeff in vec.items():
+        terms = {}
+        rems = removable(mp, i, params)
+        for g in rems:
+            smaller = remove_node(mp, g)
+            na = (sum(1 for g2 in addable(smaller, i, params) if above(g2, g, params))
+                  - sum(1 for g2 in rems if above(g2, g, params)))
+            terms[smaller] = vpow(-na)
+        add_into(out, terms, coeff)
+    return out
+
+
+def quantum_F_oracle(i, vec, params):
+    """F_i with N_i^b counted pair by pair over the nodes of both diagrams."""
+    out = {}
+    for mp, coeff in vec.items():
+        terms = {}
+        adds = addable(mp, i, params)
+        for g in adds:
+            larger = add_node(mp, g)
+            nb = (sum(1 for g2 in adds if above(g, g2, params))
+                  - sum(1 for g2 in removable(larger, i, params) if above(g, g2, params)))
+            terms[larger] = vpow(nb)
+        add_into(out, terms, coeff)
+    return out
 
 
 def json_oracle(graph):
@@ -183,7 +214,7 @@ class TestCrystalGraphs:
         g = crystal(P22, 1)
         dot = g.to_dot()
         assert dot.startswith("digraph") and '[label="0"]' in dot
-        data = g.to_json_dict()
+        data = json.loads(g.to_json())
         assert len(data["levels"]) == 2 and len(data["edges"]) == 2
 
 
@@ -259,8 +290,12 @@ WORD_PARAMS = [
 ]
 
 
+def word_params_id(p):
+    return f"l{p.l}-u{''.join(map(str, p.u))}-{p.node_order}"
+
+
 class TestSignatureOracle:
-    @pytest.mark.parametrize("p", WORD_PARAMS, ids=lambda p: f"l{p.l}-u{''.join(map(str, p.u))}-{p.node_order}")
+    @pytest.mark.parametrize("p", WORD_PARAMS, ids=word_params_id)
     def test_words_match_per_residue_construction(self, p):
         for n in range(7):
             for mp in multipartitions(p.r, n):
@@ -295,13 +330,15 @@ class TestSignatureOracle:
                         differ += first != second
         assert differ > 0
 
-    @pytest.mark.parametrize("p", [
-        FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW),
-        FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI),
-    ], ids=["l4-flotw", "l3-ariki"])
-    def test_json_rendering_matches_str_sort(self, p):
-        g = crystal(p, 8)
-        assert json.dumps(g.to_json_dict(), sort_keys=True) == json_oracle(g)
+    @pytest.mark.parametrize("p, n", [
+        (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 8),
+        (FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI), 8),
+        (A22, 8),
+        (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 0),
+    ], ids=["l4-flotw", "l3-ariki", "l2-ariki", "n0"])
+    def test_json_rendering_matches_str_sort(self, p, n):
+        g = crystal(p, n)
+        assert g.to_json() == json_oracle(g)
 
 
 class TestCrystalOperators:
@@ -383,6 +420,15 @@ class TestQuantumAction:
                             rhs = vec_sub(quantum_K(i, vec, p),
                                           quantum_K(i, vec, p, -1))
                         assert lhs == {k: c for k, c in rhs.items() if c}
+
+    @pytest.mark.parametrize("p", WORD_PARAMS, ids=word_params_id)
+    def test_prefix_counts_match_pairwise_oracle(self, p):
+        for n in range(6):
+            for mp in multipartitions(p.r, n):
+                vec = unit_vector(mp)
+                for i in range(p.l):
+                    assert quantum_E(i, vec, p) == quantum_E_oracle(i, vec, p), (mp, i)
+                    assert quantum_F(i, vec, p) == quantum_F_oracle(i, vec, p), (mp, i)
 
     def test_cartan_pairing(self):
         assert cartan_pairing(0, 0, 2) == 2
