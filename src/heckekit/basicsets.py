@@ -17,8 +17,7 @@ from typing import Optional, Union
 
 from . import fock
 from .fock import ARIKI, FLOTW, FockParams, Multipartition
-from .schur import (Partition, bipartitions, check_partition, dominance_leq_multi,
-                    e_regular, partitions, standard_tableaux)
+from .schur import Partition, bipartitions, check_partition, e_regular, partitions
 
 
 class CharTwoUnsupported(ValueError):
@@ -279,11 +278,13 @@ class DecompMatrix:
                 raise ValueError(f"row label {lab!r} is neither a string nor part lists")
             if "alpha" not in row:
                 raise MissingAlpha(f"row {lab} lacks alpha")
-            if not is_int(row["alpha"]) or not is_int_list(row.get("entries")):
-                raise ValueError(f"row {lab}: alpha must be an integer and entries "
-                                 "a list of integers")
+            dim = row.get("dim")
+            if (not is_int(row["alpha"]) or not is_int_list(row.get("entries"))
+                    or not (dim is None or is_int(dim))):
+                raise ValueError(f"row {lab}: alpha must be an integer, entries "
+                                 "a list of integers and dim absent, null or an integer")
             alpha.append(row["alpha"])
-            dims.append(row.get("dim"))
+            dims.append(dim)
             entries.append(list(row["entries"]))
         meta = {k: data[k] for k in ("type", "n", "a", "b", "xi_order", "char")
                 if k in data}
@@ -362,34 +363,3 @@ def verify_decomp(matrix: DecompMatrix) -> BasicSetResult:
         cols = [j for j, i in enumerate(assignment) if i == dup]
         return BasicSetResult(False, witness_column=cols[1], witness_rows=[dup])
     return BasicSetResult(True, assignment=assignment, breve_alpha=breve)
-
-
-def check_dominance_triangularity(matrix: DecompMatrix,
-                                  result: BasicSetResult) -> tuple[bool, Optional[tuple]]:
-    """Nonzero entries must be dominated by their column's selected label.
-
-    Runs after a successful verification; labels must be partition tuples.
-    Returns (True, None) or (False, (row_label, column_label)).
-    """
-    if not result.exists or result.assignment is None:
-        raise ValueError("needs a successful verification result")
-    for j, sel in enumerate(result.assignment):
-        mu = matrix.labels[sel]
-        if matrix.entries[sel][j] != 1:
-            return False, (mu, mu)
-        for i in range(len(matrix.labels)):
-            if matrix.entries[i][j] == 0:
-                continue
-            lam = matrix.labels[i]
-            lam_t = lam if isinstance(lam[0], tuple) else (lam,)
-            mu_t = mu if isinstance(mu[0], tuple) else (mu,)
-            if not dominance_leq_multi(lam_t, mu_t):
-                return False, (lam, mu)
-    return True, None
-
-
-def dim_bipartition(lam: Multipartition) -> int:
-    """Dimension of the labelled module: binomial times tableaux counts."""
-    l1, l2 = lam
-    n = sum(l1) + sum(l2)
-    return math.comb(n, sum(l2)) * standard_tableaux(l1) * standard_tableaux(l2)

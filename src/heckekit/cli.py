@@ -14,10 +14,9 @@ import sys
 
 from . import basicsets, fock, schur
 from .basicsets import DecompMatrix, SpecParams
-from .coxeter import CoxeterType, build, weight_from_ab
+from .coxeter import CoxeterType, weight_from_ab
 from .fock import ARIKI, FLOTW, FockParams
-from .klcells import (CBASIS_CAP, HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
-                      check_cap, property_name)
+from .klcells import CBASIS_CAP, HCONST_CAP, KLData, PropertyFailure, property_name
 
 
 def _render_mp(mp):
@@ -120,21 +119,9 @@ def _cmd_schur(args) -> int:
 
 # -- kl -------------------------------------------------------------------------
 
-def _element_name(group, idx: int) -> str:
-    return group.elements[idx].name()
-
-
-#: The emits that need the |W|^2 structure constants; so does --check.
-_HCONST_EMITS = ("gamma", "jring", "phimatrix")
-
-
 def _cmd_kl(args) -> int:
     ctype = CoxeterType(args.type, args.rank)
-    checks = [property_name(name) for name in args.check or ()]
-    if not args.force:  # refuse before the group is enumerated
-        if checks or args.emit in _HCONST_EMITS:
-            check_cap(ctype.order(), HCONST_CAP, "structure constants")
-        check_cap(ctype.order(), CBASIS_CAP, "Kazhdan-Lusztig data")
+    checks = [property_name(c) for c in args.check or ()]
     weights = args.weights
     if ctype.family in ("B", "G2", "F4"):
         if len(weights) != 2:
@@ -144,63 +131,49 @@ def _cmd_kl(args) -> int:
         if len(weights) != 1:
             raise ValueError(f"type {ctype.family} takes one weight")
         wf = weight_from_ab(ctype, weights[0])
-    group = build(ctype)
-    algebra = HeckeAlgebra(group, wf)
-    kl = KLData(algebra, force=args.force)
+    kl = KLData(ctype, wf, force=args.force)
+
+    # every stage runs before the names are read, so that an over-cap job is
+    # refused before the group is enumerated
+    results = [kl.check_property(c) for c in checks]
+    emit = args.emit
+    value = getattr(kl, {"phimatrix": "phi_matrix"}.get(emit, emit)) if emit else None
+    name = [w.name() for w in kl.group.elements]
 
     report: dict = {"type": str(ctype), "weights": list(wf.values),
-                    "elements": {w.name(): list(w.word) for w in group.elements}}
-    failures = False
-
+                    "elements": {name[w.index]: list(w.word) for w in kl.group.elements}}
     if checks:
-        results = []
-        for name in checks:
-            res = kl.check_property(name)
+        report["checks"] = []
+        for res in results:
             entry = {"property": res.name, "passed": res.passed}
             if res.witness is not None:
-                entry["witness"] = [
-                    _element_name(group, x) if isinstance(x, int) else x
-                    for x in res.witness]
-            results.append(entry)
-            failures = failures or not res.passed
-        report["checks"] = results
-
-    emit = args.emit
+                entry["witness"] = [name[x] if isinstance(x, int) else x for x in res.witness]
+            report["checks"].append(entry)
     if emit == "cbasis":
-        report["cbasis"] = {
-            _element_name(group, w): {
-                _element_name(group, y): c.json_pairs()
-                for y, c in sorted(kl.cbasis[w].coeffs.items())}
-            for w in range(len(group))}
-        report["cbasis_text"] = {
-            _element_name(group, w): kl.cbasis[w].text()
-            for w in range(len(group))}
+        report["cbasis"] = {name[w]: {name[y]: c.json_pairs() for y, c in sorted(row.items())}
+                            for w, row in enumerate(value)}
+        report["cbasis_text"] = {name[w]: kl.algebra.text(row) for w, row in enumerate(value)}
     elif emit == "afn":
-        report["afn"] = {_element_name(group, z): kl.afn[z]
-                         for z in range(len(group))}
+        report["afn"] = dict(zip(name, value))
     elif emit == "gamma":
-        report["gamma"] = [
-            [_element_name(group, x), _element_name(group, y),
-             _element_name(group, z), g]
-            for (x, y, z), g in sorted(kl.gamma.items())]
+        report["gamma"] = [[name[x], name[y], name[z], g]
+                           for (x, y, z), g in sorted(value.items())]
     elif emit == "dinv":
-        report["dinv"] = [_element_name(group, d) for d in sorted(kl.dinv)]
-        report["nz"] = {_element_name(group, d): kl.nz[d] for d in sorted(kl.dinv)}
+        report["dinv"] = [name[d] for d in sorted(value)]
+        report["nz"] = {name[d]: kl.nz[d] for d in sorted(value)}
     elif emit == "jring":
-        ring = kl.jring
-        report["unit"] = {_element_name(group, d): c for d, c in sorted(ring.unit.items())}
+        report["unit"] = {name[d]: c for d, c in sorted(value.unit.items())}
         report["idempotents"] = {
-            str(a): {_element_name(group, d): c for d, c in sorted(ta.items())}
-            for a, ta in sorted(ring.level_idempotents.items())}
+            str(a): {name[d]: c for d, c in sorted(ta.items())}
+            for a, ta in sorted(value.level_idempotents.items())}
     elif emit == "phimatrix":
-        B = kl.phi_matrix
         det = kl.phi_matrix_det()
-        report["phimatrix"] = [[c.json_pairs() for c in row] for row in B]
+        report["phimatrix"] = [[c.json_pairs() for c in row] for row in value]
         report["det"] = det.json_pairs()
         report["det_text"] = det.text()
 
     _print_json(report)
-    return 1 if failures else 0
+    return 1 if any(not res.passed for res in results) else 0
 
 
 # -- verify-decomp ----------------------------------------------------------------

@@ -103,6 +103,33 @@ class CoxeterType:
               for j in range(n)] for i in range(n)]
         return tuple(tuple(row) for row in M)
 
+    def generator_conjugacy_classes(self) -> list[set[int]]:
+        """Generators linked by odd bond orders must share weights."""
+        parent = list(range(self.rank))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        m = self.coxeter_matrix()
+        for i in range(self.rank):
+            for j in range(i + 1, self.rank):
+                if m[i][j] % 2 == 1:
+                    parent[find(i)] = find(j)
+        classes: dict[int, set[int]] = {}
+        for i in range(self.rank):
+            classes.setdefault(find(i), set()).add(i)
+        return list(classes.values())
+
+    def validate_weight(self, weights) -> bool:
+        vals = weights.values if isinstance(weights, WeightFunction) else tuple(weights)
+        if len(vals) != self.rank or any(v < 0 for v in vals):
+            return False
+        return all(len({vals[s] for s in cls}) == 1
+                   for cls in self.generator_conjugacy_classes())
+
     def __str__(self):
         if self.family in ("G2", "F4"):
             return self.family
@@ -169,7 +196,6 @@ class WeylGroup:
         self.rank = ctype.rank
         self.names = ctype.generator_names()
         self.cartan = ctype.cartan_matrix()
-        self.coxeter_matrix = ctype.coxeter_matrix()
 
         n = self.rank
         self._gen_mats = []
@@ -232,12 +258,6 @@ class WeylGroup:
     def element_by_matrix(self, M) -> GroupElement:
         return self.elements[self._by_matrix[M]]
 
-    def element_from_word(self, word) -> GroupElement:
-        w = self.identity
-        for s in word:
-            w = self.mult(w, self.generators[s])
-        return w
-
     def mult(self, u: GroupElement, v: GroupElement) -> GroupElement:
         return self.elements[self._by_matrix[_mat_mul(u.matrix, v.matrix)]]
 
@@ -257,62 +277,6 @@ class WeylGroup:
                             for w in self.elements])
             self._left_table = tab
         return self._left_table
-
-    def length(self, w: GroupElement) -> int:
-        return len(w.word)
-
-    def lweight(self, w: GroupElement, weights) -> int:
-        vals = weights.values if isinstance(weights, WeightFunction) else weights
-        return sum(vals[s] for s in w.word)
-
-    def descents_left(self, w: GroupElement) -> frozenset[int]:
-        return frozenset(s for s in range(self.rank)
-                         if _column_negative(w.inv_matrix, s))
-
-    def descents_right(self, w: GroupElement) -> frozenset[int]:
-        return frozenset(s for s in range(self.rank)
-                         if _column_negative(w.matrix, s))
-
-    def bruhat_leq(self, y: GroupElement, w: GroupElement) -> bool:
-        """Bruhat order via the standard descent recursion."""
-        while True:
-            if y.index == w.index:
-                return True
-            if y.length >= w.length:
-                return False
-            s = min(self.descents_left(w))
-            w = self.elements[self.left_table[s][w.index]]
-            if _column_negative(y.inv_matrix, s):
-                y = self.elements[self.left_table[s][y.index]]
-
-    # -- weight functions --------------------------------------------------
-
-    def generator_conjugacy_classes(self) -> list[set[int]]:
-        """Generators linked by odd bond orders must share weights."""
-        parent = list(range(self.rank))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        m = self.coxeter_matrix
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if m[i][j] % 2 == 1:
-                    parent[find(i)] = find(j)
-        classes: dict[int, set[int]] = {}
-        for i in range(self.rank):
-            classes.setdefault(find(i), set()).add(i)
-        return list(classes.values())
-
-    def validate_weight(self, weights) -> bool:
-        vals = weights.values if isinstance(weights, WeightFunction) else tuple(weights)
-        if len(vals) != self.rank or any(v < 0 for v in vals):
-            return False
-        return all(len({vals[s] for s in cls}) == 1
-                   for cls in self.generator_conjugacy_classes())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """The level-r Fock space for affine sl_l and its crystal combinatorics.
 
 Multipartitions carry l-residues on their diagram nodes; the quantum
-operators E_i, F_i, K_i, D act on formal Laurent-coefficient combinations
+operators E_i, F_i, K_i act on formal Laurent-coefficient combinations
 with exponents counted against a configurable total order on nodes.  Two
 orders are first class citizens:
 
@@ -35,7 +35,11 @@ class ParamsOutOfRange(ValueError):
 
 
 class LevelCapExceeded(ValueError):
-    """Crystal expansion beyond the configured level cap."""
+    """Crystal expansion beyond LEVEL_CAP."""
+
+
+#: Largest level bound n for `crystal` and `uryu_set`.
+LEVEL_CAP = 30
 
 
 class Node(NamedTuple):
@@ -117,12 +121,6 @@ def _sort_key(params: FockParams):
     return lambda nd: (-nd.comp, -nd.row)
 
 
-def above(g: Node, g2: Node, params: FockParams) -> bool:
-    """Strict order: is g above g2 under the configured node order?"""
-    key = _sort_key(params)
-    return key(g) < key(g2)
-
-
 def addable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[Node]:
     """Addable nodes (of residue i unless i is None), highest first."""
     out = []
@@ -153,17 +151,6 @@ def removable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[
     return out
 
 
-def icount(mp: Multipartition, i: int, params: FockParams) -> int:
-    """W_i: number of i-nodes in the diagram."""
-    total = 0
-    for c, part in enumerate(mp, start=1):
-        for a, length in enumerate(part, start=1):
-            for b in range(1, length + 1):
-                if (b - a + params.u[c - 1]) % params.l == i:
-                    total += 1
-    return total
-
-
 def ncount(mp: Multipartition, i: int, params: FockParams) -> int:
     """N_i = number of addable i-nodes minus number of removable i-nodes."""
     return len(addable(mp, i, params)) - len(removable(mp, i, params))
@@ -187,7 +174,7 @@ def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
 
 
 # ---------------------------------------------------------------------------
-# quantum and classical operators
+# quantum operators
 # ---------------------------------------------------------------------------
 
 def unit_vector(mp: Multipartition) -> FockVector:
@@ -238,61 +225,9 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     return out
 
 
-def _diagonal(vec: FockVector, eigenvalue) -> FockVector:
-    """The operator scaling each multipartition mp by eigenvalue(mp)."""
-    return add_into({}, {mp: coeff * eigenvalue(mp) for mp, coeff in vec.items()})
-
-
 def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
-    return _diagonal(vec, lambda mp: vpow(power * ncount(mp, i, params)))
-
-
-def quantum_D(vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
-    return _diagonal(vec, lambda mp: vpow(-power * icount(mp, 0, params)))
-
-
-def classical_e(i: Optional[int], vec: FockVector, params: FockParams) -> FockVector:
-    """Remove one i-node in every way (one node of any residue when i is None)."""
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        add_into(out, {remove_node(mp, g): coeff for g in removable(mp, i, params)})
-    return out
-
-
-def classical_f(i: Optional[int], vec: FockVector, params: FockParams) -> FockVector:
-    """Add one i-node in every way (one node of any residue when i is None)."""
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        add_into(out, {add_node(mp, g): coeff for g in addable(mp, i, params)})
-    return out
-
-
-def classical_h(i: int, vec: FockVector, params: FockParams) -> FockVector:
-    return _diagonal(vec, lambda mp: LaurentPoly.const(ncount(mp, i, params)))
-
-
-def classical_d(vec: FockVector, params: FockParams) -> FockVector:
-    return _diagonal(vec, lambda mp: LaurentPoly.const(-icount(mp, 0, params)))
-
-
-def ind(vec: FockVector, params: FockParams) -> FockVector:
-    """Branching sum: increase exactly one part (any residue)."""
-    return classical_f(None, vec, params)
-
-
-def res(vec: FockVector, params: FockParams) -> FockVector:
-    """Branching sum: decrease exactly one part (any residue)."""
-    return classical_e(None, vec, params)
-
-
-def cartan_pairing(i: int, j: int, l: int) -> int:
-    """alpha_i(h_j) for the affine type A_{l-1} Cartan matrix."""
-    a = 2 if i == j else 0
-    if (i - j) % l == 1:
-        a -= 1
-    if (j - i) % l == 1:
-        a -= 1
-    return a
+    return add_into({}, {mp: coeff * vpow(power * ncount(mp, i, params))
+                         for mp, coeff in vec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -340,60 +275,12 @@ def _words(mp: Multipartition, params: FockParams) -> tuple[tuple[list, list], .
     return tuple(out)
 
 
-def _node_word(entries) -> list[tuple[Node, str]]:
-    return [(Node(a, b, c), kind) for _, kind, a, b, c in entries]
-
-
-def i_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
-    """Addable/removable i-nodes as an (node, 'A'|'R') word, highest first."""
-    return _node_word(_words(mp, params)[i][0])
-
-
-def _reduced_word(mp, i, params) -> list[tuple[Node, str]]:
-    return _node_word(_words(mp, params)[i][1])
-
-
 def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Highest removable i-node surviving cancellation, if any."""
     for _, kind, a, b, c in _words(mp, params)[i][1]:
         if kind == "R":
             return Node(a, b, c)
     return None
-
-
-def cogood_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
-    """Lowest addable i-node surviving cancellation, if any."""
-    for _, kind, a, b, c in reversed(_words(mp, params)[i][1]):
-        if kind == "A":
-            return Node(a, b, c)
-    return None
-
-
-def normal_nodes_literal(mp: Multipartition, i: int, params: FockParams) -> list[Node]:
-    """Normal removable i-nodes by the literal counting definition.
-
-    A removable i-node g is normal when every addable i-node strictly below
-    it sees strictly more removable than addable i-nodes strictly between.
-    Serves as the independent oracle for the signature implementation.
-    """
-    adds = addable(mp, i, params)
-    rems = removable(mp, i, params)
-    out = []
-    for g in rems:
-        ok = True
-        for g2 in adds:
-            if not above(g, g2, params):
-                continue
-            between_r = sum(1 for d in rems
-                            if above(g, d, params) and above(d, g2, params))
-            between_a = sum(1 for d in adds
-                            if above(g, d, params) and above(d, g2, params))
-            if not between_r > between_a:
-                ok = False
-                break
-        if ok:
-            out.append(g)
-    return out
 
 
 def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
@@ -445,10 +332,10 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
-def crystal(params: FockParams, n: int, cap: int = 30) -> CrystalGraph:
+def crystal(params: FockParams, n: int) -> CrystalGraph:
     """Breadth-first closure of the empty multipartition under cogood addition."""
-    if n > cap:
-        raise LevelCapExceeded(f"level bound {n} exceeds cap {cap}")
+    if n > LEVEL_CAP:
+        raise LevelCapExceeded(f"level bound {n} exceeds cap {LEVEL_CAP}")
     graph = CrystalGraph(params)
     current = [empty_mp(params.r)]
     graph.levels.append(current)
@@ -465,9 +352,9 @@ def crystal(params: FockParams, n: int, cap: int = 30) -> CrystalGraph:
     return graph
 
 
-def uryu_set(params: FockParams, n: int, cap: int = 30) -> set[Multipartition]:
+def uryu_set(params: FockParams, n: int) -> set[Multipartition]:
     """Level-n vertex set of the connected component of the empty multipartition."""
-    return set(crystal(params, n, cap).levels[n])
+    return set(crystal(params, n).levels[n])
 
 
 def flotw_member(mp: Multipartition, params: FockParams) -> bool:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .coxeter import GroupElement, GroupTooLarge, WeylGroup, WeightFunction
+from .coxeter import (CoxeterType, GroupElement, GroupTooLarge, WeylGroup, WeightFunction,
+                      build)
 from .laurent import LaurentPoly, add_into, vpow
 
 Coeffs = dict[int, LaurentPoly]
@@ -74,34 +75,15 @@ class HeckeElement:
     def __hash__(self):
         return hash(frozenset((w, c) for w, c in self.coeffs.items()))
 
-    def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        group = self.algebra.group
-        parts = []
-        for w in sorted(self.coeffs):
-            c = self.coeffs[w]
-            name = f"Tt_{group.elements[w].name()}"
-            if c == _ONE:
-                parts.append(name)
-            elif len(c) == 1:
-                parts.append(f"{c.text()}*{name}")
-            else:
-                parts.append(f"({c.text()})*{name}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"HeckeElement({self.text()})"
+        return f"HeckeElement({self.algebra.text(self.coeffs)})"
 
 
 class HeckeAlgebra:
     """Generic Iwahori-Hecke algebra of a Weyl group with positive weights."""
 
     def __init__(self, group: WeylGroup, weights: WeightFunction):
-        if not group.validate_weight(weights):
-            raise ValueError("weights must be constant on conjugate generators")
-        if not weights.positive():
-            raise ValueError("Kazhdan-Lusztig machinery needs L(s) > 0")
+        check_weights(group.ctype, weights)
         self.group = group
         self.weights = weights
         self.zeta = [vpow(weights(s)) - vpow(-weights(s)) for s in range(group.rank)]
@@ -118,6 +100,22 @@ class HeckeAlgebra:
 
     def element(self, coeffs: Coeffs) -> HeckeElement:
         return HeckeElement(self, coeffs)
+
+    def text(self, coeffs: Coeffs) -> str:
+        """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1"."""
+        if not coeffs:
+            return "0"
+        parts = []
+        for w in sorted(coeffs):
+            c = coeffs[w]
+            name = f"Tt_{self.group.elements[w].name()}"
+            if c == _ONE:
+                parts.append(name)
+            elif len(c) == 1:
+                parts.append(f"{c.text()}*{name}")
+            else:
+                parts.append(f"({c.text()})*{name}")
+        return " + ".join(parts)
 
     # -- multiplication ------------------------------------------------------
 
@@ -171,13 +169,6 @@ class HeckeAlgebra:
             add_into(out, self.bar_row(w), c.bar())
         return HeckeElement(self, out)
 
-    def jmap(self, h: HeckeElement) -> HeckeElement:
-        elements = self.group.elements
-        return HeckeElement(self, {
-            w: c.bar() if elements[w].length % 2 == 0 else -c.bar()
-            for w, c in h.coeffs.items()
-        })
-
     def dagger(self, h: HeckeElement) -> HeckeElement:
         """The A-linear algebra automorphism sending Tt_w to (-1)^l(w) bar(Tt_w)."""
         elements = self.group.elements
@@ -185,10 +176,6 @@ class HeckeAlgebra:
         for w, c in h.coeffs.items():
             add_into(out, self.bar_row(w), c if elements[w].length % 2 == 0 else -c)
         return HeckeElement(self, out)
-
-    def tau(self, h: HeckeElement) -> LaurentPoly:
-        """The symmetrizing trace: coefficient of the identity basis element."""
-        return h.coeffs.get(self.group.identity.index, LaurentPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +323,51 @@ def check_cap(order: int, cap: int, what: str) -> None:
                             "pass --force (force=True) to override")
 
 
-class KLData:
-    """All Kazhdan-Lusztig-derived data of one algebra, built lazily.
+def check_weights(ctype: CoxeterType, weights: WeightFunction) -> None:
+    """Raise ValueError unless weights suit the Kazhdan-Lusztig stages of ctype."""
+    if not ctype.validate_weight(weights):
+        raise ValueError("weights must be constant on conjugate generators")
+    if not weights.positive():
+        raise ValueError("Kazhdan-Lusztig machinery needs L(s) > 0")
 
-    The c-basis, the left cells and the a-function are capped at cap
-    elements, the structure constants at HCONST_CAP; force lifts both.
+
+class KLData:
+    """All Kazhdan-Lusztig data of W(ctype) with weights L, built in lazy stages.
+
+    group -> algebra -> c-basis -> W-graph -> left cells -> a-function, and
+    structure constants -> gamma -> P-checks -> J-ring and phi.  Each stage
+    is one cached property, computed on first use.  Both size caps are
+    decided here from ctype.order(), so a refused job has enumerated
+    nothing: the constructor checks CBASIS_CAP, and hconst checks HCONST_CAP
+    before it touches any other stage; every consumer of the structure
+    constants asks for hconst first.  force lifts both caps.
     """
 
-    def __init__(self, algebra: HeckeAlgebra, cap: int = CBASIS_CAP, force: bool = False):
+    def __init__(self, ctype: CoxeterType, weights: WeightFunction, force: bool = False):
         if not force:
-            check_cap(len(algebra.group), cap, "Kazhdan-Lusztig data")
-        self.algebra = algebra
-        self.group = algebra.group
+            check_cap(ctype.order(), CBASIS_CAP, "Kazhdan-Lusztig data")
+        check_weights(ctype, weights)
+        self.ctype = ctype
+        self.weights = weights
         self.force = force
         self._checks: dict[str, CheckResult] = {}
+
+    # -- stage 0: the group and the algebra ----------------------------------------
+
+    @cached_property
+    def group(self) -> WeylGroup:
+        return build(self.ctype)
+
+    @cached_property
+    def algebra(self) -> HeckeAlgebra:
+        return HeckeAlgebra(self.group, self.weights)
 
     # -- stage 1: the c-basis -------------------------------------------------
 
     @cached_property
-    def cbasis(self) -> list[HeckeElement]:
-        return [self.algebra.element(c) for c in kl_cbasis(self.algebra)]
+    def cbasis(self) -> list[Coeffs]:
+        """cbasis[w] = Tt-coefficients of c_w."""
+        return kl_cbasis(self.algebra)
 
     def cexpand(self, coeffs: Coeffs) -> Coeffs:
         """c-basis coordinates of the element with Tt-coefficients coeffs.
@@ -368,7 +380,7 @@ class KLData:
         while rest:
             z = max(rest)
             f = out[z] = rest[z]
-            add_into(rest, self.cbasis[z].coeffs, -f)  # c_z has 1 at z: clears z
+            add_into(rest, self.cbasis[z], -f)  # c_z has 1 at z: clears z
         return out
 
     def cexpand_dagger(self, h: HeckeElement) -> Coeffs:
@@ -384,7 +396,7 @@ class KLData:
         nz = []
         ident = self.group.identity.index
         for z in range(len(self.group)):
-            t = self.cbasis[z].coeffs.get(ident, LaurentPoly.zero())
+            t = self.cbasis[z].get(ident)
             if not t:
                 raise PropertyFailure(
                     f"trace of c_{self.group.elements[z].name()} vanishes; "
@@ -410,7 +422,7 @@ class KLData:
         (cs_times_cw) when sw > w.  rank * |W| small dicts.
         """
         group = self.group
-        basis = [c.coeffs for c in self.cbasis]
+        basis = self.cbasis
         rows = []
         for s in range(group.rank):
             L = self.algebra.weights(s)
@@ -472,9 +484,9 @@ class KLData:
         multiplication by c_s reads each c_s c_w off the W-graph stage, so
         no Tt-coordinates and no back-substitution are involved.
         """
-        n = len(self.group)
         if not self.force:
-            check_cap(n, HCONST_CAP, "structure constants")
+            check_cap(self.ctype.order(), HCONST_CAP, "structure constants")
+        n = len(self.group)
         elements = self.group.elements
         left_table = self.group.left_table
         wgraph = self.wgraph
@@ -522,11 +534,12 @@ class KLData:
         The a-function from the cells is checked against the structure
         constants first.
         """
+        hconst = self.hconst
         inv = self.group.inverse_index
         a = self.afn
         self.check_afn(a)
         out: dict[tuple[int, int, int], int] = {}
-        for (x, y), row in self.hconst.items():
+        for (x, y), row in hconst.items():
             for zinv, p in row.items():
                 z = inv(zinv)
                 c = p.coeff(-a[z])
@@ -551,8 +564,13 @@ class KLData:
     # -- property checks ---------------------------------------------------------
 
     def check_property(self, name: str) -> CheckResult:
-        """Exhaustive check of one of P2-P8 or P15'; Fail carries a witness."""
+        """Exhaustive check of one of P2-P8 or P15'; Fail carries a witness.
+
+        Every check asks for the structure constants first, so an over-cap
+        check is refused before any other stage runs.
+        """
         name = property_name(name)
+        self.hconst
         if name in self._checks:
             return self._checks[name]
         result = getattr(self, "_check_" + name.replace("'", "prime"))()
@@ -578,8 +596,9 @@ class KLData:
         return CheckResult("P3", True)
 
     def _check_P4(self) -> CheckResult:
+        hconst = self.hconst
         a = self.afn
-        for (x, y), row in self.hconst.items():
+        for (x, y), row in hconst.items():
             for z in row:
                 if a[z] < a[x] or a[z] < a[y]:
                     return CheckResult("P4", False, (x, y, z))
@@ -660,10 +679,11 @@ class KLData:
 
     def phi_cdagger(self, w: int) -> dict[int, LaurentPoly]:
         """Image of the dagger of c_w: sum of h_{w,d,z} nhat_z t_z over a(z) = a(d)."""
+        hconst = self.hconst
         out: dict[int, LaurentPoly] = {}
         a = self.afn
         for d in self.dinv:
-            add_into(out, {z: h * self.nhat[z] for z, h in self.hconst[(w, d)].items()
+            add_into(out, {z: h * self.nhat[z] for z, h in hconst[(w, d)].items()
                            if a[z] == a[d]})
         return out
 
@@ -690,45 +710,6 @@ class KLData:
 
     def phi_matrix_det(self) -> LaurentPoly:
         return det_laurent_matrix(self.phi_matrix)
-
-    # -- star-action compatibility (levelwise bimodule check) -------------------------
-
-    def check_star_compatibility(self) -> CheckResult:
-        """Verify h.[c_w^dagger] = phi(h) * [c_w^dagger] on every filtration level.
-
-        Left multiplication by any basis element, projected to the a-level of
-        w in dagger-c coordinates, must agree with the star action of the phi
-        image; components below the level must vanish.  This is the checkable
-        form of the statement that the phi kernel pushes the filtration down.
-        """
-        self.require_checks()
-        n = len(self.group)
-        a = self.afn
-        inv = self.group.inverse_index
-        B = self.phi_matrix
-        for w in range(n):
-            cdag_w = self.algebra.dagger(self.cbasis[w])
-            aw = a[w]
-            for y in range(n):
-                prod = self.algebra.mul(self.algebra.t(y), cdag_w)
-                coords = self.cexpand_dagger(prod)
-                for z, c in coords.items():
-                    if a[z] < aw and c:
-                        return CheckResult("star", False, (y, w, z, "below level"))
-                for z in range(n):
-                    if a[z] != aw:
-                        continue
-                    rhs = LaurentPoly.zero()
-                    for x in range(n):
-                        bxy = B[x][y]
-                        if not bxy:
-                            continue
-                        g = self.gamma.get((x, w, inv(z)))
-                        if g:
-                            rhs = rhs + bxy * (g * self.nhat[w] * self.nhat[z])
-                    if coords.get(z, LaurentPoly.zero()) != rhs:
-                        return CheckResult("star", False, (y, w, z, "level mismatch"))
-        return CheckResult("star", True)
 
 
 class JRing:

@@ -1,6 +1,6 @@
 """Partition combinatorics and Schur-element invariants.
 
-Covers partitions and bipartitions with dominance order and e-regularity,
+Covers partitions and bipartitions with e-regularity and hook lengths,
 two-row symbols, the exact product formula for type-B Schur elements with
 weights (a, b), the derived invariants (alpha, f) for types A/B/D, embedded
 invariant tables for G2 and F4, and L-good prime tests.
@@ -85,38 +85,6 @@ def conjugate(nu: Partition) -> Partition:
     if not nu:
         return ()
     return tuple(sum(1 for p in nu if p > j) for j in range(nu[0]))
-
-
-def dominance_leq(lam: Partition, mu: Partition) -> bool:
-    """lam dominated by mu: all partial sums of lam bounded by those of mu."""
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares partitions of the same size")
-    total_l = total_m = 0
-    for j in range(max(len(lam), len(mu))):
-        total_l += lam[j] if j < len(lam) else 0
-        total_m += mu[j] if j < len(mu) else 0
-        if total_l > total_m:
-            return False
-    return True
-
-
-def dominance_leq_multi(lam: tuple[Partition, ...], mu: tuple[Partition, ...]) -> bool:
-    """Dominance on r-tuples: partial sums of the concatenated part lists."""
-    if len(lam) != len(mu):
-        raise ValueError("tuples of different lengths")
-    if sum(map(sum, lam)) != sum(map(sum, mu)):
-        raise ValueError("dominance compares tuples of the same total size")
-    shift_l = shift_m = 0
-    for c in range(len(lam)):
-        total_l, total_m = shift_l, shift_m
-        for j in range(max(len(lam[c]), len(mu[c]))):
-            total_l += lam[c][j] if j < len(lam[c]) else 0
-            total_m += mu[c][j] if j < len(mu[c]) else 0
-            if total_l > total_m:
-                return False
-        shift_l += sum(lam[c])
-        shift_m += sum(mu[c])
-    return True
 
 
 def e_regular(nu: Partition, e: Optional[int]) -> bool:

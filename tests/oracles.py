@@ -1,0 +1,301 @@
+"""Test oracles and helpers: slow or literal definitions that only tests call.
+
+Each one was part of the library API but had no caller there, so it lives
+beside the tests that tie the library's fast paths to it.  They read the
+library's objects (WeylGroup, HeckeAlgebra, KLData, FockParams,
+DecompMatrix) and change none of them.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from heckekit.basicsets import BasicSetResult, DecompMatrix
+from heckekit.coxeter import GroupElement, WeightFunction, WeylGroup, _column_negative
+from heckekit.fock import (FockParams, FockVector, Multipartition, Node, _sort_key,
+                           _words, add_node, addable, ncount, removable, remove_node)
+from heckekit.klcells import CheckResult, HeckeAlgebra, HeckeElement, KLData
+from heckekit.laurent import LaurentPoly, add_into, vpow
+from heckekit.schur import Partition, standard_tableaux
+
+
+# ---------------------------------------------------------------------------
+# Weyl groups
+# ---------------------------------------------------------------------------
+
+def element_from_word(W: WeylGroup, word) -> GroupElement:
+    w = W.identity
+    for s in word:
+        w = W.mult(w, W.generators[s])
+    return w
+
+
+def lweight(W: WeylGroup, w: GroupElement, weights) -> int:
+    vals = weights.values if isinstance(weights, WeightFunction) else weights
+    return sum(vals[s] for s in w.word)
+
+
+def descents_left(W: WeylGroup, w: GroupElement) -> frozenset[int]:
+    return frozenset(s for s in range(W.rank) if _column_negative(w.inv_matrix, s))
+
+
+def descents_right(W: WeylGroup, w: GroupElement) -> frozenset[int]:
+    return frozenset(s for s in range(W.rank) if _column_negative(w.matrix, s))
+
+
+def bruhat_leq(W: WeylGroup, y: GroupElement, w: GroupElement) -> bool:
+    """Bruhat order via the standard descent recursion."""
+    while True:
+        if y.index == w.index:
+            return True
+        if y.length >= w.length:
+            return False
+        s = min(descents_left(W, w))
+        w = W.elements[W.left_table[s][w.index]]
+        if _column_negative(y.inv_matrix, s):
+            y = W.elements[W.left_table[s][y.index]]
+
+
+# ---------------------------------------------------------------------------
+# Hecke algebras and Kazhdan-Lusztig data
+# ---------------------------------------------------------------------------
+
+def jmap(alg: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
+    elements = alg.group.elements
+    return alg.element({w: c.bar() if elements[w].length % 2 == 0 else -c.bar()
+                        for w, c in h.coeffs.items()})
+
+
+def tau(alg: HeckeAlgebra, h: HeckeElement) -> LaurentPoly:
+    """The symmetrizing trace: coefficient of the identity basis element."""
+    return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
+
+
+def check_star_compatibility(data: KLData) -> CheckResult:
+    """Verify h.[c_w^dagger] = phi(h) * [c_w^dagger] on every filtration level.
+
+    Left multiplication by any basis element, projected to the a-level of
+    w in dagger-c coordinates, must agree with the star action of the phi
+    image; components below the level must vanish.  This is the checkable
+    form of the statement that the phi kernel pushes the filtration down.
+    """
+    data.require_checks()
+    alg = data.algebra
+    n = len(data.group)
+    a = data.afn
+    inv = data.group.inverse_index
+    B = data.phi_matrix
+    for w in range(n):
+        cdag_w = alg.dagger(alg.element(data.cbasis[w]))
+        aw = a[w]
+        for y in range(n):
+            prod = alg.mul(alg.t(y), cdag_w)
+            coords = data.cexpand_dagger(prod)
+            for z, c in coords.items():
+                if a[z] < aw and c:
+                    return CheckResult("star", False, (y, w, z, "below level"))
+            for z in range(n):
+                if a[z] != aw:
+                    continue
+                rhs = LaurentPoly.zero()
+                for x in range(n):
+                    bxy = B[x][y]
+                    if not bxy:
+                        continue
+                    g = data.gamma.get((x, w, inv(z)))
+                    if g:
+                        rhs = rhs + bxy * (g * data.nhat[w] * data.nhat[z])
+                if coords.get(z, LaurentPoly.zero()) != rhs:
+                    return CheckResult("star", False, (y, w, z, "level mismatch"))
+    return CheckResult("star", True)
+
+
+# ---------------------------------------------------------------------------
+# partitions and decomposition matrices
+# ---------------------------------------------------------------------------
+
+def dominance_leq(lam: Partition, mu: Partition) -> bool:
+    """lam dominated by mu: all partial sums of lam bounded by those of mu."""
+    if sum(lam) != sum(mu):
+        raise ValueError("dominance compares partitions of the same size")
+    total_l = total_m = 0
+    for j in range(max(len(lam), len(mu))):
+        total_l += lam[j] if j < len(lam) else 0
+        total_m += mu[j] if j < len(mu) else 0
+        if total_l > total_m:
+            return False
+    return True
+
+
+def dominance_leq_multi(lam: tuple[Partition, ...], mu: tuple[Partition, ...]) -> bool:
+    """Dominance on r-tuples: partial sums of the concatenated part lists."""
+    if len(lam) != len(mu):
+        raise ValueError("tuples of different lengths")
+    if sum(map(sum, lam)) != sum(map(sum, mu)):
+        raise ValueError("dominance compares tuples of the same total size")
+    shift_l = shift_m = 0
+    for c in range(len(lam)):
+        total_l, total_m = shift_l, shift_m
+        for j in range(max(len(lam[c]), len(mu[c]))):
+            total_l += lam[c][j] if j < len(lam[c]) else 0
+            total_m += mu[c][j] if j < len(mu[c]) else 0
+            if total_l > total_m:
+                return False
+        shift_l += sum(lam[c])
+        shift_m += sum(mu[c])
+    return True
+
+
+def dim_bipartition(lam: Multipartition) -> int:
+    """Dimension of the labelled module: binomial times tableaux counts."""
+    l1, l2 = lam
+    n = sum(l1) + sum(l2)
+    return math.comb(n, sum(l2)) * standard_tableaux(l1) * standard_tableaux(l2)
+
+
+def check_dominance_triangularity(matrix: DecompMatrix,
+                                  result: BasicSetResult) -> tuple[bool, Optional[tuple]]:
+    """Nonzero entries must be dominated by their column's selected label.
+
+    Runs after a successful verification; labels must be partition tuples.
+    Returns (True, None) or (False, (row_label, column_label)).
+    """
+    if not result.exists or result.assignment is None:
+        raise ValueError("needs a successful verification result")
+    for j, sel in enumerate(result.assignment):
+        mu = matrix.labels[sel]
+        if matrix.entries[sel][j] != 1:
+            return False, (mu, mu)
+        for i in range(len(matrix.labels)):
+            if matrix.entries[i][j] == 0:
+                continue
+            lam = matrix.labels[i]
+            lam_t = lam if isinstance(lam[0], tuple) else (lam,)
+            mu_t = mu if isinstance(mu[0], tuple) else (mu,)
+            if not dominance_leq_multi(lam_t, mu_t):
+                return False, (lam, mu)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# the Fock space: node order, words, classical operators
+# ---------------------------------------------------------------------------
+
+def above(g: Node, g2: Node, params: FockParams) -> bool:
+    """Strict order: is g above g2 under the configured node order?"""
+    key = _sort_key(params)
+    return key(g) < key(g2)
+
+
+def icount(mp: Multipartition, i: int, params: FockParams) -> int:
+    """W_i: number of i-nodes in the diagram."""
+    total = 0
+    for c, part in enumerate(mp, start=1):
+        for a, length in enumerate(part, start=1):
+            for b in range(1, length + 1):
+                if (b - a + params.u[c - 1]) % params.l == i:
+                    total += 1
+    return total
+
+
+def _node_word(entries) -> list[tuple[Node, str]]:
+    return [(Node(a, b, c), kind) for _, kind, a, b, c in entries]
+
+
+def i_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
+    """Addable/removable i-nodes as an (node, 'A'|'R') word, highest first."""
+    return _node_word(_words(mp, params)[i][0])
+
+
+def reduced_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
+    """The i-word after signature cancellation, highest first."""
+    return _node_word(_words(mp, params)[i][1])
+
+
+def cogood_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
+    """Lowest addable i-node surviving cancellation, if any."""
+    for _, kind, a, b, c in reversed(_words(mp, params)[i][1]):
+        if kind == "A":
+            return Node(a, b, c)
+    return None
+
+
+def normal_nodes_literal(mp: Multipartition, i: int, params: FockParams) -> list[Node]:
+    """Normal removable i-nodes by the literal counting definition.
+
+    A removable i-node g is normal when every addable i-node strictly below
+    it sees strictly more removable than addable i-nodes strictly between.
+    Serves as the independent oracle for the signature implementation.
+    """
+    adds = addable(mp, i, params)
+    rems = removable(mp, i, params)
+    out = []
+    for g in rems:
+        ok = True
+        for g2 in adds:
+            if not above(g, g2, params):
+                continue
+            between_r = sum(1 for d in rems
+                            if above(g, d, params) and above(d, g2, params))
+            between_a = sum(1 for d in adds
+                            if above(g, d, params) and above(d, g2, params))
+            if not between_r > between_a:
+                ok = False
+                break
+        if ok:
+            out.append(g)
+    return out
+
+
+def _diagonal(vec: FockVector, eigenvalue) -> FockVector:
+    """The operator scaling each multipartition mp by eigenvalue(mp)."""
+    return add_into({}, {mp: coeff * eigenvalue(mp) for mp, coeff in vec.items()})
+
+
+def quantum_D(vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
+    return _diagonal(vec, lambda mp: vpow(-power * icount(mp, 0, params)))
+
+
+def classical_e(i: Optional[int], vec: FockVector, params: FockParams) -> FockVector:
+    """Remove one i-node in every way (one node of any residue when i is None)."""
+    out: FockVector = {}
+    for mp, coeff in vec.items():
+        add_into(out, {remove_node(mp, g): coeff for g in removable(mp, i, params)})
+    return out
+
+
+def classical_f(i: Optional[int], vec: FockVector, params: FockParams) -> FockVector:
+    """Add one i-node in every way (one node of any residue when i is None)."""
+    out: FockVector = {}
+    for mp, coeff in vec.items():
+        add_into(out, {add_node(mp, g): coeff for g in addable(mp, i, params)})
+    return out
+
+
+def classical_h(i: int, vec: FockVector, params: FockParams) -> FockVector:
+    return _diagonal(vec, lambda mp: LaurentPoly.const(ncount(mp, i, params)))
+
+
+def classical_d(vec: FockVector, params: FockParams) -> FockVector:
+    return _diagonal(vec, lambda mp: LaurentPoly.const(-icount(mp, 0, params)))
+
+
+def ind(vec: FockVector, params: FockParams) -> FockVector:
+    """Branching sum: increase exactly one part (any residue)."""
+    return classical_f(None, vec, params)
+
+
+def res(vec: FockVector, params: FockParams) -> FockVector:
+    """Branching sum: decrease exactly one part (any residue)."""
+    return classical_e(None, vec, params)
+
+
+def cartan_pairing(i: int, j: int, l: int) -> int:
+    """alpha_i(h_j) for the affine type A_{l-1} Cartan matrix."""
+    a = 2 if i == j else 0
+    if (i - j) % l == 1:
+        a -= 1
+    if (j - i) % l == 1:
+        a -= 1
+    return a

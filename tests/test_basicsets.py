@@ -7,12 +7,11 @@ import pytest
 from heckekit.basicsets import (BasicSetResult, CaseNotCovered,
                                 CharTwoUnsupported, DecompMatrix, MissingAlpha,
                                 OddOrderUnsupported, SpecParams, basic_set_B,
-                                basic_set_D, basic_set_sym,
-                                check_dominance_triangularity, dim_bipartition,
-                                PRIME_LIMIT, e_value, fn_zero, is_prime,
+                                basic_set_D, basic_set_sym, PRIME_LIMIT, e_value, fn_zero, is_prime,
                                 verify_decomp)
 from heckekit.fock import ARIKI, FLOTW, FockParams, uryu_set
 from heckekit.schur import bipartitions, e_regular, invariants_B, partitions
+from oracles import check_dominance_triangularity, dim_bipartition
 
 
 def load_fixture(name):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 from importlib import resources
 
 import pytest
@@ -216,7 +218,12 @@ class TestKlCommand:
         ("--type", "D", "--rank", "4", "--weights", "1", "--emit", "gamma"),
         ("--type", "D", "--rank", "4", "--weights", "1", "--emit", "jring"),
         ("--type", "D", "--rank", "4", "--weights", "1", "--check", "P2"),
-    ], ids=["F4-afn", "D4-gamma", "D4-jring", "D4-check"])
+        ("--type", "D", "--rank", "4", "--weights", "1", "--emit", "phimatrix"),
+        ("--type", "D", "--rank", "4", "--weights", "1", "--check", "P6"),
+        ("--type", "B", "--rank", "4", "--weights", "1,2", "--check", "P15"),
+        ("--type", "F4", "--rank", "4", "--weights", "1,1", "--emit", "cbasis"),
+    ], ids=["F4-afn", "D4-gamma", "D4-jring", "D4-check", "D4-phimatrix", "D4-check-P6",
+            "B4-check-P15", "F4-cbasis"])
     def test_over_the_cap_is_refused_before_enumeration(self, capsys, argv):
         before = _cached_group.cache_info()
         assert_input_error(*run(capsys, "kl", *argv))
@@ -405,11 +412,60 @@ class TestVerifyCommand:
         {"rows": [{"label": [[1], []], "alpha": 0, "entries": ["1"]}]},
         {"rows": [{"label": [[1], []], "alpha": 0, "entries": [True]}]},
         {"rows": [{"label": [[1], []], "alpha": True, "entries": [1]}]},
+        {"rows": [{"label": [[1], []], "alpha": 0, "dim": "x", "entries": [1]}]},
+        {"rows": [{"label": [[1], []], "alpha": 0, "dim": True, "entries": [1]}]},
     ])
     def test_wrong_shape_is_an_input_error(self, tmp_path, capsys, body):
         bad = tmp_path / "shape.json"
         bad.write_text(json.dumps(body))
         assert_input_error(*run(capsys, "verify-decomp", str(bad)))
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                         st.sampled_from(["", "x", "E+", "1"]), st.just(1.5))
+
+
+@st.composite
+def decomp_body(draw):
+    """Text of a verify-decomp file: mostly the documented schema, and now and
+    then one row field of the wrong shape, or no object with rows at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "{", "[]", "7", "null", '{"rows": 5}', '{"rows": [1]}']))
+    ncols = draw(st.integers(0, 3))
+    part = st.lists(st.integers(1, 3), max_size=3).map(lambda p: sorted(p, reverse=True))
+    label = st.one_of(st.sampled_from(["E1", "E2", "E+"]), part,
+                      st.lists(part, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = {"label": draw(label), "alpha": draw(st.integers(0, 4)),
+               "entries": draw(st.lists(st.integers(0, 2), min_size=ncols, max_size=ncols))}
+        if draw(st.booleans()):
+            row["dim"] = draw(st.one_of(st.integers(1, 6), st.none()))
+        rows.append(row)
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(["label", "alpha", "entries", "dim"]))
+        if draw(st.booleans()):
+            row[key] = draw(st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3)))
+        else:
+            row.pop(key, None)
+    return json.dumps({"type": "B", "n": 3, "rows": rows})
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(decomp_body())
+    def test_exit_contract(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "matrix.json")
+            with open(path, "w") as fh:
+                fh.write(body)
+            code, out = run_quiet(["verify-decomp", path])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert json.loads(out)["verdict"] == "exists"
+        elif code == 1:
+            assert json.loads(out)["verdict"] == "fails"
 
 
 class TestUsage:

@@ -5,6 +5,8 @@ import pytest
 from heckekit import coxeter
 from heckekit.coxeter import (CoxeterType, GroupTooLarge, WeightFunction,
                               build, weight_from_ab)
+from oracles import (bruhat_leq, descents_left, descents_right, element_from_word,
+                     lweight)
 
 
 def test_classical_orders():
@@ -78,7 +80,7 @@ def test_poincare_counts():
 def test_normal_forms_are_lex_smallest_reduced():
     W = build(CoxeterType("B", 2))
     for w in W.elements:
-        assert W.element_from_word(w.word) == w
+        assert element_from_word(W, w.word) == w
         assert len(w.word) == w.length
 
 
@@ -89,7 +91,7 @@ def test_mult_and_inverse():
     assert (w * w.inverse()) == W.identity
     assert w.inverse().inverse() == w
     # the reversed word is a reduced word for the inverse
-    assert W.element_from_word(tuple(reversed(w.word))) == w.inverse()
+    assert element_from_word(W, tuple(reversed(w.word))) == w.inverse()
     # associativity spot check
     for a in W.elements[:8]:
         for b in W.elements[:8]:
@@ -104,7 +106,7 @@ def _bruhat_subword_oracle(W, y, w):
 
     def rec(i, cur):
         if i == len(word):
-            target.add(W.element_from_word(cur).index)
+            target.add(element_from_word(W, cur).index)
             return
         rec(i + 1, cur)
         rec(i + 1, cur + [word[i]])
@@ -117,13 +119,13 @@ def test_bruhat_matches_subword_oracle():
     W = build(CoxeterType("A", 2))
     for y in W.elements:
         for w in W.elements:
-            assert W.bruhat_leq(y, w) == _bruhat_subword_oracle(W, y, w)
+            assert bruhat_leq(W, y, w) == _bruhat_subword_oracle(W, y, w)
     s1, s2 = W.generators
-    assert W.bruhat_leq(s1, W.longest)
-    assert not W.bruhat_leq(s1 * s2, s2 * s1)
+    assert bruhat_leq(W, s1, W.longest)
+    assert not bruhat_leq(W, s1 * s2, s2 * s1)
     for w in W.elements:
-        assert W.bruhat_leq(W.identity, w)
-        assert W.bruhat_leq(w, w)
+        assert bruhat_leq(W, W.identity, w)
+        assert bruhat_leq(W, w, w)
 
 
 def test_bruhat_partial_order_refines_length():
@@ -131,14 +133,14 @@ def test_bruhat_partial_order_refines_length():
     elems = W.elements
     for y in elems:
         for w in elems:
-            if W.bruhat_leq(y, w) and y != w:
+            if bruhat_leq(W, y, w) and y != w:
                 assert y.length < w.length
             # antisymmetry
-            if W.bruhat_leq(y, w) and W.bruhat_leq(w, y):
+            if bruhat_leq(W, y, w) and bruhat_leq(W, w, y):
                 assert y == w
     for x, y, z in combinations(elems, 3):
-        if W.bruhat_leq(x, y) and W.bruhat_leq(y, z):
-            assert W.bruhat_leq(x, z)
+        if bruhat_leq(W, x, y) and bruhat_leq(W, y, z):
+            assert bruhat_leq(W, x, z)
 
 
 def test_weights_and_descents():
@@ -146,24 +148,24 @@ def test_weights_and_descents():
     W = build(ct)
     L = weight_from_ab(ct, 1, 3)  # a=1 on s1, b=3 on t
     assert L.values == (3, 1)
-    assert W.lweight(W.identity, L) == 0
-    assert W.lweight(W.longest, L) == 2 * 1 + 2 * 3
+    assert lweight(W, W.identity, L) == 0
+    assert lweight(W, W.longest, L) == 2 * 1 + 2 * 3
     assert W.longest.name() == "t.s1.t.s1"
-    assert W.descents_left(W.longest) == frozenset({0, 1})
-    assert W.descents_right(W.identity) == frozenset()
+    assert descents_left(W, W.longest) == frozenset({0, 1})
+    assert descents_right(W, W.identity) == frozenset()
 
 
 def test_validate_weight():
-    B3 = build(CoxeterType("B", 3))
+    B3 = CoxeterType("B", 3)
     assert B3.validate_weight((4, 1, 1))
     assert not B3.validate_weight((4, 1, 2))
-    A2 = build(CoxeterType("A", 2))
+    A2 = CoxeterType("A", 2)
     assert A2.validate_weight((2, 2))
     assert not A2.validate_weight((1, 2))
-    F4 = build(CoxeterType("F4", 4))
+    F4 = CoxeterType("F4", 4)
     assert F4.validate_weight((1, 1, 2, 2))
     assert not F4.validate_weight((1, 2, 2, 2))
-    D4 = build(CoxeterType("D", 4))
+    D4 = CoxeterType("D", 4)
     assert D4.validate_weight((1, 1, 1, 1))
     assert not D4.validate_weight((2, 1, 1, 1))
 
@@ -191,4 +193,4 @@ def test_longest_element_b2_weight():
     W = build(ct)
     for (a, b) in [(1, 3), (2, 5)]:
         L = weight_from_ab(ct, a, b)
-        assert W.lweight(W.longest, L) == 2 * a + 2 * b
+        assert lweight(W, W.longest, L) == 2 * a + 2 * b

@@ -4,18 +4,17 @@ import pytest
 
 from heckekit.fock import (ARIKI, FLOTW, CrystalGraph, FockParams,
                            LevelCapExceeded, Multipartition, Node,
-                           ParamsOutOfRange, above, add_node, addable,
-                           cartan_pairing, classical_d, classical_e,
-                           classical_f, classical_h, cogood_node, crystal,
+                           ParamsOutOfRange, add_node, addable, crystal,
                            empty_mp, etilde, flotw_member, ftilde, good_node,
-                           i_word, icount, ind, kleshchev_member, mp_size,
-                           multipartitions, ncount, normal_nodes_literal,
-                           quantum_D, quantum_E, quantum_F, quantum_K,
-                           removable, remove_node, res, residue, unit_vector,
-                           uryu_set)
-from heckekit.fock import _reduced_word, _sort_key
+                           kleshchev_member, mp_size, multipartitions, ncount,
+                           quantum_E, quantum_F, quantum_K, removable,
+                           remove_node, residue, unit_vector, uryu_set)
+from heckekit.fock import _sort_key
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
+from oracles import (above, cartan_pairing, classical_d, classical_e, classical_f,
+                     classical_h, cogood_node, i_word, icount, ind,
+                     normal_nodes_literal, quantum_D, reduced_word, res)
 
 P22 = FockParams(l=2, r=2, u=(0, 1), node_order=FLOTW)
 A22 = FockParams(l=2, r=2, u=(0, 1), node_order=ARIKI)
@@ -256,7 +255,7 @@ class TestOracleEquivalences:
                 for mp in multipartitions(p.r, n):
                     for i in range(p.l):
                         literal = set(normal_nodes_literal(mp, i, p))
-                        survivors = {nd for nd, kind in _reduced_word(mp, i, p)
+                        survivors = {nd for nd, kind in reduced_word(mp, i, p)
                                      if kind == "R"}
                         assert literal == survivors, (p, mp, i)
 
@@ -301,7 +300,7 @@ class TestSignatureOracle:
             for mp in multipartitions(p.r, n):
                 for i in range(p.l):
                     assert i_word(mp, i, p) == i_word_oracle(mp, i, p), (mp, i)
-                    assert _reduced_word(mp, i, p) == reduced_word_oracle(mp, i, p)
+                    assert reduced_word(mp, i, p) == reduced_word_oracle(mp, i, p)
                     assert good_node(mp, i, p) == good_node_oracle(mp, i, p)
                     assert cogood_node(mp, i, p) == cogood_node_oracle(mp, i, p)
 

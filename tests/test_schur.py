@@ -9,13 +9,14 @@ from heckekit.laurent import vpow
 from heckekit.schur import (G2_LABELS, SCHUR_CHECK_CAP, DomainError, MTooSmall,
                             RegimeNotCovered, Symbol, _extract_invariants,
                             all_invariants, bipartitions, conjugate,
-                            dominance_leq, dominance_leq_multi, e_regular,
+                            e_regular,
                             f4_invariants, f4_labels, g2_invariants, g2_schur,
                             invariants_A, invariants_asymptotic,
                             invariants_azero, invariants_B, l_good,
                             min_symbol_size, nfun, partitions, schur_element_B,
                             standard_tableaux, symbol_of, typeD_invariants,
                             typeD_invariants_split)
+from oracles import dominance_leq, dominance_leq_multi
 
 # Table of alpha values per weight pair, one block per even b
 TABLE3_ALPHA = {
