@@ -16,7 +16,8 @@ from . import basicsets, fock, schur
 from .basicsets import DecompMatrix, SpecParams
 from .coxeter import CoxeterType, weight_from_ab
 from .fock import ARIKI, FLOTW, FockParams
-from .klcells import CBASIS_CAP, HCONST_CAP, KLData, PropertyFailure, property_name
+from .klcells import (CBASIS_CAP, HCONST_CAP, WITNESS_FIELDS, KLData, PropertyFailure,
+                      coeff_prefix, property_name)
 
 
 def _render_mp(mp):
@@ -119,6 +120,43 @@ def _cmd_schur(args) -> int:
 
 # -- kl -------------------------------------------------------------------------
 
+def _witness(res, name: list[str]) -> list:
+    """A check's witness with its element fields as names (WITNESS_FIELDS)."""
+    render = {"w": name.__getitem__, "ws": lambda ws: [name[w] for w in ws], "n": int}
+    return [render[kind](x) for kind, x in zip(WITNESS_FIELDS[res.name], res.witness)]
+
+
+def _write_cbasis(kl: KLData, name: list[str]) -> None:
+    """Write the "cbasis" and "cbasis_text" members of the kl report, row by
+    row, as `json.dumps(sort_keys=True)` writes them: each w maps to the JSON
+    pairs of c_w by element name, and to the Tt-expansion text.
+
+    Each distinct coefficient is rendered once, as its pairs and its text
+    prefix.  Names, coefficients and texts are ASCII with no quote or
+    backslash, so JSON quotes them as they are.
+    """
+    rendered: dict = {}  # coefficient -> (its JSON pairs, its prefix in the text)
+    for row in kl.cbasis:
+        for c in row.values():
+            if c not in rendered:
+                pairs = ", ".join(f'[{e}, "{k}"]' for e, k in c.items())
+                rendered[c] = (f"[{pairs}]", coeff_prefix(c))
+    quoted = [f'"{n}"' for n in name]
+    order = sorted(range(len(name)), key=name.__getitem__)
+    write = sys.stdout.write
+    write('{"cbasis": {')
+    for i, w in enumerate(order):
+        row = kl.cbasis[w]
+        terms = ", ".join(f"{quoted[y]}: {rendered[row[y]][0]}"
+                          for y in sorted(row, key=name.__getitem__))
+        write(f'{", " if i else ""}{quoted[w]}: {{{terms}}}')
+    write('}, "cbasis_text": {')
+    for i, w in enumerate(order):
+        text = kl.algebra.text(kl.cbasis[w], lambda c: rendered[c][1])
+        write(f'{", " if i else ""}{quoted[w]}: "{text}"')
+    write("}, ")
+
+
 def _cmd_kl(args) -> int:
     ctype = CoxeterType(args.type, args.rank)
     checks = [property_name(c) for c in args.check or ()]
@@ -147,13 +185,9 @@ def _cmd_kl(args) -> int:
         for res in results:
             entry = {"property": res.name, "passed": res.passed}
             if res.witness is not None:
-                entry["witness"] = [name[x] if isinstance(x, int) else x for x in res.witness]
+                entry["witness"] = _witness(res, name)
             report["checks"].append(entry)
-    if emit == "cbasis":
-        report["cbasis"] = {name[w]: {name[y]: c.json_pairs() for y, c in sorted(row.items())}
-                            for w, row in enumerate(value)}
-        report["cbasis_text"] = {name[w]: kl.algebra.text(row) for w, row in enumerate(value)}
-    elif emit == "afn":
+    if emit == "afn":
         report["afn"] = dict(zip(name, value))
     elif emit == "gamma":
         report["gamma"] = [[name[x], name[y], name[z], g]
@@ -172,7 +206,12 @@ def _cmd_kl(args) -> int:
         report["det"] = det.json_pairs()
         report["det_text"] = det.text()
 
-    _print_json(report)
+    text = json.dumps(report, sort_keys=True)
+    if emit == "cbasis":
+        # "cbasis" and "cbasis_text" sort before every other key of the report
+        _write_cbasis(kl, name)
+        text = text[1:]
+    print(text)
     return 1 if any(not res.passed for res in results) else 0
 
 

@@ -3,9 +3,13 @@
 Elements are realized through the faithful integer representation on the root
 lattice: each group element acts on simple roots via its Cartan-matrix
 reflection matrix, so all products, lengths and descent tests are exact
-integer computations.  Every element carries its lexicographically smallest
-reduced word, computed by left-descent peeling, and the enumeration order
-(by length, then word) is the canonical index order used everywhere else.
+integer computations.  The group is enumerated in one breadth-first pass by
+left products s*u, each costing one row operation on the matrix of u and
+one column operation on its inverse.  Every element carries its
+lexicographically smallest reduced word, read off that pass: the smallest s
+reaching w is its first letter.  The enumeration order (by length, then
+word) is the canonical index order used everywhere else, and the same pass
+fills the table of left products by generators.
 """
 
 from __future__ import annotations
@@ -144,6 +148,23 @@ def _mat_mul(A, B):
     )
 
 
+def _reflect_row(M, s, bond):
+    """gen_s * M: only row s changes, to -M[s] plus the bonded rows."""
+    row = [-x for x in M[s]]
+    for j, c in bond:
+        row = [x + c * y for x, y in zip(row, M[j])]
+    return M[:s] + (tuple(row),) + M[s + 1:]
+
+
+def _reflect_column(row, s, bond):
+    """One row of M * gen_s: only the entries s and bonded to s change."""
+    out = list(row)
+    out[s] = -row[s]
+    for j, c in bond:
+        out[j] += c * row[s]
+    return tuple(out)
+
+
 def _column_negative(M, j) -> bool:
     # Images of simple roots are roots: all entries of one sign.
     return any(M[i][j] < 0 for i in range(len(M)))
@@ -198,56 +219,45 @@ class WeylGroup:
         self.cartan = ctype.cartan_matrix()
 
         n = self.rank
-        self._gen_mats = []
-        for i in range(n):
-            M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            for j in range(n):
-                M[i][j] -= self.cartan[i][j]
-            self._gen_mats.append(tuple(tuple(row) for row in M))
-
         ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-        # BFS by length over right products, collecting (matrix, inverse, length)
-        info: dict[tuple, tuple[tuple, int]] = {ident: (ident, 0)}
-        frontier = [ident]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for M in frontier:
-                I = info[M][0]
-                for s in range(n):
-                    if _column_negative(M, s):
-                        continue  # right descent: product gets shorter
-                    M2 = _mat_mul(M, self._gen_mats[s])
-                    if M2 not in info:
-                        info[M2] = (_mat_mul(self._gen_mats[s], I), depth)
-                        nxt.append(M2)
-            frontier = nxt
-        if len(info) != order:
-            raise AssertionError(f"enumerated {len(info)} elements, expected {order}")
+        # Breadth-first by left products s*u.  Within a depth, s runs outside
+        # and u in index order inside, so the first s to reach w = s*u is its
+        # smallest left descent: (s,) + word(u) is the lexicographically
+        # smallest reduced word, and new elements come out in index order.
+        # Each pair (s, u) is an ascent here or a descent of the shorter s*u,
+        # so both entries of left_table are filled when s*u is reached.
+        bonds = [[(j, -self.cartan[s][j]) for j in range(n) if j != s and self.cartan[s][j]]
+                 for s in range(n)]
+        words: list[tuple[int, ...]] = [()]
+        mats, invs = [ident], [ident]
+        by_matrix = self._by_matrix = {ident: 0}
+        #: left_table[s][i] = index of generator s times element i
+        self.left_table: list[list[int]] = [[0] * order for _ in range(n)]
+        start, stop = 0, 1
+        while start < stop:
+            for s in range(n):
+                table, bond = self.left_table[s], bonds[s]
+                for u in range(start, stop):
+                    if _column_negative(invs[u], s):
+                        continue  # left descent: s*u is shorter and already recorded
+                    M = _reflect_row(mats[u], s, bond)
+                    w = by_matrix.setdefault(M, len(words))
+                    if w == len(words):
+                        words.append((s,) + words[u])
+                        mats.append(M)
+                        invs.append(tuple(_reflect_column(r, s, bond) for r in invs[u]))
+                    table[u] = w
+                    table[w] = u
+            start, stop = stop, len(words)
+        if len(words) != order:
+            raise AssertionError(f"enumerated {len(words)} elements, expected {order}")
 
-        # Canonical words by left-descent peeling (smallest generator first).
-        entries = []
-        for M, (I, length) in info.items():
-            word = []
-            Mw, Iw = M, I
-            for _ in range(length):
-                s = next(j for j in range(n) if _column_negative(Iw, j))
-                word.append(s)
-                Mw = _mat_mul(self._gen_mats[s], Mw)
-                Iw = _mat_mul(Iw, self._gen_mats[s])
-            entries.append((length, tuple(word), M, I))
-        entries.sort(key=lambda e: (e[0], e[1]))
-
-        self.elements: list[GroupElement] = []
-        self._by_matrix: dict[tuple, int] = {}
-        for idx, (length, word, M, I) in enumerate(entries):
-            self.elements.append(GroupElement(self, idx, word, M, I))
-            self._by_matrix[M] = idx
+        self.elements: list[GroupElement] = [
+            GroupElement(self, idx, word, mats[idx], invs[idx])
+            for idx, word in enumerate(words)]
         self.identity = self.elements[0]
         self.longest = self.elements[-1]
-        self.generators = [self.element_by_matrix(m) for m in self._gen_mats]
-        self._left_table: list[list[int]] | None = None
+        self.generators = [self.elements[table[0]] for table in self.left_table]
         self._inv_table: list[int] | None = None
 
     # -- core operations -------------------------------------------------
@@ -265,18 +275,6 @@ class WeylGroup:
         if self._inv_table is None:
             self._inv_table = [self._by_matrix[w.inv_matrix] for w in self.elements]
         return self._inv_table[i]
-
-    @property
-    def left_table(self) -> list[list[int]]:
-        """left_table[s][i] = index of generator s times element i."""
-        if self._left_table is None:
-            tab = []
-            for s in range(self.rank):
-                Ms = self._gen_mats[s]
-                tab.append([self._by_matrix[_mat_mul(Ms, w.matrix)]
-                            for w in self.elements])
-            self._left_table = tab
-        return self._left_table
 
 
 @dataclass(frozen=True)

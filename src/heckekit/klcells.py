@@ -32,6 +32,13 @@ Coeffs = dict[int, LaurentPoly]
 _ONE = LaurentPoly.one()
 
 
+def coeff_prefix(c: LaurentPoly) -> str:
+    """How c multiplies a basis element in text: "", "v^-1*" or "(v^-1 + v)*"."""
+    if c == _ONE:
+        return ""
+    return f"{c.text()}*" if len(c) == 1 else f"({c.text()})*"
+
+
 class PropertyFailure(RuntimeError):
     """A structural property required for the asymptotic ring fails."""
 
@@ -101,21 +108,21 @@ class HeckeAlgebra:
     def element(self, coeffs: Coeffs) -> HeckeElement:
         return HeckeElement(self, coeffs)
 
-    def text(self, coeffs: Coeffs) -> str:
-        """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1"."""
+    def text(self, coeffs: Coeffs, prefix=None) -> str:
+        """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1".
+
+        prefix(c) renders a coefficient as coeff_prefix does; a caller that
+        renders many rows may pass one that looks up a memo of it.
+        """
         if not coeffs:
             return "0"
-        parts = []
-        for w in sorted(coeffs):
-            c = coeffs[w]
-            name = f"Tt_{self.group.elements[w].name()}"
-            if c == _ONE:
-                parts.append(name)
-            elif len(c) == 1:
-                parts.append(f"{c.text()}*{name}")
-            else:
-                parts.append(f"({c.text()})*{name}")
-        return " + ".join(parts)
+        prefix = prefix or coeff_prefix
+        tt = self.tt_names
+        return " + ".join(prefix(coeffs[w]) + tt[w] for w in sorted(coeffs))
+
+    @cached_property
+    def tt_names(self) -> list[str]:
+        return ["Tt_" + w.name() for w in self.group.elements]
 
     # -- multiplication ------------------------------------------------------
 
@@ -189,7 +196,7 @@ def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
     in Geck's PyCox: with s the first letter of w, c_w is c_s c_sw less its
     lower c-terms (cs_times_cw).  Every c_z it needs has a smaller index,
     because the canonical index order sorts by length.  B4 (384 elements)
-    takes about 0.4 s and F4 (1152) about 4 s.
+    takes about 0.3 s and F4 (1152) about 3 s.
     """
     group = algebra.group
     basis: list[Coeffs] = [{0: _ONE}]
@@ -295,6 +302,19 @@ def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
 
 PROPERTY_NAMES = ("P2", "P3", "P4", "P5", "P6", "P7", "P8", "P15'")
 
+#: The fields of each property's failure witness: "w" is an element index,
+#: "ws" a tuple of element indices and "n" an integer.
+WITNESS_FIELDS = {
+    "P2": ("w", "w", "w", "n"),  # x, y, distinguished z with x != y^-1, gamma_{x,y,z}
+    "P3": ("w", "ws"),  # y, every distinguished d with gamma_{y^-1,y,d} != 0
+    "P4": ("w", "w", "w"),  # x, y, z with c_z in c_x c_y and a(z) < a(x) or a(y)
+    "P5": ("w", "w", "n", "n"),  # y, d, gamma_{y^-1,y,d}, n_d
+    "P6": ("w",),  # distinguished d with d != d^-1
+    "P7": ("w", "w", "w"),  # x, y, z with gamma_{x,y,z} != gamma_{y,z,x}
+    "P8": ("w", "w", "w"),  # x, y, z with gamma_{x,y,z} != 0 and a-values apart
+    "P15'": ("w", "w", "w", "w"),  # x, x', y, w where the two sides differ
+}
+
 
 def property_name(name: str) -> str:
     """The name in PROPERTY_NAMES that name stands for (P15 and P15prime mean P15')."""
@@ -304,8 +324,8 @@ def property_name(name: str) -> str:
     return name
 
 
-#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.4 s and
-#: 1.3 s.  F4 (1152) takes about 4 s and 10 s and needs force.
+#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.3 s and
+#: 0.4 s.  F4 (1152) takes about 3 s and 5 s and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.5 s on
 #: A4 (120) and 2 s on D4 (192), but the jobs that need them cost more: D4

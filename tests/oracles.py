@@ -8,11 +8,15 @@ DecompMatrix) and change none of them.
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 from heckekit.basicsets import BasicSetResult, DecompMatrix
-from heckekit.coxeter import GroupElement, WeightFunction, WeylGroup, _column_negative
+from heckekit.cli import _witness
+from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
+                              _column_negative, _mat_mul)
 from heckekit.fock import (FockParams, FockVector, Multipartition, Node, _sort_key,
                            _words, add_node, addable, ncount, removable, remove_node)
 from heckekit.klcells import CheckResult, HeckeAlgebra, HeckeElement, KLData
@@ -23,6 +27,67 @@ from heckekit.schur import Partition, standard_tableaux
 # ---------------------------------------------------------------------------
 # Weyl groups
 # ---------------------------------------------------------------------------
+
+@dataclass
+class PeeledGroup:
+    """What WeylGroup enumerates, in its index order: per element its word,
+    matrix and inverse matrix, the left products by generators and the index
+    of the inverse."""
+
+    words: list[tuple[int, ...]]
+    matrices: list[tuple]
+    inv_matrices: list[tuple]
+    left_table: list[list[int]]
+    inverse_index: list[int]
+
+
+def weyl_group_by_peeling(ctype: CoxeterType) -> PeeledGroup:
+    """Enumeration oracle: breadth-first by right products with full matrix
+    products, canonical words by left-descent peeling (smallest generator
+    first), then a sort by (length, word) and the left products by lookup."""
+    n = ctype.rank
+    cartan = ctype.cartan_matrix()
+    gens = []
+    for i in range(n):
+        M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        for j in range(n):
+            M[i][j] -= cartan[i][j]
+        gens.append(tuple(tuple(row) for row in M))
+    ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    info: dict[tuple, tuple[tuple, int]] = {ident: (ident, 0)}
+    frontier = [ident]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for M in frontier:
+            inv = info[M][0]
+            for s in range(n):
+                if _column_negative(M, s):
+                    continue  # right descent: product gets shorter
+                M2 = _mat_mul(M, gens[s])
+                if M2 not in info:
+                    info[M2] = (_mat_mul(gens[s], inv), depth)
+                    nxt.append(M2)
+        frontier = nxt
+    entries = []
+    for M, (inv, length) in info.items():
+        word = []
+        Iw = inv
+        for _ in range(length):
+            s = next(j for j in range(n) if _column_negative(Iw, j))
+            word.append(s)
+            Iw = _mat_mul(Iw, gens[s])
+        entries.append((length, tuple(word), M, inv))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    by_matrix = {M: i for i, (_, _, M, _) in enumerate(entries)}
+    return PeeledGroup(
+        words=[e[1] for e in entries],
+        matrices=[e[2] for e in entries],
+        inv_matrices=[e[3] for e in entries],
+        left_table=[[by_matrix[_mat_mul(gens[s], e[2])] for e in entries] for s in range(n)],
+        inverse_index=[by_matrix[e[3]] for e in entries])
+
 
 def element_from_word(W: WeylGroup, word) -> GroupElement:
     w = W.identity
@@ -70,6 +135,28 @@ def jmap(alg: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
 def tau(alg: HeckeAlgebra, h: HeckeElement) -> LaurentPoly:
     """The symmetrizing trace: coefficient of the identity basis element."""
     return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
+
+
+def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:
+    """Rendering oracle for `kl --emit cbasis [--check ...]`: exit code and
+    stdout, the report built as dicts of json_pairs and HeckeAlgebra.text
+    and dumped by json.dumps(sort_keys=True)."""
+    results = [data.check_property(c) for c in checks]
+    elements = data.group.elements
+    name = [w.name() for w in elements]
+    report: dict = {
+        "type": str(data.ctype), "weights": list(data.weights.values),
+        "elements": {name[w.index]: list(w.word) for w in elements},
+        "cbasis": {name[w]: {name[y]: c.json_pairs() for y, c in sorted(row.items())}
+                   for w, row in enumerate(data.cbasis)},
+        "cbasis_text": {name[w]: data.algebra.text(row) for w, row in enumerate(data.cbasis)}}
+    if checks:
+        report["checks"] = [
+            {"property": res.name, "passed": res.passed}
+            | ({} if res.witness is None else {"witness": _witness(res, name)})
+            for res in results]
+    code = 1 if any(not res.passed for res in results) else 0
+    return code, json.dumps(report, sort_keys=True) + "\n"
 
 
 def check_star_compatibility(data: KLData) -> CheckResult:

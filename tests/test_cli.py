@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from functools import cached_property
 from importlib import resources
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from heckekit import schur
 from heckekit.cli import main
-from heckekit.coxeter import _cached_group
+from heckekit.coxeter import CoxeterType, _cached_group, weight_from_ab
 from heckekit.fock import ARIKI, FLOTW, FockParams, crystal
 from heckekit.klcells import PROPERTY_NAMES, KLData
+from oracles import kl_cbasis_report
 from test_fock import json_oracle
 
 
@@ -184,6 +186,20 @@ class TestSchurCommand:
         assert len(lines) == 7
 
 
+def raise_gamma(monkeypatch, key):
+    """Make KLData.gamma one higher at key (absent keys count as 0)."""
+    original = KLData.gamma.func
+
+    def raised(self):
+        gamma = dict(original(self))
+        gamma[key] = gamma.get(key, 0) + 1
+        return gamma
+
+    prop = cached_property(raised)
+    prop.__set_name__(KLData, "gamma")
+    monkeypatch.setattr(KLData, "gamma", prop)
+
+
 class TestKlCommand:
     def test_afn_s3(self, capsys):
         data = run_json(capsys, "kl", "--type", "A", "--rank", "2",
@@ -207,6 +223,48 @@ class TestKlCommand:
         data = run_json(capsys, "kl", "--type", "A", "--rank", "2",
                         "--weights", "1", "--emit", "phimatrix")
         assert data["det"] != []
+
+    # A2: e, s1, s2, s1.s2, s2.s1, s1.s2.s1 with distinguished e, s1, s2 and w0
+    @pytest.mark.parametrize("key,failed,witness", [
+        ((0, 1, 1), "P2", ["e", "s1", "s1", 1]),
+        ((1, 1, 0), "P3", ["s1", ["e", "s1"]]),
+        ((1, 1, 1), "P5", ["s1", "s1", 2, 1]),
+    ], ids=["P2", "P3", "P5"])
+    def test_witness_names_only_the_elements(self, capsys, monkeypatch, key, failed, witness):
+        raise_gamma(monkeypatch, key)
+        code, out, _ = run(capsys, "kl", "--type", "A", "--rank", "2",
+                           "--weights", "1", "--check", "P2,P3,P5")
+        assert code == 1
+        expected = [{"property": p, "passed": True} for p in ("P2", "P3", "P5")]
+        expected[("P2", "P3", "P5").index(failed)] = {
+            "property": failed, "passed": False, "witness": witness}
+        assert json.loads(out)["checks"] == expected
+
+    @pytest.mark.parametrize("family,rank,weights,checks", [
+        ("A", 1, "1", ()),
+        ("A", 3, "1", ()),
+        ("G2", 2, "2,1", ()),
+        ("B", 3, "1,2", ()),
+        ("D", 4, "1", ()),
+        ("A", 3, "1", ("P6",)),
+        ("B", 3, "1,2", ("P2", "P6")),
+    ], ids=["A1", "A3", "G2", "B3", "D4", "A3-P6", "B3-P2-P6"])
+    def test_cbasis_bytes_match_the_dict_oracle(self, capsys, family, rank, weights, checks):
+        argv = ["kl", "--type", family, "--rank", str(rank), "--weights", weights,
+                "--emit", "cbasis"] + (["--check", ",".join(checks)] if checks else [])
+        code, out, _ = run(capsys, *argv)
+        ct = CoxeterType(family, rank)
+        data = KLData(ct, weight_from_ab(ct, *map(int, weights.split(","))))
+        assert code == 0
+        assert (code, out) == kl_cbasis_report(data, checks)
+
+    def test_cbasis_with_a_failing_check_exits_1(self, capsys, monkeypatch):
+        raise_gamma(monkeypatch, (1, 1, 1))
+        code, out, _ = run(capsys, "kl", "--type", "A", "--rank", "2", "--weights", "1",
+                           "--emit", "cbasis", "--check", "P5,P6")
+        ct = CoxeterType("A", 2)
+        assert (code, out) == kl_cbasis_report(KLData(ct, weight_from_ab(ct, 1)), ("P5", "P6"))
+        assert code == 1
 
     def test_group_too_large(self, capsys):
         code, _, _ = run(capsys, "kl", "--type", "F4", "--rank", "4",

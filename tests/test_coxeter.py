@@ -6,7 +6,7 @@ from heckekit import coxeter
 from heckekit.coxeter import (CoxeterType, GroupTooLarge, WeightFunction,
                               build, weight_from_ab)
 from oracles import (bruhat_leq, descents_left, descents_right, element_from_word,
-                     lweight)
+                     lweight, weyl_group_by_peeling)
 
 
 def test_classical_orders():
@@ -194,3 +194,19 @@ def test_longest_element_b2_weight():
     for (a, b) in [(1, 3), (2, 5)]:
         L = weight_from_ab(ct, a, b)
         assert lweight(W, W.longest, L) == 2 * a + 2 * b
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("D", 2), ("D", 3), ("D", 4), ("G2", 2), ("F4", 4)])
+def test_enumeration_matches_the_peeling_oracle(family, rank):
+    ct = CoxeterType(family, rank)
+    W = coxeter.WeylGroup(ct)
+    oracle = weyl_group_by_peeling(ct)
+    assert [w.index for w in W.elements] == list(range(ct.order()))
+    assert [w.word for w in W.elements] == oracle.words
+    assert [w.matrix for w in W.elements] == oracle.matrices
+    assert [w.inv_matrix for w in W.elements] == oracle.inv_matrices
+    assert W.left_table == oracle.left_table
+    assert [W.inverse_index(i) for i in range(len(W))] == oracle.inverse_index
+    assert [g.word for g in W.generators] == [(s,) for s in range(rank)]
