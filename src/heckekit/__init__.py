@@ -14,8 +14,8 @@ from .schur import (Bipartition, InvariantPair, Partition, Symbol,
                     invariants_A, invariants_B, invariants_asymptotic,
                     invariants_azero, schur_element_B, symbol_of,
                     g2_schur, g2_invariants, f4_invariants, l_good)
-from .fock import (CrystalGraph, FockParams, Multipartition, Node,
-                   crystal, flotw_member, kleshchev_member, uryu_set)
+from .fock import (CrystalGraph, FockParams, Multipartition, crystal,
+                   flotw_member, kleshchev_member, uryu_set)
 from .basicsets import (BasicSetResult, DecompMatrix, SpecParams,
                         basic_set_B, basic_set_D, basic_set_sym,
                         e_value, fn_zero, verify_decomp)

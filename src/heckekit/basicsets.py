@@ -89,9 +89,8 @@ class SpecParams:
         return k % self.xi_order == 0
 
     def xi_power_is_minus_one(self, k: int) -> bool:
+        """Away from characteristic 2, where -1 = 1 (`fn_zero` refuses char 2)."""
         m = self.xi_order
-        if self.char == 2:
-            return self.xi_power_is_one(k)
         return m % 2 == 0 and k % m == m // 2
 
 
@@ -139,7 +138,7 @@ def _kleshchev_set(params: SpecParams, n: int) -> list[Multipartition]:
     m, a = params.xi_order, params.a
     l = m // math.gcd(m, a)
     zero, d = fn_zero(params, n)
-    if not zero or d is None:
+    if not zero:
         raise CaseNotCovered("no crystal translation without a vanishing factor")
     p = FockParams(l=l, r=2, u=(0, d % l), node_order=ARIKI)
     return sorted(fock.uryu_set(p, n))

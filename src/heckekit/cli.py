@@ -88,6 +88,8 @@ def _print_invariant_table(out: dict) -> None:
 
 
 def _cmd_schur(args) -> int:
+    if args.bipartition is not None and args.type != "B":
+        raise ValueError(f"--bipartition is for type B only, not type {args.type}")
     if args.type in ("G2", "F4"):
         rows = [{"label": lab, "f": pair.f, "alpha": pair.alpha}
                 for lab, pair in schur.all_invariants(args.type, args.a, args.b)]
@@ -98,7 +100,7 @@ def _cmd_schur(args) -> int:
         rows.sort(key=lambda r: (r["alpha"], str(r["label"])))
         out = {"type": "A", "n": args.n, "a": args.a, "rows": rows}
     else:
-        if args.bipartition:
+        if args.bipartition is not None:
             lam = _parse_bipartition(args.bipartition)
             poly = schur.schur_element_B(lam, args.a, args.b)
             pair = schur._extract_invariants(poly)

@@ -23,6 +23,10 @@ class GroupTooLarge(ValueError):
     """The requested group exceeds the enumeration cap."""
 
 
+#: Largest group order `build` enumerates.
+GROUP_CAP = 2000
+
+
 _FAMILIES = ("A", "B", "D", "G2", "F4")
 
 
@@ -314,8 +318,8 @@ def _cached_group(family: str, rank: int) -> WeylGroup:
     return WeylGroup(CoxeterType(family, rank))
 
 
-def build(ctype: CoxeterType, cap: int = 2000) -> WeylGroup:
-    """Enumerate the group, once per type; the cap is checked before the cache."""
-    if ctype.order() > cap:
-        raise GroupTooLarge(f"{ctype} has order {ctype.order()} > cap {cap}")
+def build(ctype: CoxeterType) -> WeylGroup:
+    """Enumerate the group, once per type; GROUP_CAP is checked before the cache."""
+    if ctype.order() > GROUP_CAP:
+        raise GroupTooLarge(f"{ctype} has order {ctype.order()} > cap {GROUP_CAP}")
     return _cached_group(ctype.family, ctype.rank)

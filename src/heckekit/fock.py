@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .laurent import LaurentPoly, add_into, vpow
 from .schur import Partition, check_partition, partitions
@@ -40,12 +40,6 @@ class LevelCapExceeded(ValueError):
 
 #: Largest level bound n for `crystal` and `uryu_set`.
 LEVEL_CAP = 30
-
-
-class Node(NamedTuple):
-    row: int
-    col: int
-    comp: int  # 1-based component index
 
 
 @dataclass(frozen=True)
@@ -102,80 +96,14 @@ def mp_text(mp: Multipartition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# nodes, residues, orders
-# ---------------------------------------------------------------------------
-
-def residue(node: Node, params: FockParams) -> int:
-    return (node.col - node.row + params.u[node.comp - 1]) % params.l
-
-
-def content(node: Node, params: FockParams) -> int:
-    return node.col - node.row + params.u[node.comp - 1]
-
-
-def _sort_key(params: FockParams):
-    """Sort key of the configured node order, highest node first."""
-    if params.node_order == FLOTW:
-        return lambda nd: (content(nd, params), -nd.comp)
-    # parameter-free component order
-    return lambda nd: (-nd.comp, -nd.row)
-
-
-def addable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[Node]:
-    """Addable nodes (of residue i unless i is None), highest first."""
-    out = []
-    for c, part in enumerate(mp, start=1):
-        for a in range(1, len(part) + 2):
-            cur = part[a - 1] if a <= len(part) else 0
-            prev = part[a - 2] if a >= 2 else None
-            if prev is not None and prev == cur:
-                continue  # row cannot grow past the one above
-            nd = Node(a, cur + 1, c)
-            if i is None or residue(nd, params) == i:
-                out.append(nd)
-    out.sort(key=_sort_key(params))
-    return out
-
-
-def removable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[Node]:
-    """Removable nodes (of residue i unless i is None), highest first."""
-    out = []
-    for c, part in enumerate(mp, start=1):
-        for a in range(1, len(part) + 1):
-            below = part[a] if a < len(part) else 0
-            if part[a - 1] > below:
-                nd = Node(a, part[a - 1], c)
-                if i is None or residue(nd, params) == i:
-                    out.append(nd)
-    out.sort(key=_sort_key(params))
-    return out
-
-
-def ncount(mp: Multipartition, i: int, params: FockParams) -> int:
-    """N_i = number of addable i-nodes minus number of removable i-nodes."""
-    return len(addable(mp, i, params)) - len(removable(mp, i, params))
-
-
-def add_node(mp: Multipartition, nd: Node) -> Multipartition:
-    part = list(mp[nd.comp - 1])
-    if nd.row == len(part) + 1:
-        part.append(1)
-    else:
-        part[nd.row - 1] += 1
-    return mp[:nd.comp - 1] + (tuple(part),) + mp[nd.comp:]
-
-
-def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
-    part = list(mp[nd.comp - 1])
-    part[nd.row - 1] -= 1
-    if part[nd.row - 1] == 0:
-        part.pop()
-    return mp[:nd.comp - 1] + (tuple(part),) + mp[nd.comp:]
-
-
-# ---------------------------------------------------------------------------
 # quantum operators
 # ---------------------------------------------------------------------------
+
+def _remove_box(mp: Multipartition, a: int, b: int, c: int) -> Multipartition:
+    """mp without its removable node (row a, column b) of component c."""
+    part = mp[c - 1]
+    return mp[:c - 1] + (part[:a - 1] + ((b - 1,) if b > 1 else ()) + part[a:],) + mp[c:]
+
 
 def unit_vector(mp: Multipartition) -> FockVector:
     return {mp: LaurentPoly.one()}
@@ -195,7 +123,7 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
         na = 0
         for _, kind, a, b, c in _words(mp, params)[i][0]:
             if kind == "R":
-                terms[remove_node(mp, Node(a, b, c))] = vpow(-na)
+                terms[_remove_box(mp, a, b, c)] = vpow(-na)
                 na -= 1
             else:
                 na += 1
@@ -217,7 +145,8 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
         nb = 0
         for _, kind, a, b, c in reversed(_words(mp, params)[i][0]):
             if kind == "A":
-                terms[add_node(mp, Node(a, b, c))] = vpow(nb)
+                part = mp[c - 1]
+                terms[mp[:c - 1] + (part[:a - 1] + (b,) + part[a:],) + mp[c:]] = vpow(nb)
                 nb += 1
             else:
                 nb -= 1
@@ -226,8 +155,12 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
 
 
 def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
-    return add_into({}, {mp: coeff * vpow(power * ncount(mp, i, params))
-                         for mp, coeff in vec.items()})
+    """Scale mp by v^(power N_i), N_i = #A - #R in mp's i-word."""
+    out: FockVector = {}
+    for mp, coeff in vec.items():
+        n = sum(1 if kind == "A" else -1 for _, kind, *_ in _words(mp, params)[i][0])
+        add_into(out, {mp: coeff * vpow(power * n)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +174,10 @@ def _words(mp: Multipartition, params: FockParams) -> tuple[tuple[list, list], .
     Row a of a component has an addable node at its end exactly when row a-1
     is longer, and then row a-1 ends in a removable node.  Each node goes
     into the bucket of its residue as an entry (key, 'A'|'R', row, col,
-    comp), where key is that of `_sort_key`; at equal keys 'A' sorts before
-    'R'.  Each bucket is sorted, highest first, and a removable node directly
-    above an addable one cancels with it.  Entry i of the result is the pair
+    comp), where key is (content, -comp) in the FLOTW order and (-comp, -row)
+    in the ARIKI order, content = col - row + u_comp; at equal keys 'A' sorts
+    before 'R'.  Each bucket is sorted, highest first, and a removable node
+    directly above an addable one cancels with it.  Entry i of the result is the pair
     (i-word, reduced i-word); callers must not mutate them.  The single slot
     serves the l back-to-back calls for one multipartition in `crystal`.
     """
@@ -275,17 +209,12 @@ def _words(mp: Multipartition, params: FockParams) -> tuple[tuple[list, list], .
     return tuple(out)
 
 
-def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
-    """Highest removable i-node surviving cancellation, if any."""
+def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
+    """mp minus its good i-node, read straight off the reduced i-word."""
     for _, kind, a, b, c in _words(mp, params)[i][1]:
         if kind == "R":
-            return Node(a, b, c)
+            return _remove_box(mp, a, b, c)
     return None
-
-
-def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
-    g = good_node(mp, i, params)
-    return None if g is None else remove_node(mp, g)
 
 
 def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
@@ -387,10 +316,9 @@ def flotw_member(mp: Multipartition, params: FockParams) -> bool:
             return False
 
     by_length: dict[int, set[int]] = {}
-    for c, comp in enumerate(mp, start=1):
+    for comp, uc in zip(mp, u):
         for a, length in enumerate(comp, start=1):
-            by_length.setdefault(length, set()).add(
-                residue(Node(a, length, c), params))
+            by_length.setdefault(length, set()).add((length - a + uc) % l)
     return all(len(resset) < l for resset in by_length.values())
 
 

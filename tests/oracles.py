@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from heckekit.basicsets import BasicSetResult, DecompMatrix
 from heckekit.cli import _witness
 from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
                               _column_negative, _mat_mul)
-from heckekit.fock import (FockParams, FockVector, Multipartition, Node, _sort_key,
-                           _words, add_node, addable, ncount, removable, remove_node)
+from heckekit.fock import FLOTW, FockParams, FockVector, Multipartition, _words
 from heckekit.klcells import CheckResult, HeckeAlgebra, HeckeElement, KLData
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import Partition, standard_tableaux
@@ -266,12 +265,89 @@ def check_dominance_triangularity(matrix: DecompMatrix,
 
 
 # ---------------------------------------------------------------------------
-# the Fock space: node order, words, classical operators
+# the Fock space: nodes, node order, words, classical operators
 # ---------------------------------------------------------------------------
+# The Node-based construction below (residue, sort_key, addable, removable,
+# ncount, add_node, remove_node) builds each residue's node lists on its own;
+# it is the oracle for the one rim scan `fock._words` behind every operator.
+
+class Node(NamedTuple):
+    row: int
+    col: int
+    comp: int  # 1-based component index
+
+
+def residue(node: Node, params: FockParams) -> int:
+    return (node.col - node.row + params.u[node.comp - 1]) % params.l
+
+
+def content(node: Node, params: FockParams) -> int:
+    return node.col - node.row + params.u[node.comp - 1]
+
+
+def sort_key(params: FockParams):
+    """Sort key of the configured node order, highest node first."""
+    if params.node_order == FLOTW:
+        return lambda nd: (content(nd, params), -nd.comp)
+    # parameter-free component order
+    return lambda nd: (-nd.comp, -nd.row)
+
+
+def addable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[Node]:
+    """Addable nodes (of residue i unless i is None), highest first."""
+    out = []
+    for c, part in enumerate(mp, start=1):
+        for a in range(1, len(part) + 2):
+            cur = part[a - 1] if a <= len(part) else 0
+            prev = part[a - 2] if a >= 2 else None
+            if prev is not None and prev == cur:
+                continue  # row cannot grow past the one above
+            nd = Node(a, cur + 1, c)
+            if i is None or residue(nd, params) == i:
+                out.append(nd)
+    out.sort(key=sort_key(params))
+    return out
+
+
+def removable(mp: Multipartition, i: Optional[int], params: FockParams) -> list[Node]:
+    """Removable nodes (of residue i unless i is None), highest first."""
+    out = []
+    for c, part in enumerate(mp, start=1):
+        for a in range(1, len(part) + 1):
+            below = part[a] if a < len(part) else 0
+            if part[a - 1] > below:
+                nd = Node(a, part[a - 1], c)
+                if i is None or residue(nd, params) == i:
+                    out.append(nd)
+    out.sort(key=sort_key(params))
+    return out
+
+
+def ncount(mp: Multipartition, i: int, params: FockParams) -> int:
+    """N_i = number of addable i-nodes minus number of removable i-nodes."""
+    return len(addable(mp, i, params)) - len(removable(mp, i, params))
+
+
+def add_node(mp: Multipartition, nd: Node) -> Multipartition:
+    part = list(mp[nd.comp - 1])
+    if nd.row == len(part) + 1:
+        part.append(1)
+    else:
+        part[nd.row - 1] += 1
+    return mp[:nd.comp - 1] + (tuple(part),) + mp[nd.comp:]
+
+
+def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
+    part = list(mp[nd.comp - 1])
+    part[nd.row - 1] -= 1
+    if part[nd.row - 1] == 0:
+        part.pop()
+    return mp[:nd.comp - 1] + (tuple(part),) + mp[nd.comp:]
+
 
 def above(g: Node, g2: Node, params: FockParams) -> bool:
     """Strict order: is g above g2 under the configured node order?"""
-    key = _sort_key(params)
+    key = sort_key(params)
     return key(g) < key(g2)
 
 
@@ -298,6 +374,14 @@ def i_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, s
 def reduced_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
     """The i-word after signature cancellation, highest first."""
     return _node_word(_words(mp, params)[i][1])
+
+
+def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
+    """Highest removable i-node surviving cancellation, if any."""
+    for _, kind, a, b, c in _words(mp, params)[i][1]:
+        if kind == "R":
+            return Node(a, b, c)
+    return None
 
 
 def cogood_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:

@@ -149,12 +149,15 @@ class TestSchurCommand:
         assert data["alpha"] == 0 and data["f"] == 1
         assert data["element"][0] == [0, "1"]
 
-    @pytest.mark.parametrize("body", [
-        "[1]", "[]", "{}", "null", "[[1.5],[]]", '[["a"],[]]', "[[1],[1],[1]]",
-        "[[1],2]", "[[1],[2]", "[[0],[]]", "[[true],[]]",
-    ])
-    def test_malformed_bipartition(self, capsys, body):
-        assert_input_error(*run(capsys, "schur", "--type", "B", "--a", "1",
+    MALFORMED = ["[1]", "[]", "{}", "null", "[[1.5],[]]", '[["a"],[]]', "[[1],[1],[1]]",
+                 "[[1],2]", "[[1],[2]", "[[0],[]]", "[[true],[]]"]
+
+    # outside type B any --bipartition is refused, a well-formed one too
+    @pytest.mark.parametrize("ctype, body", [("B", body) for body in MALFORMED] + [
+        ("A", "garbage"), ("G2", "garbage"), ("F4", "[[2,1],[1]]"),
+    ], ids=MALFORMED + ["A-garbage", "G2-garbage", "F4-well-formed"])
+    def test_malformed_bipartition(self, capsys, ctype, body):
+        assert_input_error(*run(capsys, "schur", "--type", ctype, "--a", "1",
                                 "--b", "1", "--bipartition", body))
 
     def test_bipartition_builds_the_element_once(self, capsys, monkeypatch):

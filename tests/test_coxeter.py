@@ -20,22 +20,31 @@ def test_classical_orders():
     assert len(build(CoxeterType("F4", 4))) == 1152
 
 
-def test_cap():
+def test_cap(monkeypatch):
     with pytest.raises(GroupTooLarge):
-        build(CoxeterType("A", 7), cap=2000)
+        build(CoxeterType("A", 7))  # order 40320
+    monkeypatch.setattr(coxeter, "GROUP_CAP", 23)
+    assert len(build(CoxeterType("A", 2))) == 6
+    with pytest.raises(GroupTooLarge):
+        build(CoxeterType("A", 3))  # order 24
 
 
 def test_cache_is_keyed_by_type_alone(monkeypatch):
     ct = CoxeterType("A", 4)
     W = build(ct)
-    assert build(ct, cap=5000) is W
+    monkeypatch.setattr(coxeter, "GROUP_CAP", 5000)
+    assert build(ct) is W
+    monkeypatch.setattr(coxeter, "GROUP_CAP", 100)
     with pytest.raises(GroupTooLarge):
-        build(ct, cap=100)  # cached, and still refused
+        build(ct)  # cached, and still refused
     enumerated = []
     monkeypatch.setattr(coxeter, "WeylGroup", lambda *args, **kw: enumerated.append(args))
-    with pytest.raises(GroupTooLarge):
-        build(CoxeterType("A", 9))
+    before = coxeter._cached_group.cache_info()
+    for refused in (CoxeterType("B", 4), CoxeterType("A", 9)):  # orders 384 and 10!
+        with pytest.raises(GroupTooLarge):
+            build(refused)
     assert not enumerated
+    assert coxeter._cached_group.cache_info() == before
 
 
 def test_unique_extremes():

@@ -2,19 +2,16 @@ import json
 
 import pytest
 
-from heckekit.fock import (ARIKI, FLOTW, CrystalGraph, FockParams,
-                           LevelCapExceeded, Multipartition, Node,
-                           ParamsOutOfRange, add_node, addable, crystal,
-                           empty_mp, etilde, flotw_member, ftilde, good_node,
-                           kleshchev_member, mp_size, multipartitions, ncount,
-                           quantum_E, quantum_F, quantum_K, removable,
-                           remove_node, residue, unit_vector, uryu_set)
-from heckekit.fock import _sort_key
+from heckekit.fock import (ARIKI, FLOTW, FockParams, LevelCapExceeded,
+                           ParamsOutOfRange, crystal, empty_mp, etilde,
+                           flotw_member, ftilde, kleshchev_member, multipartitions,
+                           quantum_E, quantum_F, quantum_K, unit_vector, uryu_set)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
-from oracles import (above, cartan_pairing, classical_d, classical_e, classical_f,
-                     classical_h, cogood_node, i_word, icount, ind,
-                     normal_nodes_literal, quantum_D, reduced_word, res)
+from oracles import (Node, above, add_node, addable, cartan_pairing, classical_d,
+                     classical_e, classical_f, classical_h, cogood_node, good_node,
+                     i_word, icount, ind, ncount, normal_nodes_literal, quantum_D,
+                     reduced_word, removable, remove_node, res, residue, sort_key)
 
 P22 = FockParams(l=2, r=2, u=(0, 1), node_order=FLOTW)
 A22 = FockParams(l=2, r=2, u=(0, 1), node_order=ARIKI)
@@ -42,7 +39,7 @@ def i_word_oracle(mp, i, params):
     merged by a stable sort on the node order (addable first at equal keys)."""
     entries = [(nd, "A") for nd in addable(mp, i, params)]
     entries += [(nd, "R") for nd in removable(mp, i, params)]
-    entries.sort(key=lambda e: _sort_key(params)(e[0]))
+    entries.sort(key=lambda e: sort_key(params)(e[0]))
     return entries
 
 
@@ -301,7 +298,9 @@ class TestSignatureOracle:
                 for i in range(p.l):
                     assert i_word(mp, i, p) == i_word_oracle(mp, i, p), (mp, i)
                     assert reduced_word(mp, i, p) == reduced_word_oracle(mp, i, p)
-                    assert good_node(mp, i, p) == good_node_oracle(mp, i, p)
+                    good = good_node_oracle(mp, i, p)
+                    assert good_node(mp, i, p) == good
+                    assert etilde(mp, i, p) == (None if good is None else remove_node(mp, good))
                     assert cogood_node(mp, i, p) == cogood_node_oracle(mp, i, p)
 
     @pytest.mark.parametrize("p, n", [
@@ -388,11 +387,13 @@ class TestQuantumAction:
             assert quantum_E(i, unit_vector(empty_mp(2)), P22) == {}
 
     def test_k_eigenvalue_matches_ncount(self):
-        for n in range(4):
-            for mp in multipartitions(2, n):
-                for i in range(2):
-                    got = quantum_K(i, unit_vector(mp), P22)
-                    assert got == {mp: vpow(ncount(mp, i, P22))}
+        for p in WORD_PARAMS:
+            for n in range(7):
+                for mp in multipartitions(p.r, n):
+                    for i in range(p.l):
+                        for power in (1, -1):
+                            got = quantum_K(i, unit_vector(mp), p, power)
+                            assert got == {mp: vpow(power * ncount(mp, i, p))}, (p, mp, i)
 
     def test_d_scales_by_zero_node_count(self):
         mp = ((3,), (1,))
