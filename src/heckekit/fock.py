@@ -232,94 +232,174 @@ def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipart
 
 @dataclass
 class CrystalGraph:
+    """Levels 0..n of a crystal, each sorted, and the arrows out of every vertex.
+
+    arrows[k][p] lists the pairs (q, i) with f~_i levels[k][p] = levels[k+1][q],
+    in increasing i; the last level has no arrow lists.
+    """
     params: FockParams
     levels: list[list[Multipartition]] = field(default_factory=list)
-    edges: set[tuple[Multipartition, Multipartition, int]] = field(default_factory=set)
+    arrows: list[list[list[tuple[int, int]]]] = field(default_factory=list)
 
     @property
     def vertices(self) -> set[Multipartition]:
         return {mp for level in self.levels for mp in level}
 
+    @property
+    def edges(self) -> set[tuple[Multipartition, Multipartition, int]]:
+        """The arrows as (source, target, i) triples."""
+        return set(self._arrows_over(self.levels))
+
+    def _arrows_over(self, rows: list[list]) -> Iterator[tuple]:
+        """(rows[k][p], rows[k+1][q], i) for every arrow, in the order of `arrows`;
+        rows holds one entry per vertex, laid out like `levels`."""
+        for src, dst, outs in zip(rows, rows[1:], self.arrows):
+            for p, out in enumerate(outs):
+                for q, i in out:
+                    yield src[p], dst[q], i
+
     def to_json(self) -> str:
         """The text of `json.dumps({"levels": ..., "edges": ...}, sort_keys=True)`
         with edges sorted by their text, built from one rendering per vertex:
         for int lists `str` and `json.dumps` agree."""
-        text = {mp: str(list(map(list, mp))) for level in self.levels for mp in level}
-        edges = sorted(f"[{text[a]}, {text[b]}, {i}]" for a, b, i in self.edges)
-        levels = ("[" + ", ".join(map(text.__getitem__, level)) + "]"
-                  for level in self.levels)
+        texts = [[str(list(map(list, mp))) for mp in level] for level in self.levels]
+        edges = sorted(f"[{a}, {b}, {i}]" for a, b, i in self._arrows_over(texts))
+        levels = ("[" + ", ".join(level) + "]" for level in texts)
         return '{"edges": [' + ", ".join(edges) + '], "levels": [' + ", ".join(levels) + "]}"
 
     def to_dot(self) -> str:
+        """Vertices and then arrows by level, source and colour; levels are sorted."""
+        texts = [[f'"{mp_text(mp)}"' for mp in level] for level in self.levels]
         lines = ["digraph crystal {", "  rankdir=BT;"]
-        for level in self.levels:
-            for mp in sorted(level):
-                lines.append(f'  "{mp_text(mp)}";')
-        for a, b, i in sorted(self.edges, key=lambda e: (mp_size(e[0]), e[0], e[2])):
-            lines.append(f'  "{mp_text(a)}" -> "{mp_text(b)}" [label="{i}"];')
+        lines += (f"  {text};" for level in texts for text in level)
+        lines += (f'  {a} -> {b} [label="{i}"];' for a, b, i in self._arrows_over(texts))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def crystal(params: FockParams, n: int) -> CrystalGraph:
-    """Breadth-first closure of the empty multipartition under cogood addition."""
+def _check_level(n: int) -> None:
     if n > LEVEL_CAP:
         raise LevelCapExceeded(f"level bound {n} exceeds cap {LEVEL_CAP}")
+    if n < 0:
+        raise ValueError(f"level bound {n} is negative")
+
+
+def crystal(params: FockParams, n: int) -> CrystalGraph:
+    """Breadth-first closure of the empty multipartition under cogood addition."""
+    _check_level(n)
     graph = CrystalGraph(params)
     current = [empty_mp(params.r)]
     graph.levels.append(current)
     for _ in range(n):
-        nxt: set[Multipartition] = set()
+        # targets are numbered as first met, then renumbered by sorted position
+        met: dict[Multipartition, int] = {}
+        outs = []
         for mp in current:
+            out = []
             for i in range(params.l):
                 target = ftilde(mp, i, params)
                 if target is not None:
-                    graph.edges.add((mp, target, i))
-                    nxt.add(target)
-        current = sorted(nxt)
+                    out.append((met.setdefault(target, len(met)), i))
+            outs.append(out)
+        current = sorted(met)
+        pos = [0] * len(current)
+        for q, mp in enumerate(current):
+            pos[met[mp]] = q
+        graph.arrows.append([[(pos[k], i) for k, i in out] for out in outs])
         graph.levels.append(current)
     return graph
 
 
 def uryu_set(params: FockParams, n: int) -> set[Multipartition]:
-    """Level-n vertex set of the connected component of the empty multipartition."""
+    """Level-n vertex set of the connected component of the empty multipartition.
+
+    For the FLOTW order at normalised charges 0 <= u_1 <= ... <= u_r <= l-1
+    the set is enumerated directly as the FLOTW multipartitions of n (see
+    `flotw_member`); for the ARIKI order and for FLOTW charges that are not
+    normalised it is the last level of `crystal`.
+    """
+    _check_level(n)
+    if params.node_order == FLOTW and params.flotw_ok():
+        return _flotw_level(params, n)
     return set(crystal(params, n).levels[n])
 
 
-def flotw_member(mp: Multipartition, params: FockParams) -> bool:
-    """Non-recursive membership test for the crystal component vertex set.
+def _capped_partitions(n: int, caps: list[int]) -> Iterator[Partition]:
+    """Partitions of n whose row a is at most caps[a-1] (rows past caps are empty)."""
+    def extend(left: int, a: int, top: int) -> Iterator[Partition]:
+        if left == 0:
+            yield ()
+        elif a < len(caps):
+            for part in range(min(left, top, caps[a]), 0, -1):
+                for rest in extend(left - part, a + 1, part):
+                    yield (part,) + rest
+    return extend(n, 0, n)
 
-    Condition (a): cyclic domination between consecutive components shifted
-    by the parameter gaps, oriented so that each component bounds the next
-    one (the orientation is forced by the node order's tie-breaking, which
-    sends growth into earlier components; the recursive construction agrees
-    exhaustively).  Condition (b): for every row length, the residues at the
-    right ends of rows of that length miss at least one value.
+
+def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
+    """The FLOTW multipartitions of n, built one component at a time.
+
+    Component j+1 is drawn from the partitions bounded by component j
+    shifted down by u_{j+1} - u_j rows; the cyclic and residue conditions
+    are checked on each complete candidate.
     """
-    if not params.flotw_ok():
-        raise ParamsOutOfRange(f"u = {params.u} not sorted inside [0, {params.l - 1}]")
-    mp = check_multipartition(mp, params.r)
+    r, u = params.r, params.u
+    out: set[Multipartition] = set()
+
+    def extend(prefix: Multipartition, left: int) -> None:
+        j = len(prefix)
+        if j == r:
+            if _flotw_conditions(prefix, params):
+                out.add(prefix)
+            return
+        caps = [left] * left if j == 0 else [left] * (u[j] - u[j - 1]) + list(prefix[-1])
+        for size in ((left,) if j == r - 1 else range(left + 1)):
+            for part in _capped_partitions(size, caps):
+                extend(prefix + (part,), left - size)
+
+    extend((), n)
+    return out
+
+
+def _flotw_conditions(mp: Multipartition, params: FockParams) -> bool:
+    """The FLOTW conditions on a checked multipartition at normalised charges.
+
+    (a) Each component bounds the next one shifted by the charge gap,
+    lambda^j_i >= lambda^{j+1}_{i + u_{j+1} - u_j}, and cyclically
+    lambda^r_i >= lambda^1_{i + l + u_1 - u_r}.  (b) For every row length,
+    the residues at the right ends of the rows of that length miss at least
+    one value.
+    """
     r, l, u = params.r, params.l, params.u
-
-    def part(c: int, idx: int) -> int:
-        comp = mp[c]
-        return comp[idx - 1] if 1 <= idx <= len(comp) else 0
-
-    for j in range(r - 1):
-        shift = u[j + 1] - u[j]
-        for i in range(1, len(mp[j]) + len(mp[j + 1]) + 1):
-            if part(j, i) < part(j + 1, i + shift):
+    for j in range(r):
+        upper, lower = mp[j], mp[(j + 1) % r]
+        shift = u[j + 1] - u[j] if j + 1 < r else l + u[0] - u[j]
+        for t in range(shift, len(lower)):
+            if t - shift >= len(upper) or lower[t] > upper[t - shift]:
                 return False
-    shift = l + u[0] - u[r - 1]
-    for i in range(1, len(mp[0]) + len(mp[r - 1]) + 1):
-        if part(r - 1, i) < part(0, i + shift):
-            return False
 
     by_length: dict[int, set[int]] = {}
     for comp, uc in zip(mp, u):
         for a, length in enumerate(comp, start=1):
             by_length.setdefault(length, set()).add((length - a + uc) % l)
     return all(len(resset) < l for resset in by_length.values())
+
+
+def flotw_member(mp: Multipartition, params: FockParams) -> bool:
+    """Non-recursive membership test for the crystal component vertex set.
+
+    At normalised charges 0 <= u_1 <= ... <= u_r <= l-1 the vertices of the
+    component of the empty multipartition are the FLOTW multipartitions:
+    the theorem of Foda, Leclerc, Okado, Thibon and Welsh (Adv. Math. 141,
+    1999), as stated for canonical basic sets in Geck-Jacon,
+    "Representations of Hecke algebras at roots of unity" (2011).  The
+    conditions are those of `_flotw_conditions`; their orientation, each
+    component bounding the next, matches this node order's tie-breaking
+    towards the larger component.
+    """
+    if not params.flotw_ok():
+        raise ParamsOutOfRange(f"u = {params.u} not sorted inside [0, {params.l - 1}]")
+    return _flotw_conditions(check_multipartition(mp, params.r), params)
 
 
 def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:

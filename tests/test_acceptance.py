@@ -287,7 +287,7 @@ def test_criterion_8_oracle_equivalences():
         for u in us:
             p = FockParams(l=l, r=2, u=u, node_order=FLOTW)
             for n in range(0, 7):
-                level = uryu_set(p, n)
+                level = set(crystal(p, n).levels[n])
                 for mp in multipartitions(2, n):
                     assert flotw_member(mp, p) == (mp in level)
     for p in (FockParams(l=2, r=2, u=(0, 1), node_order=FLOTW),

@@ -120,6 +120,10 @@ class TestBasicsetCommand:
                            "--char", "2")
         assert code == 2 and "char" in err.lower()
 
+    def test_type_d_over_cap_exit_code(self, capsys):
+        assert_input_error(*run(capsys, "basicset", "--type", "D", "--n", "31",
+                                "--xi-order", "6"))
+
     def test_uncovered_case_exit_code(self, capsys):
         code, _, _ = run(capsys, "basicset", "--type", "B", "--n", "3",
                          "--a", "1", "--b", "2", "--xi-order", "4")

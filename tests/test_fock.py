@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from heckekit.fock import (ARIKI, FLOTW, FockParams, LevelCapExceeded,
+from heckekit import fock
+from heckekit.fock import (ARIKI, FLOTW, LEVEL_CAP, FockParams, LevelCapExceeded,
                            ParamsOutOfRange, crystal, empty_mp, etilde,
-                           flotw_member, ftilde, kleshchev_member, multipartitions,
-                           quantum_E, quantum_F, quantum_K, unit_vector, uryu_set)
+                           flotw_member, ftilde, kleshchev_member, mp_text,
+                           multipartitions, quantum_E, quantum_F, quantum_K,
+                           unit_vector, uryu_set)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
 from oracles import (Node, above, add_node, addable, cartan_pairing, classical_d,
@@ -124,6 +126,28 @@ def json_oracle(graph):
     }, sort_keys=True)
 
 
+def dot_oracle(levels, edges):
+    """The crystal DOT text with vertices sorted per level and edges sorted
+    by (size, source, colour)."""
+    lines = ["digraph crystal {", "  rankdir=BT;"]
+    lines += [f'  "{mp_text(mp)}";' for level in levels for mp in sorted(level)]
+    for a, b, i in sorted(edges, key=lambda e: (sum(map(sum, e[0])), e[0], e[2])):
+        lines.append(f'  "{mp_text(a)}" -> "{mp_text(b)}" [label="{i}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def normalised_charges(l, r):
+    """Every u with 0 <= u_1 <= ... <= u_r <= l-1."""
+    if r == 0:
+        return [()]
+    return [u + (x,) for u in normalised_charges(l, r - 1)
+            for x in range(u[-1] if u else 0, l)]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the level cap was checked")
+
+
 def vec_scale(vec, poly):
     return {k: c * poly for k, c in vec.items()}
 
@@ -206,6 +230,26 @@ class TestCrystalGraphs:
         with pytest.raises(LevelCapExceeded):
             crystal(P22, 40)
 
+    def test_negative_level(self):
+        with pytest.raises(ValueError, match="negative"):
+            crystal(P22, -2)
+        for p in (P22, A22):  # the FLOTW enumeration and the closure
+            with pytest.raises(ValueError, match="negative"):
+                uryu_set(p, -1)
+
+    def test_flotw_cap_before_enumeration(self, monkeypatch):
+        for name in ("_flotw_level", "_capped_partitions", "crystal"):
+            monkeypatch.setattr(fock, name, _refuse)
+        with pytest.raises(LevelCapExceeded):
+            uryu_set(P22, LEVEL_CAP + 1)
+
+    def test_closure_cap_before_closure(self, monkeypatch):
+        for name in ("_flotw_level", "ftilde"):
+            monkeypatch.setattr(fock, name, _refuse)
+        for p in (A22, FockParams(l=2, r=2, u=(1, 0), node_order=FLOTW)):
+            with pytest.raises(LevelCapExceeded):
+                uryu_set(p, LEVEL_CAP + 1)
+
     def test_dot_and_json(self):
         g = crystal(P22, 1)
         dot = g.to_dot()
@@ -216,14 +260,21 @@ class TestCrystalGraphs:
 
 class TestOracleEquivalences:
     def test_flotw_member_vs_crystal(self):
-        for l in (2, 3):
-            us = [(0, 0), (0, 1), (1, 1)] if l == 2 else [(0, 0), (0, 1), (1, 2), (0, 2)]
-            for u in us:
-                p = FockParams(l=l, r=2, u=u, node_order=FLOTW)
-                for n in range(7):
-                    level = uryu_set(p, n)
-                    for mp in multipartitions(2, n):
-                        assert flotw_member(mp, p) == (mp in level), (l, u, mp)
+        # 1,675 (params, n) pairs: every normalised u, checked against the closure
+        for l in range(2, 7):
+            for r in (1, 2, 3):
+                for u in normalised_charges(l, r):
+                    p = FockParams(l=l, r=r, u=u, node_order=FLOTW)
+                    for n, vertices in enumerate(crystal(p, 7 if r == 3 else 8).levels):
+                        level = set(vertices)
+                        assert uryu_set(p, n) == level, (l, u, n)
+                        for mp in multipartitions(r, n):
+                            assert flotw_member(mp, p) == (mp in level), (l, u, mp)
+
+    @pytest.mark.parametrize("u", [(1, 3), (0, 3)])
+    def test_basicset_charges_vs_crystal(self, u):
+        p = FockParams(l=6, r=2, u=u, node_order=FLOTW)
+        assert uryu_set(p, 12) == set(crystal(p, 12).levels[12])
 
     def test_flotw_member_examples(self):
         assert not flotw_member(((2, 1), ()), P22)
@@ -306,12 +357,20 @@ class TestSignatureOracle:
     @pytest.mark.parametrize("p, n", [
         (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 9),
         (FockParams(l=6, r=2, u=(0, 3), node_order=FLOTW), 10),
-    ], ids=["l4-n9", "l6-n10"])
+        (FockParams(l=3, r=3, u=(0, 0, 2), node_order=ARIKI), 7),
+    ], ids=["l4-n9", "l6-n10", "l3-ariki-n7"])
     def test_crystal_matches_oracle_closure(self, p, n):
         levels, edges = crystal_oracle(p, n)
         g = crystal(p, n)
         assert g.levels == levels
         assert g.edges == edges
+
+    @pytest.mark.parametrize("p, n", [
+        (FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW), 7),
+        (FockParams(l=3, r=3, u=(0, 0, 2), node_order=ARIKI), 6),
+    ], ids=["l3-flotw", "l3-ariki"])
+    def test_dot_matches_oracle_closure(self, p, n):
+        assert crystal(p, n).to_dot() == dot_oracle(*crystal_oracle(p, n))
 
     def test_one_slot_cache_keys_on_params(self):
         pf = FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW)
@@ -333,7 +392,9 @@ class TestSignatureOracle:
         (FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI), 8),
         (A22, 8),
         (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 0),
-    ], ids=["l4-flotw", "l3-ariki", "l2-ariki", "n0"])
+        (FockParams(l=6, r=2, u=(0, 3), node_order=FLOTW), 10),
+        (FockParams(l=3, r=3, u=(0, 0, 2), node_order=ARIKI), 8),
+    ], ids=["l4-flotw", "l3-ariki", "l2-ariki", "n0", "l6-flotw", "l3-r3-ariki"])
     def test_json_rendering_matches_str_sort(self, p, n):
         g = crystal(p, n)
         assert g.to_json() == json_oracle(g)
