@@ -324,13 +324,20 @@ def uryu_set(params: FockParams, n: int) -> set[Multipartition]:
     return set(crystal(params, n).levels[n])
 
 
-def _capped_partitions(n: int, caps: list[int]) -> Iterator[Partition]:
-    """Partitions of n whose row a is at most caps[a-1] (rows past caps are empty)."""
+def _capped_partitions(n: int, caps: list[int], floors: Partition = ()) -> Iterator[Partition]:
+    """Partitions of n whose row a is at most caps[a-1] and at least floors[a-1].
+
+    Rows past caps are empty, and rows past floors have no floor.
+    """
+    depth = len(floors)
+    lows = list(floors) + [1] * (len(caps) - depth)
+
     def extend(left: int, a: int, top: int) -> Iterator[Partition]:
         if left == 0:
-            yield ()
+            if a >= depth:
+                yield ()
         elif a < len(caps):
-            for part in range(min(left, top, caps[a]), 0, -1):
+            for part in range(min(left, top, caps[a]), lows[a] - 1, -1):
                 for rest in extend(left - part, a + 1, part):
                     yield (part,) + rest
     return extend(n, 0, n)
@@ -340,10 +347,12 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
     """The FLOTW multipartitions of n, built one component at a time.
 
     Component j+1 is drawn from the partitions bounded by component j
-    shifted down by u_{j+1} - u_j rows; the cyclic and residue conditions
-    are checked on each complete candidate.
+    shifted down by u_{j+1} - u_j rows, and the last one also from below by
+    the first shifted up by l + u_1 - u_r rows (the cyclic condition); the
+    conditions are checked again, with the residue condition, on each
+    complete candidate.
     """
-    r, u = params.r, params.u
+    r, l, u = params.r, params.l, params.u
     out: set[Multipartition] = set()
 
     def extend(prefix: Multipartition, left: int) -> None:
@@ -353,8 +362,9 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
                 out.add(prefix)
             return
         caps = [left] * left if j == 0 else [left] * (u[j] - u[j - 1]) + list(prefix[-1])
+        floors = prefix[0][l + u[0] - u[j]:] if 0 < j == r - 1 else ()
         for size in ((left,) if j == r - 1 else range(left + 1)):
-            for part in _capped_partitions(size, caps):
+            for part in _capped_partitions(size, caps, floors):
                 extend(prefix + (part,), left - size)
 
     extend((), n)

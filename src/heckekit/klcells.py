@@ -189,20 +189,35 @@ class HeckeAlgebra:
 # the Kazhdan-Lusztig basis
 # ---------------------------------------------------------------------------
 
-def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
+def kl_cbasis(algebra: HeckeAlgebra,
+              edges: Optional[dict[tuple[int, int], Coeffs]] = None) -> list[Coeffs]:
     """The bar-invariant basis congruent to {Tt_w} modulo negative degrees.
 
     Lusztig's recursion (Hecke algebras with unequal parameters, ch. 6), as
     in Geck's PyCox: with s the first letter of w, c_w is c_s c_sw less its
     lower c-terms (cs_times_cw).  Every c_z it needs has a smaller index,
-    because the canonical index order sorts by length.  B4 (384 elements)
-    takes about 0.3 s and F4 (1152) about 3 s.
+    because the canonical index order sorts by length.  The anti-involution
+    Tt_w -> Tt_{w^-1} commutes with bar and keeps L, so p_{y,w} =
+    p_{y^-1,w^-1} (Lusztig, ch. 5-6): the recursion runs only for w with
+    w^-1 >= w, and every other c_w is c_{w^-1} relabelled by y -> y^-1,
+    sharing its coefficients.  When edges is given, the M of each product
+    c_s c_r formed is stored as edges[(s, r)], for the W-graph stage.
+    B4 (384 elements) takes about 0.2 s and F4 (1152) about 2 s.
     """
     group = algebra.group
+    inv = group.inverse_index
     basis: list[Coeffs] = [{0: _ONE}]
     for w in range(1, len(group)):
+        w_inv = inv(w)
+        if w_inv < w:  # same length, so c_{w^-1} is already built
+            basis.append({inv(y): p for y, p in basis[w_inv].items()})
+            continue
         s = group.elements[w].word[0]
-        basis.append(cs_times_cw(algebra, basis, s, group.left_table[s][w])[0])
+        r = group.left_table[s][w]
+        row, m = cs_times_cw(algebra, basis, s, r)
+        basis.append(row)
+        if edges is not None:
+            edges[s, r] = m
     return basis
 
 
@@ -324,8 +339,8 @@ def property_name(name: str) -> str:
     return name
 
 
-#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.3 s and
-#: 0.4 s.  F4 (1152) takes about 3 s and 5 s and needs force.
+#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.2 s and
+#: 0.4 s.  F4 (1152) takes about 2 s and 6 s and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.5 s on
 #: A4 (120) and 2 s on D4 (192), but the jobs that need them cost more: D4
@@ -371,6 +386,8 @@ class KLData:
         self.weights = weights
         self.force = force
         self._checks: dict[str, CheckResult] = {}
+        # the M of each c_s c_r that kl_cbasis forms, until wgraph reads them
+        self._cbasis_edges: dict[tuple[int, int], Coeffs] = {}
 
     # -- stage 0: the group and the algebra ----------------------------------------
 
@@ -387,7 +404,7 @@ class KLData:
     @cached_property
     def cbasis(self) -> list[Coeffs]:
         """cbasis[w] = Tt-coefficients of c_w."""
-        return kl_cbasis(self.algebra)
+        return kl_cbasis(self.algebra, self._cbasis_edges)
 
     def cexpand(self, coeffs: Coeffs) -> Coeffs:
         """c-basis coordinates of the element with Tt-coefficients coeffs.
@@ -439,10 +456,13 @@ class KLData:
         """wgraph[s][w] = c-coordinates of c_s c_w, the W-graph of Lusztig ch. 6.
 
         (v^L(s) + v^-L(s)) c_w when sw < w; c_sw + sum of M^s_{z,w} c_z
-        (cs_times_cw) when sw > w.  rank * |W| small dicts.
+        (cs_times_cw) when sw > w.  kl_cbasis formed one such product for
+        each w with w^-1 >= w and handed over its M; only the others are
+        formed here.  rank * |W| small dicts.
         """
         group = self.group
         basis = self.cbasis
+        formed, self._cbasis_edges = self._cbasis_edges, {}
         rows = []
         for s in range(group.rank):
             L = self.algebra.weights(s)
@@ -450,7 +470,8 @@ class KLData:
             table = group.left_table[s]
             rows.append([
                 {w: both} if table[w] < w  # the canonical index order sorts by length
-                else {table[w]: _ONE, **cs_times_cw(self.algebra, basis, s, w)[1]}
+                else {table[w]: _ONE, **(formed[s, w] if (s, w) in formed
+                                         else cs_times_cw(self.algebra, basis, s, w)[1])}
                 for w in range(len(group))])
         return rows
 

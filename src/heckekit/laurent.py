@@ -233,6 +233,8 @@ class LaurentPoly:
     # -- comparisons and hashing ----------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, LaurentPoly):
+            return self._terms == other._terms
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

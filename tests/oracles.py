@@ -18,7 +18,8 @@ from heckekit.cli import _witness
 from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
                               _column_negative, _mat_mul)
 from heckekit.fock import FLOTW, FockParams, FockVector, Multipartition, _words
-from heckekit.klcells import CheckResult, HeckeAlgebra, HeckeElement, KLData
+from heckekit.klcells import (CheckResult, Coeffs, HeckeAlgebra, HeckeElement, KLData,
+                              cs_times_cw)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import Partition, standard_tableaux
 
@@ -134,6 +135,20 @@ def jmap(alg: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
 def tau(alg: HeckeAlgebra, h: HeckeElement) -> LaurentPoly:
     """The symmetrizing trace: coefficient of the identity basis element."""
     return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
+
+
+def kl_cbasis_all_products(alg: HeckeAlgebra) -> list[Coeffs]:
+    """Oracle: the c-basis by Lusztig's recursion for every w.
+
+    With s the first letter of w, c_w is c_s c_sw less its lower c-terms;
+    nothing is read off c_{w^-1}.
+    """
+    group = alg.group
+    basis: list[Coeffs] = [{0: LaurentPoly.one()}]
+    for w in range(1, len(group)):
+        s = group.elements[w].word[0]
+        basis.append(cs_times_cw(alg, basis, s, group.left_table[s][w])[0])
+    return basis
 
 
 def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import tempfile
 from functools import cached_property
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,11 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+#: exit code and stdout sha256 of each kl-cbasis benchmark job
+KL_CBASIS_REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["kl-cbasis"]
 
 
 class TestCrystalCommand:
@@ -272,6 +279,13 @@ class TestKlCommand:
         ct = CoxeterType("A", 2)
         assert (code, out) == kl_cbasis_report(KLData(ct, weight_from_ab(ct, 1)), ("P5", "P6"))
         assert code == 1
+
+    @pytest.mark.parametrize("job", sorted(KL_CBASIS_REFERENCE))
+    def test_cbasis_jobs_match_the_benchmark_reference(self, capsys, job):
+        code, out, _ = run(capsys, *job.split())
+        expected = KL_CBASIS_REFERENCE[job]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+            (expected["exit"], expected["sha256"])
 
     def test_group_too_large(self, capsys):
         code, _, _ = run(capsys, "kl", "--type", "F4", "--rank", "4",

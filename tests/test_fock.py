@@ -276,6 +276,39 @@ class TestOracleEquivalences:
         p = FockParams(l=6, r=2, u=u, node_order=FLOTW)
         assert uryu_set(p, 12) == set(crystal(p, 12).levels[12])
 
+    def test_capped_partitions_with_floors(self):
+        for n in range(10):
+            for caps in ([n] * n, [3, 3, 2, 2, 1], [4, 1]):
+                for floors in ((), (2,), (2, 2, 1), (5,)):
+                    expected = {nu for nu in partitions(n) if len(nu) <= len(caps)
+                                and all(x <= c for x, c in zip(nu, caps))
+                                and len(nu) >= len(floors)
+                                and all(x >= f for x, f in zip(nu, floors))}
+                    got = list(fock._capped_partitions(n, caps, floors))
+                    assert len(got) == len(set(got)) and set(got) == expected, \
+                        (n, caps, floors)
+
+    @pytest.mark.parametrize("l,u", [(6, (0, 3)), (6, (1, 3)), (4, (0, 1, 3)), (3, (0, 0, 2))])
+    def test_last_component_drawn_above_the_cyclic_floor(self, l, u, monkeypatch):
+        # lambda^r_i >= lambda^1_{i + l + u_1 - u_r} holds on every
+        # candidate before the final check
+        p = FockParams(l=l, r=len(u), u=u, node_order=FLOTW)
+        shift = l + u[0] - u[-1]
+        seen = []
+        check = fock._flotw_conditions
+
+        def recorded(mp, params):
+            seen.append(mp)
+            return check(mp, params)
+
+        monkeypatch.setattr(fock, "_flotw_conditions", recorded)
+        members = uryu_set(p, 10)
+        assert members
+        for mp in seen:
+            first, last = mp[0], mp[-1]
+            assert all(t - shift < len(last) and last[t - shift] >= first[t]
+                       for t in range(shift, len(first))), mp
+
     def test_flotw_member_examples(self):
         assert not flotw_member(((2, 1), ()), P22)
         assert flotw_member(((2,), (1,)), P22)

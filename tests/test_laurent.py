@@ -140,6 +140,32 @@ class TestRendering:
         assert P({2: -1, -1: 3}).json_pairs() == [[-1, "3"], [2, "-1"]]
 
 
+class TestEquality:
+    def test_polynomials(self):
+        assert P({2: 1, -1: 3}) == P({-1: 3, 2: 1})
+        assert P({2: 1}) != P({2: 1, 0: 1})
+        assert P({2: 1}) != P({2: 2})
+
+    def test_integers(self):
+        assert LaurentPoly.zero() == 0
+        assert LaurentPoly.one() == 1
+        assert P({0: 3}) == 3
+        assert 1 == LaurentPoly.one()
+        assert LaurentPoly.one() != 0
+        assert vpow(1) != 1
+
+    def test_other_types(self):
+        assert LaurentPoly.one().__eq__("1") is NotImplemented
+        assert LaurentPoly.one().__eq__(1.0) is NotImplemented
+        assert LaurentPoly.zero() != None  # noqa: E711
+        assert LaurentPoly.one() != "1"
+
+    def test_equal_polynomials_hash_alike(self):
+        p, q = P({2: 1, -1: 3}), P({-1: 3, 2: 1})
+        assert hash(p) == hash(q)
+        assert {p: "x"}[q] == "x"
+
+
 class TestAddInto:
     def test_cancellation_deletes_the_key(self):
         acc = {"x": vpow(1), "y": LaurentPoly.one()}
