@@ -348,9 +348,8 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
 
     Component j+1 is drawn from the partitions bounded by component j
     shifted down by u_{j+1} - u_j rows, and the last one also from below by
-    the first shifted up by l + u_1 - u_r rows (the cyclic condition); the
-    conditions are checked again, with the residue condition, on each
-    complete candidate.
+    the first shifted up by l + u_1 - u_r rows, so every complete candidate
+    meets `_flotw_bounds` and only the residue condition is left to check.
     """
     r, l, u = params.r, params.l, params.u
     out: set[Multipartition] = set()
@@ -358,7 +357,7 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
     def extend(prefix: Multipartition, left: int) -> None:
         j = len(prefix)
         if j == r:
-            if _flotw_conditions(prefix, params):
+            if _flotw_residues(prefix, params):
                 out.add(prefix)
             return
         caps = [left] * left if j == 0 else [left] * (u[j] - u[j - 1]) + list(prefix[-1])
@@ -372,14 +371,14 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
 
 
 def _flotw_conditions(mp: Multipartition, params: FockParams) -> bool:
-    """The FLOTW conditions on a checked multipartition at normalised charges.
+    """The FLOTW conditions on a checked multipartition at normalised charges."""
+    return _flotw_bounds(mp, params) and _flotw_residues(mp, params)
 
-    (a) Each component bounds the next one shifted by the charge gap,
+
+def _flotw_bounds(mp: Multipartition, params: FockParams) -> bool:
+    """(a) Each component bounds the next one shifted by the charge gap,
     lambda^j_i >= lambda^{j+1}_{i + u_{j+1} - u_j}, and cyclically
-    lambda^r_i >= lambda^1_{i + l + u_1 - u_r}.  (b) For every row length,
-    the residues at the right ends of the rows of that length miss at least
-    one value.
-    """
+    lambda^r_i >= lambda^1_{i + l + u_1 - u_r}."""
     r, l, u = params.r, params.l, params.u
     for j in range(r):
         upper, lower = mp[j], mp[(j + 1) % r]
@@ -387,9 +386,15 @@ def _flotw_conditions(mp: Multipartition, params: FockParams) -> bool:
         for t in range(shift, len(lower)):
             if t - shift >= len(upper) or lower[t] > upper[t - shift]:
                 return False
+    return True
 
+
+def _flotw_residues(mp: Multipartition, params: FockParams) -> bool:
+    """(b) For every row length, the residues at the right ends of the rows
+    of that length miss at least one value."""
+    l = params.l
     by_length: dict[int, set[int]] = {}
-    for comp, uc in zip(mp, u):
+    for comp, uc in zip(mp, params.u):
         for a, length in enumerate(comp, start=1):
             by_length.setdefault(length, set()).add((length - a + uc) % l)
     return all(len(resset) < l for resset in by_length.values())

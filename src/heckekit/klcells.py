@@ -4,13 +4,14 @@ Everything is computed in the rescaled basis Tt_w := v^(-L(w)) T_w, where the
 quadratic relation reads Tt_s^2 = 1 + (v^L(s) - v^-L(s)) Tt_s.  The
 bar-invariant basis {c_w} comes from Lusztig's recursion: for sw > w,
 c_s c_w = c_sw + sum of M^s_{z,w} c_z with bar-invariant M^s_{z,w}, the
-edges of the W-graph.  Those edges give the left cells, and the cells give
-the a-function and the distinguished involutions.  The same W-graph gives
-left multiplication by each c_s in c-coordinates, so the structure constants
-h_{x,y,z} come from a recursion on x with no Tt-coordinates; they are built
-only for the gamma constants, the asymptotic ring J with its homomorphism
-phi, and a battery of machine checks (P2-P8, P15') that gate the J-ring
-constructions.
+edges of the W-graph.  The W-graph stage reads the M off the c-basis
+coefficients alone, without forming c_s c_w.  Its edges give the left
+cells, and the cells give the a-function and the distinguished
+involutions.  The same W-graph gives left multiplication by each c_s in
+c-coordinates, so the structure constants h_{x,y,z} come from a recursion
+on x with no Tt-coordinates; they are built only for the gamma constants,
+the asymptotic ring J with its homomorphism phi, and a battery of machine
+checks (P2-P8, P15') that gate the J-ring constructions.
 
 Element coefficients are dicts {element index: LaurentPoly}; the group's
 canonical index order (by length, then lexicographic word) makes every
@@ -30,6 +31,7 @@ from .laurent import LaurentPoly, add_into, vpow
 Coeffs = dict[int, LaurentPoly]
 
 _ONE = LaurentPoly.one()
+_ZERO = LaurentPoly.zero()
 
 
 def coeff_prefix(c: LaurentPoly) -> str:
@@ -189,8 +191,7 @@ class HeckeAlgebra:
 # the Kazhdan-Lusztig basis
 # ---------------------------------------------------------------------------
 
-def kl_cbasis(algebra: HeckeAlgebra,
-              edges: Optional[dict[tuple[int, int], Coeffs]] = None) -> list[Coeffs]:
+def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
     """The bar-invariant basis congruent to {Tt_w} modulo negative degrees.
 
     Lusztig's recursion (Hecke algebras with unequal parameters, ch. 6), as
@@ -200,9 +201,8 @@ def kl_cbasis(algebra: HeckeAlgebra,
     Tt_w -> Tt_{w^-1} commutes with bar and keeps L, so p_{y,w} =
     p_{y^-1,w^-1} (Lusztig, ch. 5-6): the recursion runs only for w with
     w^-1 >= w, and every other c_w is c_{w^-1} relabelled by y -> y^-1,
-    sharing its coefficients.  When edges is given, the M of each product
-    c_s c_r formed is stored as edges[(s, r)], for the W-graph stage.
-    B4 (384 elements) takes about 0.2 s and F4 (1152) about 2 s.
+    sharing its coefficients.  B4 (384 elements) takes about 0.2 s and F4
+    (1152) about 2 s.
     """
     group = algebra.group
     inv = group.inverse_index
@@ -213,11 +213,7 @@ def kl_cbasis(algebra: HeckeAlgebra,
             basis.append({inv(y): p for y, p in basis[w_inv].items()})
             continue
         s = group.elements[w].word[0]
-        r = group.left_table[s][w]
-        row, m = cs_times_cw(algebra, basis, s, r)
-        basis.append(row)
-        if edges is not None:
-            edges[s, r] = m
+        basis.append(cs_times_cw(algebra, basis, s, group.left_table[s][w])[0])
     return basis
 
 
@@ -230,7 +226,8 @@ def cs_times_cw(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
     of Tt_z left at each z is p_{z,sw} + M[z]: p_{z,sw} has only negative
     degrees and M[z] is bar-invariant, so its terms of degree >= 0 fix M[z].
     basis must hold c_z for every index below sw.  The M[z] are the W-graph
-    edges from w.
+    edges from w; KLData.wgraph reads the same M off the c-basis without
+    forming the product.
     """
     L = algebra.weights(s)
     table = algebra.group.left_table[s]
@@ -340,7 +337,7 @@ def property_name(name: str) -> str:
 
 
 #: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.2 s and
-#: 0.4 s.  F4 (1152) takes about 2 s and 6 s and needs force.
+#: 0.15 s.  F4 (1152) takes about 2 s each and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.5 s on
 #: A4 (120) and 2 s on D4 (192), but the jobs that need them cost more: D4
@@ -371,11 +368,12 @@ class KLData:
 
     group -> algebra -> c-basis -> W-graph -> left cells -> a-function, and
     structure constants -> gamma -> P-checks -> J-ring and phi.  Each stage
-    is one cached property, computed on first use.  Both size caps are
-    decided here from ctype.order(), so a refused job has enumerated
-    nothing: the constructor checks CBASIS_CAP, and hconst checks HCONST_CAP
-    before it touches any other stage; every consumer of the structure
-    constants asks for hconst first.  force lifts both caps.
+    is one cached property, computed on first use from the stages before
+    it alone.  Both size caps are decided here from ctype.order(), so a
+    refused job has enumerated nothing: the constructor checks CBASIS_CAP,
+    and hconst checks HCONST_CAP before it touches any other stage; every
+    consumer of the structure constants asks for hconst first.  force lifts
+    both caps.
     """
 
     def __init__(self, ctype: CoxeterType, weights: WeightFunction, force: bool = False):
@@ -386,8 +384,6 @@ class KLData:
         self.weights = weights
         self.force = force
         self._checks: dict[str, CheckResult] = {}
-        # the M of each c_s c_r that kl_cbasis forms, until wgraph reads them
-        self._cbasis_edges: dict[tuple[int, int], Coeffs] = {}
 
     # -- stage 0: the group and the algebra ----------------------------------------
 
@@ -404,7 +400,7 @@ class KLData:
     @cached_property
     def cbasis(self) -> list[Coeffs]:
         """cbasis[w] = Tt-coefficients of c_w."""
-        return kl_cbasis(self.algebra, self._cbasis_edges)
+        return kl_cbasis(self.algebra)
 
     def cexpand(self, coeffs: Coeffs) -> Coeffs:
         """c-basis coordinates of the element with Tt-coefficients coeffs.
@@ -455,24 +451,41 @@ class KLData:
     def wgraph(self) -> list[list[Coeffs]]:
         """wgraph[s][w] = c-coordinates of c_s c_w, the W-graph of Lusztig ch. 6.
 
-        (v^L(s) + v^-L(s)) c_w when sw < w; c_sw + sum of M^s_{z,w} c_z
-        (cs_times_cw) when sw > w.  kl_cbasis formed one such product for
-        each w with w^-1 >= w and handed over its M; only the others are
-        formed here.  rank * |W| small dicts.
+        (v^L(s) + v^-L(s)) c_w when sw < w, and c_sw + sum of M^s_{y,w} c_y
+        over sy < y < w when sw > w.  The M are read off the c-basis alone
+        (Lusztig, Prop. 6.3), walking y down from w: M^s_{y,w} is the
+        bar-invariant polynomial that agrees in degrees >= 0 with
+        v^L(s) p_{y,w} less p_{y,z} M^s_{z,w} summed over the z > y already
+        found.  With equal parameters that sum has only negative degrees, so
+        M^s_{y,w} is mu(y, w).  rank * |W| small dicts.
         """
         group = self.group
         basis = self.cbasis
-        formed, self._cbasis_edges = self._cbasis_edges, {}
         rows = []
         for s in range(group.rank):
-            L = self.algebra.weights(s)
+            L = self.weights(s)
             both = vpow(L) + vpow(-L)
             table = group.left_table[s]
-            rows.append([
-                {w: both} if table[w] < w  # the canonical index order sorts by length
-                else {table[w]: _ONE, **(formed[s, w] if (s, w) in formed
-                                         else cs_times_cw(self.algebra, basis, s, w)[1])}
-                for w in range(len(group))])
+            row = []
+            for w, cw in enumerate(basis):
+                if table[w] < w:  # the canonical index order sorts by length
+                    row.append({w: both})
+                    continue
+                m: Coeffs = {}
+                for y in range(w - 1, -1, -1):
+                    if table[y] > y:
+                        continue
+                    # only degrees >= 0 count, so terms wholly below 0 are skipped
+                    p = cw.get(y)
+                    f = p.shift(L) if p is not None and p.maxdeg + L >= 0 else _ZERO
+                    for z, mz in m.items():
+                        p = basis[z].get(y)
+                        if p is not None and p.maxdeg + mz.maxdeg >= 0:
+                            f = f - p * mz
+                    if f and f.maxdeg >= 0:
+                        m[y] = f.bar_symmetric_part()
+                row.append({table[w]: _ONE, **m})
+            rows.append(row)
         return rows
 
     @cached_property

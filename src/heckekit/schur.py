@@ -310,20 +310,32 @@ def invariants_azero(lam: Bipartition, b: int) -> InvariantPair:
 
 
 def typeD_invariants(lam: Partition, mu: Partition, a: int) -> InvariantPair:
-    """Invariants for an unordered type-D label [lam, mu], lam != mu."""
+    """Invariants for an unordered type-D label [lam, mu], lam != mu.
+
+    H(D_n) has index 2 in H(B_n) at b = 0, and the type-B characters of
+    (lam, mu) and (mu, lam), whose Schur elements agree there, restrict to
+    the same irreducible.  Restricting the trace gives 1/c^D = 2/c^B
+    (Clifford theory), so alpha is kept and f halves.
+    """
     if tuple(lam) == tuple(mu):
         raise DomainError("equal components split; use typeD_invariants_split")
     if a <= 0:
         raise DomainError("type D requires a > 0")
-    return invariants_B((tuple(lam), tuple(mu)), a, 0)
+    base = invariants_B((tuple(lam), tuple(mu)), a, 0)
+    if base.f % 2:
+        raise ArithmeticError(f"odd type-B f = {base.f} at the pair label [{lam}, {mu}]")
+    return InvariantPair(alpha=base.alpha, f=base.f // 2)
 
 
 def typeD_invariants_split(lam: Partition, a: int) -> InvariantPair:
-    """Invariants for a split type-D label [lam, +/-]: f doubles."""
+    """Invariants for a split type-D label [lam, +/-]: those of (lam, lam) at b = 0.
+
+    The type-B character of (lam, lam) restricts to the two split
+    characters, so each has the Schur element c^B itself (Clifford theory).
+    """
     if a <= 0:
         raise DomainError("type D requires a > 0")
-    base = invariants_B((tuple(lam), tuple(lam)), a, 0)
-    return InvariantPair(alpha=base.alpha, f=2 * base.f)
+    return invariants_B((tuple(lam), tuple(lam)), a, 0)
 
 
 # ---------------------------------------------------------------------------

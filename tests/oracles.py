@@ -151,6 +151,21 @@ def kl_cbasis_all_products(alg: HeckeAlgebra) -> list[Coeffs]:
     return basis
 
 
+def wgraph_by_products(data: KLData) -> list[list[Coeffs]]:
+    """Oracle for KLData.wgraph: each row with sw > w holds the M of the
+    whole product c_s c_w, formed in Tt-coordinates by cs_times_cw."""
+    group, basis = data.group, data.cbasis
+    rows = []
+    for s in range(group.rank):
+        L = data.weights(s)
+        table = group.left_table[s]
+        rows.append([{w: vpow(L) + vpow(-L)} if table[w] < w
+                     else {table[w]: LaurentPoly.one(),
+                           **cs_times_cw(data.algebra, basis, s, w)[1]}
+                     for w in range(len(group))])
+    return rows
+
+
 def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:
     """Rendering oracle for `kl --emit cbasis [--check ...]`: exit code and
     stdout, the report built as dicts of json_pairs and HeckeAlgebra.text

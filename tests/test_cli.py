@@ -49,9 +49,14 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-#: exit code and stdout sha256 of each kl-cbasis benchmark job
-KL_CBASIS_REFERENCE = json.loads(
-    (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["kl-cbasis"]
+REPO_ROOT = Path(__file__).parents[1]
+
+#: exit code and stdout sha256 of every benchmark job, by the job's argv
+#: joined by spaces; paths in the argv are relative to the repository root
+BENCHMARK_REFERENCE = {
+    job: expected
+    for pool in json.loads((REPO_ROOT / "perfbench" / "reference.json").read_text()).values()
+    for job, expected in pool.items()}
 
 
 class TestCrystalCommand:
@@ -280,10 +285,12 @@ class TestKlCommand:
         assert (code, out) == kl_cbasis_report(KLData(ct, weight_from_ab(ct, 1)), ("P5", "P6"))
         assert code == 1
 
-    @pytest.mark.parametrize("job", sorted(KL_CBASIS_REFERENCE))
-    def test_cbasis_jobs_match_the_benchmark_reference(self, capsys, job):
+    @pytest.mark.parametrize("job", sorted(BENCHMARK_REFERENCE))
+    def test_cbasis_jobs_match_the_benchmark_reference(self, capsys, monkeypatch, job):
+        # every job of every workload, not only kl-cbasis
+        monkeypatch.chdir(REPO_ROOT)
         code, out, _ = run(capsys, *job.split())
-        expected = KL_CBASIS_REFERENCE[job]
+        expected = BENCHMARK_REFERENCE[job]
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
             (expected["exit"], expected["sha256"])
 

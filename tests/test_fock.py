@@ -290,24 +290,22 @@ class TestOracleEquivalences:
 
     @pytest.mark.parametrize("l,u", [(6, (0, 3)), (6, (1, 3)), (4, (0, 1, 3)), (3, (0, 0, 2))])
     def test_last_component_drawn_above_the_cyclic_floor(self, l, u, monkeypatch):
-        # lambda^r_i >= lambda^1_{i + l + u_1 - u_r} holds on every
-        # candidate before the final check
+        # the caps and floors leave only the residue condition to check: every
+        # candidate that reaches it meets all of the FLOTW conditions
         p = FockParams(l=l, r=len(u), u=u, node_order=FLOTW)
-        shift = l + u[0] - u[-1]
         seen = []
-        check = fock._flotw_conditions
+        check = fock._flotw_residues
 
         def recorded(mp, params):
             seen.append(mp)
             return check(mp, params)
 
-        monkeypatch.setattr(fock, "_flotw_conditions", recorded)
+        monkeypatch.setattr(fock, "_flotw_residues", recorded)
         members = uryu_set(p, 10)
-        assert members
+        monkeypatch.undo()
+        assert members and seen
         for mp in seen:
-            first, last = mp[0], mp[-1]
-            assert all(t - shift < len(last) and last[t - shift] >= first[t]
-                       for t in range(shift, len(first))), mp
+            assert fock._flotw_conditions(mp, p) == (mp in members), mp
 
     def test_flotw_member_examples(self):
         assert not flotw_member(((2, 1), ()), P22)

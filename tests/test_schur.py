@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -216,10 +217,25 @@ class TestTypeD:
     def test_pair_inherits_b0(self):
         assert typeD_invariants((2,), (1,), 1).alpha == 1
 
-    def test_split_doubles_f(self):
+    def test_split_keeps_f(self):
+        # each split character has the Schur element of (lam, lam) at b = 0
         base = invariants_B(((1,), (1,)), 1, 0)
         split = typeD_invariants_split((1,), 1)
-        assert split == (base.alpha, 2 * base.f)
+        assert split == (base.alpha, base.f)
+
+    def test_pair_halves_f(self):
+        base = invariants_B(((2,), (1,)), 1, 0)
+        assert typeD_invariants((2,), (1,), 1) == (base.alpha, base.f // 2)
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_d3_is_a3(self, a):
+        d3 = Counter((pair.alpha, pair.f) for _, pair in all_invariants("D", a, n=3))
+        a3 = Counter((pair.alpha, pair.f) for _, pair in all_invariants("A", a, n=4))
+        assert d3 == a3
+
+    def test_d2_is_a1_times_a1(self):
+        d2 = Counter((pair.alpha, pair.f) for _, pair in all_invariants("D", 1, n=2))
+        assert d2 == Counter({(0, 1): 1, (1, 1): 2, (2, 1): 1})
 
     def test_split_label_computed_once(self, monkeypatch):
         calls = []
@@ -300,4 +316,5 @@ class TestLGood:
             assert l_good(p, "A", 1, n=4)
 
     def test_type_d(self):
-        assert not l_good(2, "D", 1, n=2)  # split labels double f
+        assert l_good(2, "D", 1, n=2)  # D2 = A1 x A1: every f is 1
+        assert not l_good(2, "D", 1, n=4)
