@@ -26,7 +26,7 @@ from typing import Optional
 
 from .coxeter import (CoxeterType, GroupElement, GroupTooLarge, WeylGroup, WeightFunction,
                       build)
-from .laurent import LaurentPoly, add_into, vpow
+from .laurent import LaurentPoly, add_into, add_product_into, interned, vpow
 
 Coeffs = dict[int, LaurentPoly]
 
@@ -196,52 +196,57 @@ def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
 
     Lusztig's recursion (Hecke algebras with unequal parameters, ch. 6), as
     in Geck's PyCox: with s the first letter of w, c_w is c_s c_sw less its
-    lower c-terms (cs_times_cw).  Every c_z it needs has a smaller index,
+    lower c-terms (csw_terms).  Every c_z it needs has a smaller index,
     because the canonical index order sorts by length.  The anti-involution
     Tt_w -> Tt_{w^-1} commutes with bar and keeps L, so p_{y,w} =
     p_{y^-1,w^-1} (Lusztig, ch. 5-6): the recursion runs only for w with
     w^-1 >= w, and every other c_w is c_{w^-1} relabelled by y -> y^-1,
-    sharing its coefficients.  B4 (384 elements) takes about 0.2 s and F4
-    (1152) about 2 s.
+    sharing its coefficients.  Each finished row is wrapped with every
+    coefficient interned, so equal coefficients are one object across the
+    basis.  B4 (384 elements) takes about 0.1 s and F4 (1152) about 1.2 s.
     """
     group = algebra.group
     inv = group.inverse_index
-    basis: list[Coeffs] = [{0: _ONE}]
+    polys: dict = {}  # one LaurentPoly per distinct coefficient
+    basis: list[Coeffs] = [{0: interned(polys, {0: 1})}]
     for w in range(1, len(group)):
         w_inv = inv(w)
         if w_inv < w:  # same length, so c_{w^-1} is already built
             basis.append({inv(y): p for y, p in basis[w_inv].items()})
             continue
         s = group.elements[w].word[0]
-        basis.append(cs_times_cw(algebra, basis, s, group.left_table[s][w])[0])
+        row = csw_terms(algebra, basis, s, group.left_table[s][w])
+        basis.append({y: interned(polys, t) for y, t in row.items() if t})
     return basis
 
 
-def cs_times_cw(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
-                w: int) -> tuple[Coeffs, Coeffs]:
-    """(c_sw, M) with c_s c_w = c_sw + sum of M[z] c_z, for sw > w.
+def csw_terms(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
+              w: int) -> dict[int, dict[int, int]]:
+    """The Tt-coefficients of c_sw as term maps {exponent: coefficient}, for sw > w.
 
     c_s = Tt_s + v^-L(s), so c_s Tt_y = Tt_sy + v^L(s) Tt_y when sy < y and
     Tt_sy + v^-L(s) Tt_y when sy > y.  Walking down from sw, the coefficient
-    of Tt_z left at each z is p_{z,sw} + M[z]: p_{z,sw} has only negative
-    degrees and M[z] is bar-invariant, so its terms of degree >= 0 fix M[z].
-    basis must hold c_z for every index below sw.  The M[z] are the W-graph
-    edges from w; KLData.wgraph reads the same M off the c-basis without
-    forming the product.
+    of Tt_z left at each z is p_{z,sw} + M^s_{z,w}: p_{z,sw} has only
+    negative degrees and M is bar-invariant, so its terms of degree >= 0 fix
+    M, and M c_z is taken off.  basis must hold c_z for every index below
+    sw.  Only the new maps are updated in place; the coefficients of basis
+    are read, never changed.  A map may end up empty.
     """
     L = algebra.weights(s)
     table = algebra.group.left_table[s]
     cw = basis[w]
-    # sy < y as indices iff as lengths: the canonical order sorts by length
-    prod = {y: p.shift(L if table[y] < y else -L) for y, p in cw.items()}
-    add_into(prod, {table[y]: p for y, p in cw.items()})
-    edges: Coeffs = {}
+    prod = {table[y]: dict(p._terms) for y, p in cw.items()}  # y -> sy is a bijection
+    for y, p in cw.items():
+        # sy < y as indices iff as lengths: the canonical order sorts by length
+        add_product_into(prod.setdefault(y, {}), p._terms, {L if table[y] < y else -L: 1})
     for z in range(table[w] - 1, -1, -1):
         f = prod.get(z)
-        if f is not None and f.maxdeg >= 0:
-            m = edges[z] = f.bar_symmetric_part()
-            add_into(prod, basis[z], -m)
-    return prod, edges
+        if f and max(f) >= 0:
+            m = {e: -c for e, c in f.items() if e >= 0}  # -M
+            m.update([(-e, c) for e, c in m.items() if e])
+            for y, p in basis[z].items():
+                add_product_into(prod.setdefault(y, {}), p._terms, m)
+    return prod
 
 
 def det_laurent_matrix(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -336,8 +341,8 @@ def property_name(name: str) -> str:
     return name
 
 
-#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.2 s and
-#: 0.15 s.  F4 (1152) takes about 2 s each and needs force.
+#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.1 s for
+#: each.  F4 (1152) takes about 1.2 s and 0.45 s and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.5 s on
 #: A4 (120) and 2 s on D4 (192), but the jobs that need them cost more: D4
@@ -461,6 +466,10 @@ class KLData:
         """
         group = self.group
         basis = self.cbasis
+        # the top degree of each coefficient object, read once; kl_cbasis
+        # interns the coefficients, so that is once per distinct value
+        distinct = {id(p): p for row in basis for p in row.values()}
+        top = {k: p.maxdeg for k, p in distinct.items()}
         rows = []
         for s in range(group.rank):
             L = self.weights(s)
@@ -471,20 +480,22 @@ class KLData:
                 if table[w] < w:  # the canonical index order sorts by length
                     row.append({w: both})
                     continue
-                m: Coeffs = {}
+                edges = {table[w]: _ONE}
+                found = []  # (y, M^s_{y,w}, its top degree) by decreasing y
                 for y in range(w - 1, -1, -1):
                     if table[y] > y:
                         continue
                     # only degrees >= 0 count, so terms wholly below 0 are skipped
                     p = cw.get(y)
-                    f = p.shift(L) if p is not None and p.maxdeg + L >= 0 else _ZERO
-                    for z, mz in m.items():
+                    f = p.shift(L) if p is not None and top[id(p)] + L >= 0 else _ZERO
+                    for z, mz, mtop in found:
                         p = basis[z].get(y)
-                        if p is not None and p.maxdeg + mz.maxdeg >= 0:
+                        if p is not None and top[id(p)] + mtop >= 0:
                             f = f - p * mz
-                    if f and f.maxdeg >= 0:
-                        m[y] = f.bar_symmetric_part()
-                row.append({table[w]: _ONE, **m})
+                    if f is not _ZERO and f and f.maxdeg >= 0:  # most y leave f at _ZERO
+                        m = edges[y] = f.bar_symmetric_part()
+                        found.append((y, m, m.maxdeg))
+                row.append(edges)
             rows.append(row)
         return rows
 

@@ -6,6 +6,10 @@ are stored sparsely as a map exponent -> nonzero coefficient (the zero
 polynomial is the empty map) and are immutable; every operation returns a new
 object.  Hecke elements, c-basis rows and Fock vectors are sparse maps
 key -> nonzero coefficient in turn, and ``add_into`` is their one accumulate.
+
+An integer kernel builds a polynomial's map in place as a plain dict
+(``add_product_into``) and wraps it once with ``interned``; it only reads the
+``_terms`` of finished polynomials.
 """
 
 from __future__ import annotations
@@ -150,16 +154,7 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        data: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                c = data.get(e, 0) + c1 * c2
-                if c:
-                    data[e] = c
-                elif e in data:
-                    del data[e]
-        return _wrap(data)
+        return _wrap(add_product_into({}, a, b))
 
     __rmul__ = __mul__
 
@@ -312,6 +307,41 @@ def add_into(acc: MutableMapping, terms: Mapping, scale=None) -> MutableMapping:
         elif cur is not None:
             del acc[key]
     return acc
+
+
+def add_product_into(acc: dict[int, int], p: Mapping[int, int],
+                     q: Mapping[int, int]) -> dict[int, int]:
+    """Add the product of the term maps p and q into the term map acc and return acc.
+
+    Term maps are {exponent: nonzero coefficient}, the storage of a
+    LaurentPoly.  This is acc += p * q in place, for kernels that build a
+    polynomial as a plain dict and wrap it once it is finished.  As in
+    add_into, a key whose sum cancels is deleted and no zero is stored; p and
+    q are only read.
+    """
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            c = acc.get(e, 0) + c1 * c2
+            if c:
+                acc[e] = c
+            elif e in acc:
+                del acc[e]
+    return acc
+
+
+def interned(table: dict, terms: dict[int, int]) -> LaurentPoly:
+    """The LaurentPoly with the term map terms, one object per distinct map in table.
+
+    table maps frozenset(terms.items()) to the object made when that map was
+    first seen.  The new object takes terms over without a copy, so the
+    caller must not change terms afterwards.
+    """
+    key = frozenset(terms.items())
+    p = table.get(key)
+    if p is None:
+        p = table[key] = _wrap(terms)
+    return p
 
 
 def vpow(k: int, coeff: int = 1) -> LaurentPoly:

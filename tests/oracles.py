@@ -18,8 +18,7 @@ from heckekit.cli import _witness
 from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
                               _column_negative, _mat_mul)
 from heckekit.fock import FLOTW, FockParams, FockVector, Multipartition, _words
-from heckekit.klcells import (CheckResult, Coeffs, HeckeAlgebra, HeckeElement, KLData,
-                              cs_times_cw)
+from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, HeckeElement, KLData
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import Partition, standard_tableaux
 
@@ -135,6 +134,34 @@ def jmap(alg: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
 def tau(alg: HeckeAlgebra, h: HeckeElement) -> LaurentPoly:
     """The symmetrizing trace: coefficient of the identity basis element."""
     return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
+
+
+def cs_times_cw(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
+                w: int) -> tuple[Coeffs, Coeffs]:
+    """Oracle: (c_sw, M) with c_s c_w = c_sw + sum of M[z] c_z, for sw > w,
+    formed in LaurentPoly arithmetic.
+
+    c_s = Tt_s + v^-L(s), so c_s Tt_y = Tt_sy + v^L(s) Tt_y when sy < y and
+    Tt_sy + v^-L(s) Tt_y when sy > y.  Walking down from sw, the coefficient
+    of Tt_z left at each z is p_{z,sw} + M[z]: p_{z,sw} has only negative
+    degrees and M[z] is bar-invariant, so its terms of degree >= 0 fix M[z].
+    basis must hold c_z for every index below sw.  klcells.csw_terms forms
+    the same c_sw on integer term maps, and KLData.wgraph reads the same M
+    off the c-basis without forming the product.
+    """
+    L = algebra.weights(s)
+    table = algebra.group.left_table[s]
+    cw = basis[w]
+    # sy < y as indices iff as lengths: the canonical order sorts by length
+    prod = {y: p.shift(L if table[y] < y else -L) for y, p in cw.items()}
+    add_into(prod, {table[y]: p for y, p in cw.items()})
+    edges: Coeffs = {}
+    for z in range(table[w] - 1, -1, -1):
+        f = prod.get(z)
+        if f is not None and f.maxdeg >= 0:
+            m = edges[z] = f.bar_symmetric_part()
+            add_into(prod, basis[z], -m)
+    return prod, edges
 
 
 def kl_cbasis_all_products(alg: HeckeAlgebra) -> list[Coeffs]:

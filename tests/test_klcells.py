@@ -7,12 +7,11 @@ import pytest
 from heckekit import cli, klcells
 from heckekit.coxeter import CoxeterType, GroupTooLarge, _cached_group, build, weight_from_ab
 from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
-                              cs_times_cw, det_laurent_matrix, kl_cbasis,
-                              strongly_connected_components)
+                              det_laurent_matrix, kl_cbasis, strongly_connected_components)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
-from oracles import (bruhat_leq, check_star_compatibility, dim_bipartition, jmap,
-                     kl_cbasis_all_products, tau, wgraph_by_products)
+from oracles import (bruhat_leq, check_star_compatibility, cs_times_cw, dim_bipartition,
+                     jmap, kl_cbasis_all_products, tau, wgraph_by_products)
 
 
 def algebra(family, rank, a, b=None):
@@ -281,9 +280,10 @@ class TestKLBasis:
         alg = algebra(family, rank, a, b)
         assert kl_cbasis(alg) == kl_cbasis_all_products(alg)
 
-    def test_rows_are_symmetric_under_inversion(self):
+    @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("B", 4, 1, 4)])
+    def test_rows_are_symmetric_under_inversion(self, family, rank, a, b):
         # p_{y,w} = p_{y^-1,w^-1}, and the relabelled rows share coefficients
-        alg = B3_12
+        alg = algebra(family, rank, a, b)
         inv = alg.group.inverse_index
         basis = kl_cbasis(alg)
         for w, row in enumerate(basis):
@@ -291,6 +291,20 @@ class TestKLBasis:
             assert {inv(y): p for y, p in row.items()} == mirror
             if inv(w) < w:
                 assert all(p is mirror[inv(y)] for y, p in row.items())
+
+    @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("B", 4, 1, 4)])
+    def test_equal_coefficients_are_one_object(self, family, rank, a, b):
+        coeffs = [p for row in kl_cbasis(algebra(family, rank, a, b)) for p in row.values()]
+        assert len({id(p) for p in coeffs}) == len(set(coeffs))
+
+    def test_cbasis_stage_calls_the_module_function(self, monkeypatch):
+        # perfbench/tracer.py times the stage by rebinding klcells.kl_cbasis
+        real = klcells.kl_cbasis
+        calls = []
+        monkeypatch.setattr(klcells, "kl_cbasis", lambda alg: calls.append(alg) or real(alg))
+        data = kl(S3)
+        assert data.cbasis == real(data.algebra)
+        assert calls == [data.algebra]
 
     def test_w_graph_edges_give_the_c_expansion(self):
         # c_s c_w = c_sw + sum of M^s_{z,w} c_z, each M bar-invariant and
@@ -372,11 +386,13 @@ class TestStructureConstants:
         assert data.wgraph == wgraph_by_products(data)
 
     def test_w_graph_forms_no_product(self, monkeypatch):
-        # the M are read off the c-basis rows; no c_s c_w is formed
+        # the M are read off the c-basis rows: no c_s c_w is formed, neither
+        # by the c-basis kernel nor by any left multiplication by Tt_s
         data = kl(B3_12)
         expected = wgraph_by_products(data)  # builds the c-basis too
         calls = []
-        monkeypatch.setattr(klcells, "cs_times_cw", lambda *args: calls.append(args))
+        monkeypatch.setattr(klcells, "csw_terms", lambda *args: calls.append(args))
+        monkeypatch.setattr(HeckeAlgebra, "_lgen", lambda *args, **kw: calls.append(args))
         assert data.wgraph == expected
         assert calls == []
 

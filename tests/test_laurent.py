@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckekit.laurent import (DivisionByZero, LaurentPoly, NotDivisible,
-                              ZeroPolynomial, add_into, vpow)
+from heckekit.laurent import (DivisionByZero, LaurentPoly, NotDivisible, ZeroPolynomial,
+                              add_into, add_product_into, interned, vpow)
 
+term_maps = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9).filter(bool), max_size=6)
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
 nonzero_polys = polys.filter(bool)
 
@@ -191,6 +192,34 @@ class TestAddInto:
         assert acc == {2: -6}
         add_into(acc, {2: 6, 3: 0})
         assert acc == {}
+
+
+class TestAddProductInto:
+    def test_cancellation_deletes_the_key(self):
+        acc = {1: 1, 0: 1}
+        assert add_product_into(acc, {0: 1, 2: 1}, {-1: -1}) is acc
+        assert acc == {0: 1, -1: -1}  # v + 1 - (1 + v^2) v^-1
+
+    @settings(max_examples=80)
+    @given(term_maps, term_maps, term_maps)
+    def test_adds_the_product_and_stores_no_zero(self, acc, p, q):
+        expected = LaurentPoly(acc) + LaurentPoly(p) * LaurentPoly(q)
+        p_before, q_before = dict(p), dict(q)
+        add_product_into(acc, p, q)
+        assert 0 not in acc.values()
+        assert LaurentPoly(acc) == expected
+        assert (p, q) == (p_before, q_before)
+
+
+class TestInterned:
+    def test_equal_maps_give_one_object(self):
+        table = {}
+        p = interned(table, {1: 1, -1: 2})
+        assert interned(table, {-1: 2, 1: 1}) is p
+        assert p == vpow(1) + vpow(-1, 2)
+        assert hash(p) == hash(vpow(1) + vpow(-1, 2))
+        assert interned(table, {1: 1}) is not p
+        assert len(table) == 2
 
 
 class TestRingAxioms:
