@@ -344,10 +344,10 @@ def property_name(name: str) -> str:
 #: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.1 s for
 #: each.  F4 (1152) takes about 1.2 s and 0.45 s and needs force.
 CBASIS_CAP = 400
-#: Largest |W| for the |W|^2 structure constants.  They take about 0.5 s on
-#: A4 (120) and 2 s on D4 (192), but the jobs that need them cost more: D4
-#: --check about 7 s (5 s of it P15'), and phimatrix is a determinant of size
-#: |W| (B3, 48, takes 12-40 s).
+#: Largest |W| for the |W|^2 structure constants.  They take about 0.2 s on
+#: A4 (120) and 0.6-1.1 s on D4 (192), but the jobs that need them cost more:
+#: D4 --check about 4 s (2-3 s of it P15'), and phimatrix is a determinant of
+#: size |W| (B3, 48, takes 12-40 s).
 HCONST_CAP = 120
 #: Largest |W| where afn checks itself against the structure constants even
 #: when nothing else needs them: up to A3 (24) they take under 0.01 s.
@@ -547,28 +547,51 @@ class KLData:
         r = sx, c_s c_r = c_x + sum of M^s_{z,r} c_z (z < r), so
         h(x, y) = c_s h(r, y) less the M^s_{z,r} h(z, y).  Left
         multiplication by c_s reads each c_s c_w off the W-graph stage, so
-        no Tt-coordinates and no back-substitution are involved.
+        no Tt-coordinates and no back-substitution are involved.  Column y
+        reads only column y.  Each row is summed on {exponent: int} term maps
+        updated in place and wrapped once it is finished, with every
+        coefficient interned over the whole stage, so equal h_{x,y,z} are
+        one object; finished rows are only read.  A4 (120 elements) takes
+        about 0.2 s and D4 (192) 0.6-1.1 s.
         """
         if not self.force:
             check_cap(self.ctype.order(), HCONST_CAP, "structure constants")
         n = len(self.group)
         elements = self.group.elements
         left_table = self.group.left_table
-        wgraph = self.wgraph
+        # c_s c_w as [(z, term map)], and the -M^s_{z,r} with z != sr, the
+        # terms that c_s c_r less c_sr has (read only where sr > r)
+        times = [[[(z, m._terms) for z, m in row.items()] for row in rows]
+                 for rows in self.wgraph]
+        lower = [[[(z, {e: -c for e, c in m._terms.items()}) for z, m in row.items()
+                   if z != left_table[s][r]] for r, row in enumerate(rows)]
+                 for s, rows in enumerate(self.wgraph)]
+        polys: dict = {}  # one LaurentPoly per distinct coefficient
         table: dict[tuple[int, int], Coeffs] = {}
         for y in range(n):
-            table[(0, y)] = {y: _ONE}
+            col = [{y: interned(polys, {0: 1})}]  # col[x] = h(x, y)
             for x in range(1, n):
                 s = elements[x].word[0]
                 r = left_table[s][x]
-                cs = wgraph[s]
-                acc: Coeffs = {}
-                for w, f in table[(r, y)].items():
-                    add_into(acc, cs[w], f)
-                for z, m in cs[r].items():
-                    if z != x:
-                        add_into(acc, table[(z, y)], -m)
-                table[(x, y)] = acc
+                cs = times[s]
+                acc: dict[int, dict[int, int]] = {}
+                for w, f in col[r].items():
+                    for z, m in cs[w]:
+                        t = acc.get(z)
+                        if t is None:  # a product of nonzero terms is nonzero
+                            acc[z] = add_product_into({}, f._terms, m)
+                        elif not add_product_into(t, f._terms, m):
+                            del acc[z]  # cancelled: a later term adds z anew
+                for z, m in lower[s][r]:
+                    for u, g in col[z].items():
+                        t = acc.get(u)
+                        if t is None:
+                            acc[u] = add_product_into({}, g._terms, m)
+                        elif not add_product_into(t, g._terms, m):
+                            del acc[u]
+                col.append({z: interned(polys, t) for z, t in acc.items()})
+            for x, row in enumerate(col):
+                table[(x, y)] = row
         return table
 
     def check_afn(self, a: list[int]) -> None:
@@ -701,30 +724,38 @@ class KLData:
     def _check_P15prime(self) -> CheckResult:
         """Sum_u gamma_{w,x',u^-1} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^-1} if a(w) = a(y).
 
-        Per x, both sides are summed over nonzero gammas into dicts keyed
-        (w, y, x'); the first differing key is the witness (x, x', y, w).
+        Per x, both sides are summed over nonzero gammas into term maps
+        {exponent: int} keyed (w, y, x'), updated in place; the structure
+        constants are only read.  A missing map counts as empty, and the
+        first differing key in sorted order is the witness (x, x', y, w).
+        D4 (192 elements) takes 2-3 s.
         """
         n = len(self.group)
         a = self.afn
         inv = self.group.inverse_index
         hconst = self.hconst
-        by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        by_first: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        by_last: list[list[tuple]] = [[] for _ in range(n)]
+        by_first: list[list[tuple]] = [[] for _ in range(n)]
         for (w, xp, z), g in self.gamma.items():
-            by_last[inv(z)].append((w, xp, g))
-            by_first[w].append((xp, inv(z), g))
+            by_last[inv(z)].append((w, xp, {0: g}))
+            by_first[w].append((xp, inv(z), {0: g}))
+        empty: dict[int, int] = {}
         for x in range(n):
-            lhs: dict[tuple[int, int, int], LaurentPoly] = {}
-            rhs: dict[tuple[int, int, int], LaurentPoly] = {}
+            lhs: dict[tuple[int, int, int], dict[int, int]] = {}
+            rhs: dict[tuple[int, int, int], dict[int, int]] = {}
             for u in range(n):
                 row = hconst[(x, u)]
                 for w, xp, g in by_last[u]:
-                    add_into(lhs, {(w, y, xp): h for y, h in row.items() if a[y] == a[w]}, g)
+                    for y, h in row.items():
+                        if a[y] == a[w]:
+                            add_product_into(lhs.setdefault((w, y, xp), {}), h._terms, g)
             for w in range(n):
                 for u, h in hconst[(x, w)].items():
-                    add_into(rhs, {(w, y, xp): g for xp, y, g in by_first[u] if a[y] == a[w]}, h)
+                    for xp, y, g in by_first[u]:
+                        if a[y] == a[w]:
+                            add_product_into(rhs.setdefault((w, y, xp), {}), h._terms, g)
             for w, y, xp in sorted(lhs.keys() | rhs.keys()):
-                if lhs.get((w, y, xp)) != rhs.get((w, y, xp)):
+                if lhs.get((w, y, xp), empty) != rhs.get((w, y, xp), empty):
                     return CheckResult("P15'", False, (x, xp, y, w))
         return CheckResult("P15'", True)
 
@@ -784,14 +815,21 @@ class JRing:
         self.kl = kl
         self.group = kl.group
 
-    def mul(self, jx: dict[int, int], jy: dict[int, int]) -> dict[int, int]:
+    @cached_property
+    def products(self) -> dict[tuple[int, int], dict[int, int]]:
+        """products[(x, y)] = t_x t_y = {z^-1: gamma_{x,y,z}}, by increasing z."""
         inv = self.group.inverse_index
-        gamma = self.kl.gamma
+        out: dict[tuple[int, int], dict[int, int]] = {}
+        for (x, y, z), g in sorted(self.kl.gamma.items()):
+            out.setdefault((x, y), {})[inv(z)] = g
+        return out
+
+    def mul(self, jx: dict[int, int], jy: dict[int, int]) -> dict[int, int]:
+        products = self.products
         out: dict[int, int] = {}
         for x, cx in jx.items():
             for y, cy in jy.items():
-                add_into(out, {inv(z): gamma[x, y, z] for z in range(len(self.group))
-                               if (x, y, z) in gamma}, cx * cy)
+                add_into(out, products.get((x, y), {}), cx * cy)
         return out
 
     def basis(self, w: int) -> dict[int, int]:

@@ -254,6 +254,18 @@ def check_star_compatibility(data: KLData) -> CheckResult:
     return CheckResult("star", True)
 
 
+def jring_mul_by_scan(data: KLData, jx: dict[int, int], jy: dict[int, int]) -> dict[int, int]:
+    """Oracle: t_x t_y = sum of gamma_{x,y,z} t_{z^-1}, probing every z for each (x, y)."""
+    inv = data.group.inverse_index
+    gamma = data.gamma
+    out: dict[int, int] = {}
+    for x, cx in jx.items():
+        for y, cy in jy.items():
+            add_into(out, {inv(z): gamma[x, y, z] for z in range(len(data.group))
+                           if (x, y, z) in gamma}, cx * cy)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # partitions and decomposition matrices
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (bruhat_leq, check_star_compatibility, cs_times_cw, dim_bipartition,
-                     jmap, kl_cbasis_all_products, tau, wgraph_by_products)
+                     jmap, jring_mul_by_scan, kl_cbasis_all_products, tau, wgraph_by_products)
 
 
 def algebra(family, rank, a, b=None):
@@ -108,12 +108,14 @@ def afn_from_hconst(data):
     return a
 
 
+@lru_cache(maxsize=None)
 def hconst_by_cexpand(data):
     """Oracle: h[(x, y)] from Tt-coordinates and back-substitution, over all |W|^2 pairs.
 
     For each y, the column Tt_w c_y comes from Tt_sw c_y by one left
     multiplication by Tt_s; c_x c_y sums p_{u,x} Tt_u c_y over the Tt-terms of
-    c_x, and cexpand turns it into c-coordinates.
+    c_x, and cexpand turns it into c-coordinates.  Cached per KLData (B3
+    takes seconds); callers only read the table.
     """
     n = len(data.group)
     alg, W = data.algebra, data.group
@@ -364,6 +366,16 @@ class TestStructureConstants:
     def test_w_graph_recursion_matches_cexpand_oracle(self, family, rank, a, b):
         data = shared_kl(family, rank, a, b)
         assert data.hconst == hconst_by_cexpand(data)
+
+    @pytest.mark.parametrize("family,rank,a,b", [("G2", 2, 1, 2), ("B", 3, 1, 2)])
+    def test_structure_constants_are_interned_and_never_changed(self, family, rank, a, b):
+        # equal h_{x,y,z} are one object, shared by many rows, so neither the
+        # recursion nor any check may update one in place
+        data = kl(algebra(family, rank, a, b))
+        coeffs = [p for row in data.hconst.values() for p in row.values()]
+        assert len({id(p) for p in coeffs}) == len(set(coeffs))
+        assert all(data.check_all())
+        assert data.hconst == hconst_by_cexpand(shared_kl(family, rank, a, b))
 
     @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("G2", 2, 1, 2)])
     def test_w_graph_rows_are_c_coordinates_of_cs_cw(self, family, rank, a, b):
@@ -617,6 +629,30 @@ class TestPropertyChecks:
                 assert lhs != rhs
         assert failures
 
+    @pytest.mark.parametrize("family,rank,a,b,step", [("B", 2, 1, 3, 1), ("G2", 2, 1, 2, 15)],
+                             ids=["B2", "G2"])
+    def test_p15prime_fails_on_a_raised_structure_constant(self, family, rank, a, b, step):
+        # h_{x,u,y} + v + v^-1 at every step-th (x, u, y) with a(y) = a(u):
+        # those are the entries that meet a nonzero gamma on either side
+        base = shared_kl(family, rank, a, b)
+        afn = base.afn
+        keys = sorted((x, u, y) for (x, u), row in base.hconst.items()
+                      for y in row if afn[y] == afn[u])
+        failures = 0
+        for x, u, y in keys[::step]:
+            data = KLData(base.ctype, base.weights)
+            data.afn, data.gamma = base.afn, base.gamma
+            data.hconst = dict(base.hconst)
+            row = data.hconst[(x, u)] = dict(base.hconst[(x, u)])
+            row[y] = row[y] + vpow(1) + vpow(-1)
+            res = data.check_property("P15")
+            assert res.witness == p15prime_dense_witness(data)
+            if not res.passed:
+                failures += 1
+                lhs, rhs = p15prime_sides(data, *res.witness)
+                assert lhs != rhs
+        assert failures
+
     def test_unknown_property(self):
         with pytest.raises(ValueError):
             kl(S3).check_property("P9")
@@ -636,6 +672,20 @@ class TestJRingAndPhi:
                 for z in range(n):
                     assert ring.mul(left, ring.basis(z)) == \
                         ring.mul(ring.basis(x), ring.mul(ring.basis(y), ring.basis(z)))
+
+    @pytest.mark.parametrize("family,rank,a,b", [("G2", 2, 1, 2), ("B", 3, 1, 2)])
+    def test_mul_matches_the_scan_oracle(self, family, rank, a, b):
+        data = shared_kl(family, rank, a, b)
+        ring = data.jring
+        n = len(data.group)
+        for x in range(n):
+            for y in range(n):
+                jx, jy = ring.basis(x), ring.basis(y)
+                # the same terms in the same order
+                assert list(ring.mul(jx, jy).items()) == \
+                    list(jring_mul_by_scan(data, jx, jy).items())
+        unit = ring.unit
+        assert ring.mul(unit, unit) == jring_mul_by_scan(data, unit, unit) == unit
 
     def test_idempotents(self):
         data = kl(B2_13)
