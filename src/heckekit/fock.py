@@ -121,7 +121,7 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
     for mp, coeff in vec.items():
         terms = {}
         na = 0
-        for _, kind, a, b, c in _words(mp, params)[i][0]:
+        for _, kind, a, b, c, _ in _words(mp, params)[i][0]:
             if kind == "R":
                 terms[_remove_box(mp, a, b, c)] = vpow(-na)
                 na -= 1
@@ -143,10 +143,9 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     for mp, coeff in vec.items():
         terms = {}
         nb = 0
-        for _, kind, a, b, c in reversed(_words(mp, params)[i][0]):
+        for _, kind, _, _, c, added in reversed(_words(mp, params)[i][0]):
             if kind == "A":
-                part = mp[c - 1]
-                terms[mp[:c - 1] + (part[:a - 1] + (b,) + part[a:],) + mp[c:]] = vpow(nb)
+                terms[mp[:c - 1] + (added,) + mp[c:]] = vpow(nb)
                 nb += 1
             else:
                 nb -= 1
@@ -164,66 +163,138 @@ def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> Fo
 
 
 # ---------------------------------------------------------------------------
-# signature cancellation and crystal operators
+# rims, signature cancellation and crystal operators
 # ---------------------------------------------------------------------------
+
+def _component_rim(part: Partition, c: int, params: FockParams) -> tuple[list, ...]:
+    """The addable and removable nodes of component c, one list per residue.
+
+    Entry (key, 'A'|'R', row, col, c, added) has key = content * r + (r - c),
+    content = col - row + u_c, and added is part with the node added for 'A'
+    and None for 'R'.  Contents along one rim are distinct and fall down the
+    rows, so walking the rows bottom-up leaves every list sorted by key.
+    """
+    l, r, u = params.l, params.r, params.u[c - 1]
+    rim: tuple[list, ...] = tuple([] for _ in range(l))
+    depth = len(part)
+    for a in range(depth + 1, 0, -1):
+        cur = part[a - 1] if a <= depth else 0
+        if a <= depth and (a == depth or part[a] < cur):
+            cont = cur - a + u
+            rim[cont % l].append((cont * r + r - c, "R", a, cur, c, None))
+        if a == 1 or part[a - 2] > cur:
+            cont = cur + 1 - a + u
+            rim[cont % l].append((cont * r + r - c, "A", a, cur + 1, c,
+                                  part[:a - 1] + (cur + 1,) + part[a:]))
+    return rim
+
+
+@lru_cache(maxsize=1)
+def _rim_table(params: FockParams) -> dict[tuple[Partition, int], tuple[list, ...]]:
+    """The rims met so far under params, keyed (partition, component); the
+    single slot drops them when the parameters change."""
+    return {}
+
+
+def _rims(mp: Multipartition, params: FockParams) -> list[tuple[list, ...]]:
+    """The cached rim of every component, the larger component first."""
+    table = _rim_table(params)
+    out = []
+    for c in range(len(mp), 0, -1):
+        rim = table.get((mp[c - 1], c))
+        if rim is None:
+            rim = table[mp[c - 1], c] = _component_rim(mp[c - 1], c, params)
+        out.append(rim)
+    return out
+
+
+def _word(rims: list[tuple[list, ...]], i: int, flotw: bool) -> list:
+    """The i-word, highest node first: the components' i-lists concatenated,
+    and sorted by key in the FLOTW order.  The ARIKI order puts the larger
+    component first and, inside a component, the larger row first, which is
+    the concatenation as it stands."""
+    word = [entry for rim in rims for entry in rim[i]]
+    if flotw:
+        word.sort()
+    return word
+
+
+def _reduced(word: list) -> list:
+    """The word after signature cancellation: a removable node directly above
+    an addable one cancels with it, so what is left is A...A R...R."""
+    stack: list[tuple] = []
+    for entry in word:
+        if entry[1] == "A" and stack and stack[-1][1] == "R":
+            stack.pop()
+        else:
+            stack.append(entry)
+    return stack
+
 
 @lru_cache(maxsize=1)
 def _words(mp: Multipartition, params: FockParams) -> tuple[tuple[list, list], ...]:
-    """The i-word and the reduced i-word of every residue i, from one walk over the rims.
+    """Entry i is the pair (i-word, reduced i-word) of mp, merged from the
+    cached rims of its components (see `_component_rim` for the entries).
 
-    Row a of a component has an addable node at its end exactly when row a-1
-    is longer, and then row a-1 ends in a removable node.  Each node goes
-    into the bucket of its residue as an entry (key, 'A'|'R', row, col,
-    comp), where key is (content, -comp) in the FLOTW order and (-comp, -row)
-    in the ARIKI order, content = col - row + u_comp; at equal keys 'A' sorts
-    before 'R'.  Each bucket is sorted, highest first, and a removable node
-    directly above an addable one cancels with it.  Entry i of the result is the pair
-    (i-word, reduced i-word); callers must not mutate them.  The single slot
-    serves the l back-to-back calls for one multipartition in `crystal`.
+    Callers must not mutate the lists.  The single slot serves the l
+    back-to-back calls for one multipartition in `etilde`-driven searches
+    such as `kleshchev_member`, and E, F and K applied to one vector.
     """
-    l, flotw = params.l, params.node_order == FLOTW
-    buckets: list[list] = [[] for _ in range(l)]
-    for c, (part, u) in enumerate(zip(mp, params.u), start=1):
-        prev = None
-        for a, cur in enumerate(part + (0,), start=1):
-            if cur == prev:
-                continue
-            cont = cur + 1 - a + u
-            buckets[cont % l].append(
-                ((cont, -c) if flotw else (-c, -a), "A", a, cur + 1, c))
-            if prev is not None:
-                cont = prev + 1 - a + u
-                buckets[cont % l].append(
-                    ((cont, -c) if flotw else (-c, 1 - a), "R", a - 1, prev, c))
-            prev = cur
+    rims, flotw = _rims(mp, params), params.node_order == FLOTW
+    return tuple((word, _reduced(word))
+                 for word in (_word(rims, i, flotw) for i in range(params.l)))
+
+
+def _cogood_targets(mp: Multipartition, params: FockParams) -> list:
+    """f~_i mp for every residue i, None where mp has no cogood i-node.
+
+    The cogood node is the last addable node left by `_reduced`: an addable
+    node survives when no removable node above it is still waiting for an
+    addable one to cancel with, so a count of those stands in for the stack.
+    """
+    rims, flotw = _rims(mp, params), params.node_order == FLOTW
     out = []
-    for bucket in buckets:
-        bucket.sort()
-        stack: list[tuple] = []
-        for entry in bucket:
-            if entry[1] == "A" and stack and stack[-1][1] == "R":
-                stack.pop()  # a removable directly above an addable cancels
+    for i in range(params.l):
+        waiting, cogood = 0, None
+        for entry in _word(rims, i, flotw):
+            if entry[1] == "R":
+                waiting += 1
+            elif waiting:
+                waiting -= 1
             else:
-                stack.append(entry)
-        out.append((bucket, stack))
-    return tuple(out)
+                cogood = entry
+        if cogood is None:
+            out.append(None)
+        else:
+            c = cogood[4]
+            out.append(mp[:c - 1] + (cogood[5],) + mp[c:])
+    return out
+
+
+#: mp, params and `_cogood_targets(mp, params)` of the last `ftilde` call.
+_cogood_slot: list = [None, None, None]
 
 
 def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
     """mp minus its good i-node, read straight off the reduced i-word."""
-    for _, kind, a, b, c in _words(mp, params)[i][1]:
+    for _, kind, a, b, c, _ in _words(mp, params)[i][1]:
         if kind == "R":
             return _remove_box(mp, a, b, c)
     return None
 
 
 def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
-    """mp plus its cogood i-node, read straight off the reduced i-word."""
-    for _, kind, a, b, c in reversed(_words(mp, params)[i][1]):
-        if kind == "A":
-            part = mp[c - 1]
-            return mp[:c - 1] + (part[:a - 1] + (b,) + part[a:],) + mp[c:]
-    return None
+    """mp plus its cogood i-node.
+
+    The l targets of mp are computed together and kept in a single slot for
+    the l back-to-back calls on one vertex in `crystal`.  The slot is checked
+    by identity, which is cheaper than hashing mp and params; an equal but
+    distinct mp or params only computes the targets again.
+    """
+    slot = _cogood_slot
+    if slot[0] is not mp or slot[1] is not params:
+        slot[:] = mp, params, _cogood_targets(mp, params)
+    return slot[2][i]
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +331,13 @@ class CrystalGraph:
 
     def to_json(self) -> str:
         """The text of `json.dumps({"levels": ..., "edges": ...}, sort_keys=True)`
-        with edges sorted by their text, built from one rendering per vertex:
-        for int lists `str` and `json.dumps` agree."""
-        texts = [[str(list(map(list, mp))) for mp in level] for level in self.levels]
+        with edges sorted by their text, built from one rendering per vertex,
+        joined from one rendering per distinct partition: for int lists `str`
+        and `json.dumps` agree."""
+        parts = {part for level in self.levels for mp in level for part in mp}
+        rendered = {part: str(list(part)) for part in parts}
+        texts = [["[" + ", ".join([rendered[part] for part in mp]) + "]" for mp in level]
+                 for level in self.levels]
         edges = sorted(f"[{a}, {b}, {i}]" for a, b, i in self._arrows_over(texts))
         levels = ("[" + ", ".join(level) + "]" for level in texts)
         return '{"edges": [' + ", ".join(edges) + '], "levels": [' + ", ".join(levels) + "]}"
@@ -285,7 +360,11 @@ def _check_level(n: int) -> None:
 
 
 def crystal(params: FockParams, n: int) -> CrystalGraph:
-    """Breadth-first closure of the empty multipartition under cogood addition."""
+    """Breadth-first closure of the empty multipartition under cogood addition.
+
+    `ftilde` is called for every (vertex, i) in turn; the l calls on one
+    vertex read the targets of one merge of its cached component rims.
+    """
     _check_level(n)
     graph = CrystalGraph(params)
     current = [empty_mp(params.r)]
@@ -421,19 +500,32 @@ def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:
     """Membership in the component-order crystal at the residue classes of u.
 
     mp is a member when some chain of good-node removals reaches the empty
-    multipartition; the memo of visited multipartitions lives for one call.
+    multipartition.  The chains are searched depth first with an explicit
+    stack, trying residue 0 first, so the depth is not bounded by Python's
+    recursion limit; the memo of visited multipartitions lives for one call.
     """
     mp = check_multipartition(mp, params.r)
     params = FockParams(l=params.l, r=params.r, u=tuple(x % params.l for x in params.u),
                         node_order=ARIKI)
     memo: dict[Multipartition, bool] = {}
+    stack: list[tuple[Multipartition, list[Multipartition]]] = []
 
-    def member(mp: Multipartition) -> bool:
-        if mp not in memo:
-            # all l good nodes before any recursion: one scan of mp's rim
-            below = [etilde(mp, i, params) for i in range(params.l)]
-            memo[mp] = mp_size(mp) == 0 or any(
-                smaller is not None and member(smaller) for smaller in below)
-        return memo[mp]
+    def enter(mp: Multipartition) -> None:
+        # all l good nodes before descending: one merge of mp's rims
+        below = [etilde(mp, i, params) for i in range(params.l)]
+        stack.append((mp, [smaller for smaller in reversed(below) if smaller is not None]))
 
-    return member(mp)
+    enter(mp)
+    found = False  # the verdict of the last multipartition settled
+    while stack:
+        top, below = stack[-1]
+        if below and not found:
+            smaller = below.pop()
+            if smaller in memo:
+                found = memo[smaller]
+            else:
+                enter(smaller)
+        else:
+            memo[top] = found = found or mp_size(top) == 0
+            stack.pop()
+    return memo[mp]

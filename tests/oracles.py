@@ -17,7 +17,8 @@ from heckekit.basicsets import BasicSetResult, DecompMatrix
 from heckekit.cli import _witness
 from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
                               _column_negative, _mat_mul)
-from heckekit.fock import FLOTW, FockParams, FockVector, Multipartition, _words
+from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _words,
+                           check_multipartition, etilde, mp_size)
 from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, HeckeElement, KLData
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import Partition, standard_tableaux
@@ -338,7 +339,8 @@ def check_dominance_triangularity(matrix: DecompMatrix,
 # ---------------------------------------------------------------------------
 # The Node-based construction below (residue, sort_key, addable, removable,
 # ncount, add_node, remove_node) builds each residue's node lists on its own;
-# it is the oracle for the one rim scan `fock._words` behind every operator.
+# it is the oracle for the per-component rims that `fock._words` and
+# `fock.ftilde` merge.
 
 class Node(NamedTuple):
     row: int
@@ -432,7 +434,7 @@ def icount(mp: Multipartition, i: int, params: FockParams) -> int:
 
 
 def _node_word(entries) -> list[tuple[Node, str]]:
-    return [(Node(a, b, c), kind) for _, kind, a, b, c in entries]
+    return [(Node(a, b, c), kind) for _, kind, a, b, c, _ in entries]
 
 
 def i_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
@@ -447,7 +449,7 @@ def reduced_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[N
 
 def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Highest removable i-node surviving cancellation, if any."""
-    for _, kind, a, b, c in _words(mp, params)[i][1]:
+    for _, kind, a, b, c, _ in _words(mp, params)[i][1]:
         if kind == "R":
             return Node(a, b, c)
     return None
@@ -455,10 +457,28 @@ def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
 
 def cogood_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Lowest addable i-node surviving cancellation, if any."""
-    for _, kind, a, b, c in reversed(_words(mp, params)[i][1]):
+    for _, kind, a, b, c, _ in reversed(_words(mp, params)[i][1]):
         if kind == "A":
             return Node(a, b, c)
     return None
+
+
+def kleshchev_member_oracle(mp: Multipartition, params: FockParams) -> bool:
+    """`fock.kleshchev_member` as one recursive call per multipartition on the
+    chain; a chain of k removals needs a recursion limit above about 2k."""
+    mp = check_multipartition(mp, params.r)
+    params = FockParams(l=params.l, r=params.r, u=tuple(x % params.l for x in params.u),
+                        node_order=ARIKI)
+    memo: dict[Multipartition, bool] = {}
+
+    def member(mp: Multipartition) -> bool:
+        if mp not in memo:
+            below = [etilde(mp, i, params) for i in range(params.l)]
+            memo[mp] = mp_size(mp) == 0 or any(
+                smaller is not None and member(smaller) for smaller in below)
+        return memo[mp]
+
+    return member(mp)
 
 
 def normal_nodes_literal(mp: Multipartition, i: int, params: FockParams) -> list[Node]:

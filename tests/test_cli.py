@@ -97,7 +97,10 @@ class TestCrystalCommand:
         assert code == 2
 
     @pytest.mark.parametrize("l, u, n, order", [
-        (4, (0, 1, 3), 7, FLOTW), (3, (0, 1), 7, ARIKI)])
+        (4, (0, 1, 3), 7, FLOTW), (3, (0, 1), 7, ARIKI),
+        (5, (2,), 8, FLOTW),          # one component
+        (2, (0, 0), 6, FLOTW),        # vertices with equal components share a text
+        (2, (0, 0), 6, ARIKI)])
     def test_json_bytes_match_oracle(self, capsys, l, u, n, order):
         code, out, _ = run(capsys, "crystal", "--l", str(l), "--r", str(len(u)),
                            "--u", ",".join(map(str, u)), "--n", str(n),

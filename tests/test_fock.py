@@ -1,19 +1,21 @@
 import json
+import sys
 
 import pytest
 
 from heckekit import fock
 from heckekit.fock import (ARIKI, FLOTW, LEVEL_CAP, FockParams, LevelCapExceeded,
                            ParamsOutOfRange, crystal, empty_mp, etilde,
-                           flotw_member, ftilde, kleshchev_member, mp_text,
+                           flotw_member, ftilde, kleshchev_member, mp_size, mp_text,
                            multipartitions, quantum_E, quantum_F, quantum_K,
                            unit_vector, uryu_set)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, partitions
 from oracles import (Node, above, add_node, addable, cartan_pairing, classical_d,
                      classical_e, classical_f, classical_h, cogood_node, good_node,
-                     i_word, icount, ind, ncount, normal_nodes_literal, quantum_D,
-                     reduced_word, removable, remove_node, res, residue, sort_key)
+                     i_word, icount, ind, kleshchev_member_oracle, ncount,
+                     normal_nodes_literal, quantum_D, reduced_word, removable,
+                     remove_node, res, residue, sort_key)
 
 P22 = FockParams(l=2, r=2, u=(0, 1), node_order=FLOTW)
 A22 = FockParams(l=2, r=2, u=(0, 1), node_order=ARIKI)
@@ -389,7 +391,13 @@ class TestSignatureOracle:
         (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 9),
         (FockParams(l=6, r=2, u=(0, 3), node_order=FLOTW), 10),
         (FockParams(l=3, r=3, u=(0, 0, 2), node_order=ARIKI), 7),
-    ], ids=["l4-n9", "l6-n10", "l3-ariki-n7"])
+        (FockParams(l=3, r=2, u=(-1, 4), node_order=FLOTW), 8),
+        (FockParams(l=3, r=2, u=(-1, 4), node_order=ARIKI), 8),
+        (FockParams(l=5, r=1, u=(2,), node_order=FLOTW), 10),
+        (FockParams(l=3, r=4, u=(0, 0, 1, 2), node_order=ARIKI), 6),
+        (FockParams(l=3, r=2, u=(1, 0), node_order=FLOTW), 8),
+    ], ids=["l4-n9", "l6-n10", "l3-ariki-n7", "negative-flotw", "negative-ariki",
+            "r1", "r4-ariki", "unsorted-flotw"])
     def test_crystal_matches_oracle_closure(self, p, n):
         levels, edges = crystal_oracle(p, n)
         g = crystal(p, n)
@@ -417,6 +425,41 @@ class TestSignatureOracle:
                         assert second == ftilde_oracle(mp, i, p2)
                         differ += first != second
         assert differ > 0
+
+    def test_tables_isolated_between_params(self):
+        # one mp object under two parameter sets, and under equal but distinct
+        # ones, right after a closure under a third: the rim table, the word
+        # slot and the cogood slot must all follow the parameters
+        crystal(FockParams(l=4, r=2, u=(0, 2), node_order=FLOTW), 6)
+        grid = [FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW),
+                FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI),
+                FockParams(l=3, r=2, u=(0, 2), node_order=FLOTW),
+                FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW)]
+        assert grid[0] == grid[3] and grid[0] is not grid[3]
+        differ = 0
+        for n in range(6):
+            for mp in multipartitions(2, n):
+                for i in range(3):
+                    answers = set()
+                    for p in grid:
+                        up, down = ftilde(mp, i, p), etilde(mp, i, p)
+                        good = good_node_oracle(mp, i, p)
+                        assert up == ftilde_oracle(mp, i, p), (mp, i, p)
+                        assert down == (None if good is None else remove_node(mp, good))
+                        answers.add((up, down))
+                    differ += len(answers) > 1
+        assert differ > 0
+
+    def test_ariki_words_past_the_level_cap(self):
+        # the ARIKI word is the concatenation of the component rims, with no
+        # bound on contents: components far past LEVEL_CAP keep their order
+        p = FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI)
+        wide = 3 * LEVEL_CAP
+        for mp in [((), (wide,)), ((wide,), ()), ((1,) * wide, (wide, 2)),
+                   ((wide, wide), (1,) * wide)]:
+            for i in range(3):
+                assert reduced_word(mp, i, p) == reduced_word_oracle(mp, i, p), (mp, i)
+                assert ftilde(mp, i, p) == ftilde_oracle(mp, i, p), (mp, i)
 
     @pytest.mark.parametrize("p, n", [
         (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 8),
@@ -466,7 +509,23 @@ class TestCrystalOperators:
             for n in range(6):
                 level = uryu_set(pa, n)
                 for mp in multipartitions(2, n):
-                    assert kleshchev_member(mp, p) == (mp in level), (u, mp)
+                    got = kleshchev_member(mp, p)
+                    assert got == (mp in level), (u, mp)
+                    assert got == kleshchev_member_oracle(mp, p), (u, mp)
+
+    @pytest.mark.parametrize("mp", [((1100,), ()), ((), (1100,)), ((550,), (550,))])
+    def test_kleshchev_member_past_the_recursion_limit(self, mp):
+        # a chain of 1,100 removals: the recursive oracle needs a raised limit
+        p = FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI)
+        limit = sys.getrecursionlimit()
+        assert limit < 2 * mp_size(mp)
+        got = kleshchev_member(mp, p)
+        sys.setrecursionlimit(4 * mp_size(mp) + 100)
+        try:
+            expected = kleshchev_member_oracle(mp, p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == expected
 
 
 class TestQuantumAction:
