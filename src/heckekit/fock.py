@@ -99,12 +99,6 @@ def mp_text(mp: Multipartition) -> str:
 # quantum operators
 # ---------------------------------------------------------------------------
 
-def _remove_box(mp: Multipartition, a: int, b: int, c: int) -> Multipartition:
-    """mp without its removable node (row a, column b) of component c."""
-    part = mp[c - 1]
-    return mp[:c - 1] + (part[:a - 1] + ((b - 1,) if b > 1 else ()) + part[a:],) + mp[c:]
-
-
 def unit_vector(mp: Multipartition) -> FockVector:
     return {mp: LaurentPoly.one()}
 
@@ -121,9 +115,9 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
     for mp, coeff in vec.items():
         terms = {}
         na = 0
-        for _, kind, a, b, c, _ in _words(mp, params)[i][0]:
-            if kind == "R":
-                terms[_remove_box(mp, a, b, c)] = vpow(-na)
+        for entry in _iword(mp, i, params):
+            if entry[1] == "R":
+                terms[_moved(mp, entry)] = vpow(-na)
                 na -= 1
             else:
                 na += 1
@@ -143,9 +137,9 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     for mp, coeff in vec.items():
         terms = {}
         nb = 0
-        for _, kind, _, _, c, added in reversed(_words(mp, params)[i][0]):
-            if kind == "A":
-                terms[mp[:c - 1] + (added,) + mp[c:]] = vpow(nb)
+        for entry in reversed(_iword(mp, i, params)):
+            if entry[1] == "A":
+                terms[_moved(mp, entry)] = vpow(nb)
                 nb += 1
             else:
                 nb -= 1
@@ -157,7 +151,7 @@ def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> Fo
     """Scale mp by v^(power N_i), N_i = #A - #R in mp's i-word."""
     out: FockVector = {}
     for mp, coeff in vec.items():
-        n = sum(1 if kind == "A" else -1 for _, kind, *_ in _words(mp, params)[i][0])
+        n = sum(1 if entry[1] == "A" else -1 for entry in _iword(mp, i, params))
         add_into(out, {mp: coeff * vpow(power * n)})
     return out
 
@@ -169,10 +163,10 @@ def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> Fo
 def _component_rim(part: Partition, c: int, params: FockParams) -> tuple[list, ...]:
     """The addable and removable nodes of component c, one list per residue.
 
-    Entry (key, 'A'|'R', row, col, c, added) has key = content * r + (r - c),
-    content = col - row + u_c, and added is part with the node added for 'A'
-    and None for 'R'.  Contents along one rim are distinct and fall down the
-    rows, so walking the rows bottom-up leaves every list sorted by key.
+    Entry (key, 'A'|'R', row, col, c, moved) has key = content * r + (r - c),
+    content = col - row + u_c, and moved is part with the node added for 'A'
+    and removed for 'R'.  Contents along one rim are distinct and fall down
+    the rows, so walking the rows bottom-up leaves every list sorted by key.
     """
     l, r, u = params.l, params.r, params.u[c - 1]
     rim: tuple[list, ...] = tuple([] for _ in range(l))
@@ -181,7 +175,8 @@ def _component_rim(part: Partition, c: int, params: FockParams) -> tuple[list, .
         cur = part[a - 1] if a <= depth else 0
         if a <= depth and (a == depth or part[a] < cur):
             cont = cur - a + u
-            rim[cont % l].append((cont * r + r - c, "R", a, cur, c, None))
+            rim[cont % l].append((cont * r + r - c, "R", a, cur, c,
+                                  part[:a - 1] + ((cur - 1,) if cur > 1 else ()) + part[a:]))
         if a == 1 or part[a - 2] > cur:
             cont = cur + 1 - a + u
             rim[cont % l].append((cont * r + r - c, "A", a, cur + 1, c,
@@ -219,82 +214,70 @@ def _word(rims: list[tuple[list, ...]], i: int, flotw: bool) -> list:
     return word
 
 
-def _reduced(word: list) -> list:
-    """The word after signature cancellation: a removable node directly above
-    an addable one cancels with it, so what is left is A...A R...R."""
-    stack: list[tuple] = []
-    for entry in word:
-        if entry[1] == "A" and stack and stack[-1][1] == "R":
-            stack.pop()
-        else:
-            stack.append(entry)
-    return stack
+def _iword(mp: Multipartition, i: int, params: FockParams) -> list:
+    """The i-word of mp, highest node first (see `_component_rim` for the entries)."""
+    return _word(_rims(mp, params), i, params.node_order == FLOTW)
 
 
-@lru_cache(maxsize=1)
-def _words(mp: Multipartition, params: FockParams) -> tuple[tuple[list, list], ...]:
-    """Entry i is the pair (i-word, reduced i-word) of mp, merged from the
-    cached rims of its components (see `_component_rim` for the entries).
+def _moved(mp: Multipartition, entry: tuple) -> Multipartition:
+    """mp with the node of a word entry added ('A') or removed ('R')."""
+    c = entry[4]
+    return mp[:c - 1] + (entry[5],) + mp[c:]
 
-    Callers must not mutate the lists.  The single slot serves the l
-    back-to-back calls for one multipartition in `etilde`-driven searches
-    such as `kleshchev_member`, and E, F and K applied to one vector.
+
+def _targets(mp: Multipartition, params: FockParams, add: bool) -> list:
+    """f~_i mp (add) or e~_i mp (not add) for every residue i, None where mp
+    has no cogood or good i-node.
+
+    Signature cancellation pairs each removable node with the nearest free
+    addable node below it.  Scanned downwards, an addable node survives when
+    no removable node above it is still waiting for one, so a count of those
+    stands in for a stack, and the cogood node is the last survivor.  Scanned
+    upwards with the kinds swapped, the good node is the last surviving
+    removable node.
     """
     rims, flotw = _rims(mp, params), params.node_order == FLOTW
-    return tuple((word, _reduced(word))
-                 for word in (_word(rims, i, flotw) for i in range(params.l)))
-
-
-def _cogood_targets(mp: Multipartition, params: FockParams) -> list:
-    """f~_i mp for every residue i, None where mp has no cogood i-node.
-
-    The cogood node is the last addable node left by `_reduced`: an addable
-    node survives when no removable node above it is still waiting for an
-    addable one to cancel with, so a count of those stands in for the stack.
-    """
-    rims, flotw = _rims(mp, params), params.node_order == FLOTW
+    blocker = "R" if add else "A"
     out = []
     for i in range(params.l):
-        waiting, cogood = 0, None
-        for entry in _word(rims, i, flotw):
-            if entry[1] == "R":
+        word = _word(rims, i, flotw)
+        waiting, node = 0, None
+        for entry in (word if add else reversed(word)):
+            if entry[1] == blocker:
                 waiting += 1
             elif waiting:
                 waiting -= 1
             else:
-                cogood = entry
-        if cogood is None:
-            out.append(None)
-        else:
-            c = cogood[4]
-            out.append(mp[:c - 1] + (cogood[5],) + mp[c:])
+                node = entry
+        out.append(None if node is None else _moved(mp, node))
     return out
 
 
-#: mp, params and `_cogood_targets(mp, params)` of the last `ftilde` call.
-_cogood_slot: list = [None, None, None]
+#: mp, params, add and `_targets(mp, params, add)` of the last `etilde` or
+#: `ftilde` call.
+_slot: list = [None, None, None, None]
+
+
+def _target(mp: Multipartition, i: int, params: FockParams, add: bool) -> Optional[Multipartition]:
+    """Entry i of `_targets(mp, params, add)`, kept in a single slot for the l
+    back-to-back calls on one vertex.  The slot is checked by identity, which
+    is cheaper than hashing mp and params; an equal but distinct mp or params
+    only computes the targets again."""
+    slot = _slot
+    if slot[0] is not mp or slot[1] is not params or slot[2] is not add:
+        slot[:] = mp, params, add, _targets(mp, params, add)
+    return slot[3][i]
 
 
 def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
-    """mp minus its good i-node, read straight off the reduced i-word."""
-    for _, kind, a, b, c, _ in _words(mp, params)[i][1]:
-        if kind == "R":
-            return _remove_box(mp, a, b, c)
-    return None
+    """mp minus its good i-node."""
+    return _target(mp, i, params, False)
 
 
 def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
-    """mp plus its cogood i-node.
-
-    The l targets of mp are computed together and kept in a single slot for
-    the l back-to-back calls on one vertex in `crystal`.  The slot is checked
-    by identity, which is cheaper than hashing mp and params; an equal but
-    distinct mp or params only computes the targets again.
-    """
-    slot = _cogood_slot
-    if slot[0] is not mp or slot[1] is not params:
-        slot[:] = mp, params, _cogood_targets(mp, params)
-    return slot[2][i]
+    """mp plus its cogood i-node; the l calls on one vertex in `crystal` read
+    one `_targets` list."""
+    return _target(mp, i, params, True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +346,7 @@ def crystal(params: FockParams, n: int) -> CrystalGraph:
     """Breadth-first closure of the empty multipartition under cogood addition.
 
     `ftilde` is called for every (vertex, i) in turn; the l calls on one
-    vertex read the targets of one merge of its cached component rims.
+    vertex read the targets of one `_targets` pass over its cached rims.
     """
     _check_level(n)
     graph = CrystalGraph(params)
@@ -449,11 +432,6 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
     return out
 
 
-def _flotw_conditions(mp: Multipartition, params: FockParams) -> bool:
-    """The FLOTW conditions on a checked multipartition at normalised charges."""
-    return _flotw_bounds(mp, params) and _flotw_residues(mp, params)
-
-
 def _flotw_bounds(mp: Multipartition, params: FockParams) -> bool:
     """(a) Each component bounds the next one shifted by the charge gap,
     lambda^j_i >= lambda^{j+1}_{i + u_{j+1} - u_j}, and cyclically
@@ -487,13 +465,14 @@ def flotw_member(mp: Multipartition, params: FockParams) -> bool:
     the theorem of Foda, Leclerc, Okado, Thibon and Welsh (Adv. Math. 141,
     1999), as stated for canonical basic sets in Geck-Jacon,
     "Representations of Hecke algebras at roots of unity" (2011).  The
-    conditions are those of `_flotw_conditions`; their orientation, each
-    component bounding the next, matches this node order's tie-breaking
+    conditions are `_flotw_bounds` and `_flotw_residues`; their orientation,
+    each component bounding the next, matches this node order's tie-breaking
     towards the larger component.
     """
     if not params.flotw_ok():
         raise ParamsOutOfRange(f"u = {params.u} not sorted inside [0, {params.l - 1}]")
-    return _flotw_conditions(check_multipartition(mp, params.r), params)
+    mp = check_multipartition(mp, params.r)
+    return _flotw_bounds(mp, params) and _flotw_residues(mp, params)
 
 
 def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:
@@ -511,8 +490,8 @@ def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:
     stack: list[tuple[Multipartition, list[Multipartition]]] = []
 
     def enter(mp: Multipartition) -> None:
-        # all l good nodes before descending: one merge of mp's rims
-        below = [etilde(mp, i, params) for i in range(params.l)]
+        # all l good removals before descending, from one `_targets` pass
+        below = _targets(mp, params, False)
         stack.append((mp, [smaller for smaller in reversed(below) if smaller is not None]))
 
     enter(mp)

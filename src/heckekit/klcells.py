@@ -724,8 +724,8 @@ class KLData:
     def _check_P15prime(self) -> CheckResult:
         """Sum_u gamma_{w,x',u^-1} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^-1} if a(w) = a(y).
 
-        Per x, both sides are summed over nonzero gammas into term maps
-        {exponent: int} keyed (w, y, x'), updated in place; the structure
+        Per x, both sides add each h scaled by its nonzero integer gamma into
+        term maps {exponent: int} keyed (w, y, x'), updated in place; the structure
         constants are only read.  A missing map counts as empty, and the
         first differing key in sorted order is the witness (x, x', y, w).
         D4 (192 elements) takes 2-3 s.
@@ -737,8 +737,8 @@ class KLData:
         by_last: list[list[tuple]] = [[] for _ in range(n)]
         by_first: list[list[tuple]] = [[] for _ in range(n)]
         for (w, xp, z), g in self.gamma.items():
-            by_last[inv(z)].append((w, xp, {0: g}))
-            by_first[w].append((xp, inv(z), {0: g}))
+            by_last[inv(z)].append((w, xp, g))
+            by_first[w].append((xp, inv(z), g))
         empty: dict[int, int] = {}
         for x in range(n):
             lhs: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -748,12 +748,12 @@ class KLData:
                 for w, xp, g in by_last[u]:
                     for y, h in row.items():
                         if a[y] == a[w]:
-                            add_product_into(lhs.setdefault((w, y, xp), {}), h._terms, g)
+                            add_into(lhs.setdefault((w, y, xp), {}), h._terms, g)
             for w in range(n):
                 for u, h in hconst[(x, w)].items():
                     for xp, y, g in by_first[u]:
                         if a[y] == a[w]:
-                            add_product_into(rhs.setdefault((w, y, xp), {}), h._terms, g)
+                            add_into(rhs.setdefault((w, y, xp), {}), h._terms, g)
             for w, y, xp in sorted(lhs.keys() | rhs.keys()):
                 if lhs.get((w, y, xp), empty) != rhs.get((w, y, xp), empty):
                     return CheckResult("P15'", False, (x, xp, y, w))

@@ -17,7 +17,7 @@ from heckekit.basicsets import BasicSetResult, DecompMatrix
 from heckekit.cli import _witness
 from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
                               _column_negative, _mat_mul)
-from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _words,
+from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _iword,
                            check_multipartition, etilde, mp_size)
 from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, HeckeElement, KLData
 from heckekit.laurent import LaurentPoly, add_into, vpow
@@ -339,8 +339,8 @@ def check_dominance_triangularity(matrix: DecompMatrix,
 # ---------------------------------------------------------------------------
 # The Node-based construction below (residue, sort_key, addable, removable,
 # ncount, add_node, remove_node) builds each residue's node lists on its own;
-# it is the oracle for the per-component rims that `fock._words` and
-# `fock.ftilde` merge.
+# it is the oracle for the per-component rims that `fock._iword` and
+# `fock._targets` merge.
 
 class Node(NamedTuple):
     row: int
@@ -433,33 +433,38 @@ def icount(mp: Multipartition, i: int, params: FockParams) -> int:
     return total
 
 
-def _node_word(entries) -> list[tuple[Node, str]]:
-    return [(Node(a, b, c), kind) for _, kind, a, b, c, _ in entries]
-
-
 def i_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
-    """Addable/removable i-nodes as an (node, 'A'|'R') word, highest first."""
-    return _node_word(_words(mp, params)[i][0])
+    """Addable/removable i-nodes as an (node, 'A'|'R') word, highest first,
+    read from the production word `fock._iword`."""
+    return [(Node(a, b, c), kind) for _, kind, a, b, c, _ in _iword(mp, i, params)]
 
 
 def reduced_word(mp: Multipartition, i: int, params: FockParams) -> list[tuple[Node, str]]:
-    """The i-word after signature cancellation, highest first."""
-    return _node_word(_words(mp, params)[i][1])
+    """The i-word after signature cancellation, highest first: a removable
+    node directly above an addable one cancels with it, on a stack of its own
+    rather than the counter scan of `fock._targets`."""
+    stack: list[tuple[Node, str]] = []
+    for nd, kind in i_word(mp, i, params):
+        if kind == "A" and stack and stack[-1][1] == "R":
+            stack.pop()
+        else:
+            stack.append((nd, kind))
+    return stack
 
 
 def good_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Highest removable i-node surviving cancellation, if any."""
-    for _, kind, a, b, c, _ in _words(mp, params)[i][1]:
+    for nd, kind in reduced_word(mp, i, params):
         if kind == "R":
-            return Node(a, b, c)
+            return nd
     return None
 
 
 def cogood_node(mp: Multipartition, i: int, params: FockParams) -> Optional[Node]:
     """Lowest addable i-node surviving cancellation, if any."""
-    for _, kind, a, b, c, _ in reversed(_words(mp, params)[i][1]):
+    for nd, kind in reversed(reduced_word(mp, i, params)):
         if kind == "A":
-            return Node(a, b, c)
+            return nd
     return None
 
 

@@ -35,7 +35,7 @@ TABLE2_EDGES = {
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-residue word construction that `fock._words` replaced
+# oracles: the per-residue word construction that `fock._iword` replaced
 # ---------------------------------------------------------------------------
 
 def i_word_oracle(mp, i, params):
@@ -307,7 +307,7 @@ class TestOracleEquivalences:
         monkeypatch.undo()
         assert members and seen
         for mp in seen:
-            assert fock._flotw_conditions(mp, p) == (mp in members), mp
+            assert flotw_member(mp, p) == (mp in members), mp
 
     def test_flotw_member_examples(self):
         assert not flotw_member(((2, 1), ()), P22)
@@ -386,6 +386,7 @@ class TestSignatureOracle:
                     assert good_node(mp, i, p) == good
                     assert etilde(mp, i, p) == (None if good is None else remove_node(mp, good))
                     assert cogood_node(mp, i, p) == cogood_node_oracle(mp, i, p)
+                    assert ftilde(mp, i, p) == ftilde_oracle(mp, i, p), (mp, i)
 
     @pytest.mark.parametrize("p, n", [
         (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 9),
@@ -428,8 +429,8 @@ class TestSignatureOracle:
 
     def test_tables_isolated_between_params(self):
         # one mp object under two parameter sets, and under equal but distinct
-        # ones, right after a closure under a third: the rim table, the word
-        # slot and the cogood slot must all follow the parameters
+        # ones, right after a closure under a third: the rim table and the
+        # target slot must both follow the parameters
         crystal(FockParams(l=4, r=2, u=(0, 2), node_order=FLOTW), 6)
         grid = [FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW),
                 FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI),
@@ -449,6 +450,22 @@ class TestSignatureOracle:
                         answers.add((up, down))
                     differ += len(answers) > 1
         assert differ > 0
+
+    @pytest.mark.parametrize("order", [FLOTW, ARIKI])
+    def test_etilde_and_ftilde_share_one_slot(self, order):
+        # etilde and ftilde alternate on the very same mp and params objects,
+        # so the shared slot must tell the two directions apart
+        p = FockParams(l=3, r=2, u=(0, 1), node_order=order)
+        moved = 0
+        for n in range(7):
+            for mp in multipartitions(2, n):
+                for i in range(3):
+                    down, up = etilde(mp, i, p), ftilde(mp, i, p)
+                    good = good_node_oracle(mp, i, p)
+                    assert down == (None if good is None else remove_node(mp, good))
+                    assert up == ftilde_oracle(mp, i, p), (mp, i)
+                    moved += down is not None and up is not None
+        assert moved > 0
 
     def test_ariki_words_past_the_level_cap(self):
         # the ARIKI word is the concatenation of the component rims, with no
