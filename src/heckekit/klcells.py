@@ -10,8 +10,11 @@ cells, and the cells give the a-function and the distinguished
 involutions.  The same W-graph gives left multiplication by each c_s in
 c-coordinates, so the structure constants h_{x,y,z} come from a recursion
 on x with no Tt-coordinates; they are built only for the gamma constants,
-the asymptotic ring J with its homomorphism phi, and a battery of machine
-checks (P2-P8, P15') that gate the J-ring constructions.
+the asymptotic ring J, and a battery of machine checks (P2-P8, P15') that
+gate the J-ring constructions.  The homomorphism phi into J is read off
+the W-graph on the generators and multiplied out in J, and its
+determinant is a product over the right cells.  Products and bar of whole
+Tt-expansions are not needed by any stage; they are the test oracles.
 
 Element coefficients are dicts {element index: LaurentPoly}; the group's
 canonical index order (by length, then lexicographic word) makes every
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .coxeter import (CoxeterType, GroupElement, GroupTooLarge, WeylGroup, WeightFunction,
-                      build)
+from .coxeter import CoxeterType, GroupTooLarge, WeylGroup, WeightFunction, build
 from .laurent import LaurentPoly, add_into, add_product_into, interned, vpow
 
 Coeffs = dict[int, LaurentPoly]
@@ -42,7 +44,14 @@ def coeff_prefix(c: LaurentPoly) -> str:
 
 
 class PropertyFailure(RuntimeError):
-    """A structural property required for the asymptotic ring fails."""
+    """A structural property required for the asymptotic ring fails.
+
+    witness, when given, is a tuple of element indices where it fails.
+    """
+
+    def __init__(self, message: str, witness: Optional[tuple] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -55,41 +64,13 @@ class CheckResult:
         return self.passed
 
 
-class HeckeElement:
-    """A formal A-linear combination of the rescaled basis elements."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "HeckeAlgebra", coeffs: Coeffs):
-        self.algebra = algebra
-        self.coeffs = {w: c for w, c in coeffs.items() if c}
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        return HeckeElement(self.algebra, add_into(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return HeckeElement(self.algebra, add_into(dict(self.coeffs), other.coeffs, -1))
-
-    def scale(self, f: LaurentPoly) -> "HeckeElement":
-        if not f:
-            return HeckeElement(self.algebra, {})
-        return HeckeElement(self.algebra, {w: c * f for w, c in self.coeffs.items()})
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return self.algebra.mul(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self.coeffs.items()))
-
-    def __repr__(self):
-        return f"HeckeElement({self.algebra.text(self.coeffs)})"
-
-
 class HeckeAlgebra:
-    """Generic Iwahori-Hecke algebra of a Weyl group with positive weights."""
+    """Generic Iwahori-Hecke algebra of a Weyl group with positive weights.
+
+    The library keeps elements as Tt-coefficient dicts and needs only their
+    text here.  Left multiplication by Tt_s and the bar rows are the base
+    that the Tt-basis arithmetic of the test oracles is built on.
+    """
 
     def __init__(self, group: WeylGroup, weights: WeightFunction):
         check_weights(group.ctype, weights)
@@ -97,18 +78,6 @@ class HeckeAlgebra:
         self.weights = weights
         self.zeta = [vpow(weights(s)) - vpow(-weights(s)) for s in range(group.rank)]
         self._bar_rows: dict[int, Coeffs] = {}
-
-    # -- basis elements ----------------------------------------------------
-
-    def t(self, w) -> HeckeElement:
-        idx = w.index if isinstance(w, GroupElement) else int(w)
-        return HeckeElement(self, {idx: _ONE})
-
-    def one(self) -> HeckeElement:
-        return self.t(self.group.identity)
-
-    def element(self, coeffs: Coeffs) -> HeckeElement:
-        return HeckeElement(self, coeffs)
 
     def text(self, coeffs: Coeffs, prefix=None) -> str:
         """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1".
@@ -126,8 +95,6 @@ class HeckeAlgebra:
     def tt_names(self) -> list[str]:
         return ["Tt_" + w.name() for w in self.group.elements]
 
-    # -- multiplication ------------------------------------------------------
-
     def _lgen(self, s: int, coeffs: Coeffs, inverse: bool = False) -> Coeffs:
         """Left multiplication of a coefficient dict by Tt_s, or by Tt_s^-1.
 
@@ -141,21 +108,6 @@ class HeckeAlgebra:
         zeta_terms = {y: c for y, c in coeffs.items()
                       if (elements[table[y]].length < elements[y].length) != inverse}
         return add_into(out, zeta_terms, -self.zeta[s] if inverse else self.zeta[s])
-
-    def lmul_basis(self, w_idx: int, coeffs: Coeffs) -> Coeffs:
-        """Tt_w times an element, by folding the reduced word of w."""
-        word = self.group.elements[w_idx].word
-        for s in reversed(word):
-            coeffs = self._lgen(s, coeffs)
-        return coeffs
-
-    def mul(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
-        out: Coeffs = {}
-        for w, c in h1.coeffs.items():
-            add_into(out, self.lmul_basis(w, h2.coeffs), c)
-        return HeckeElement(self, out)
-
-    # -- the three (semi)linear maps -----------------------------------------
 
     def bar_row(self, w_idx: int) -> Coeffs:
         """Expansion of the bar image of Tt_w, i.e. the inverse of Tt_{w^-1}."""
@@ -171,20 +123,6 @@ class HeckeAlgebra:
             row = self._lgen(s, self.bar_row(rest), inverse=True)
         self._bar_rows[w_idx] = row
         return row
-
-    def bar(self, h: HeckeElement) -> HeckeElement:
-        out: Coeffs = {}
-        for w, c in h.coeffs.items():
-            add_into(out, self.bar_row(w), c.bar())
-        return HeckeElement(self, out)
-
-    def dagger(self, h: HeckeElement) -> HeckeElement:
-        """The A-linear algebra automorphism sending Tt_w to (-1)^l(w) bar(Tt_w)."""
-        elements = self.group.elements
-        out: Coeffs = {}
-        for w, c in h.coeffs.items():
-            add_into(out, self.bar_row(w), c if elements[w].length % 2 == 0 else -c)
-        return HeckeElement(self, out)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +141,7 @@ def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
     w^-1 >= w, and every other c_w is c_{w^-1} relabelled by y -> y^-1,
     sharing its coefficients.  Each finished row is wrapped with every
     coefficient interned, so equal coefficients are one object across the
-    basis.  B4 (384 elements) takes about 0.1 s and F4 (1152) about 1.2 s.
+    basis.  B4 (384 elements) takes about 0.1 s and F4 (1152) 0.8-1.0 s.
     """
     group = algebra.group
     inv = group.inverse_index
@@ -342,12 +280,13 @@ def property_name(name: str) -> str:
 
 
 #: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.1 s for
-#: each.  F4 (1152) takes about 1.2 s and 0.45 s and needs force.
+#: each.  F4 (1152) takes about 0.8-1.0 s and 0.5 s and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.2 s on
 #: A4 (120) and 0.6-1.1 s on D4 (192), but the jobs that need them cost more:
-#: D4 --check about 4 s (2-3 s of it P15'), and phimatrix is a determinant of
-#: size |W| (B3, 48, takes 12-40 s).
+#: D4 --check about 4 s (2-3 s of it P15'), and --emit phimatrix about
+#: 4.5 s: every P-check, then phi (1.6 s) and its determinant by right-cell
+#: blocks (0.8 s).
 HCONST_CAP = 120
 #: Largest |W| where afn checks itself against the structure constants even
 #: when nothing else needs them: up to A3 (24) they take under 0.01 s.
@@ -411,7 +350,9 @@ class KLData:
         """c-basis coordinates of the element with Tt-coefficients coeffs.
 
         Triangular back-substitution: c_z is Tt_z plus shorter terms, so the
-        largest index left is always the next pivot.
+        largest index left is always the next pivot.  No stage calls it: it
+        serves the test oracles, which build in Tt-coordinates what the
+        stages read off the W-graph.
         """
         rest = dict(coeffs)
         out: Coeffs = {}
@@ -420,10 +361,6 @@ class KLData:
             f = out[z] = rest[z]
             add_into(rest, self.cbasis[z], -f)  # c_z has 1 at z: clears z
         return out
-
-    def cexpand_dagger(self, h: HeckeElement) -> Coeffs:
-        """Coordinates of h in the dagger image of the c-basis."""
-        return self.cexpand(self.algebra.dagger(h).coeffs)
 
     # -- stage 2: trace data, left cells, a-function, distinguished involutions --
 
@@ -783,29 +720,71 @@ class KLData:
                            if a[z] == a[d]})
         return out
 
-    def phi(self, h: HeckeElement) -> dict[int, LaurentPoly]:
-        """The homomorphism into the asymptotic ring, with A-coefficients."""
-        self.require_checks()
-        out: dict[int, LaurentPoly] = {}
-        for w, f in self.cexpand_dagger(h).items():
-            add_into(out, self.phi_cdagger(w), f)
-        return out
+    def phi(self, s: int) -> dict[int, LaurentPoly]:
+        """phi(Tt_s) for the generator s: v^L(s) 1_J less the image of c_s^dagger.
+
+        c_s^dagger = v^L(s) - Tt_s, and phi_cdagger takes the element index
+        of s, not the generator number.
+        """
+        unit = self.jring.unit
+        out = {d: vpow(self.weights(s)) * n for d, n in unit.items()}
+        return add_into(out, self.phi_cdagger(self.group.generators[s].index), -1)
 
     @cached_property
     def phi_matrix(self) -> list[list[LaurentPoly]]:
-        """B[x][y] = coefficient of t_x in the image of Tt_y."""
-        self.require_checks()
-        n = len(self.group)
-        zero = LaurentPoly.zero()
-        B = [[zero] * n for _ in range(n)]
-        for y in range(n):
-            img = self.phi(self.algebra.t(y))
-            for x, c in img.items():
+        """B[x][y] = coefficient of t_x in phi(Tt_y).
+
+        phi is a homomorphism into J with A-coefficients, so with s the
+        first letter of y, phi(Tt_y) = phi(Tt_s) phi(Tt_sy) in J.  sy comes
+        before y in the index order, so the columns are built in it from
+        phi(Tt_e) = 1_J.
+        """
+        ring = self.jring
+        group = self.group
+        gens = [self.phi(s) for s in range(group.rank)]
+        cols = [{d: LaurentPoly.const(n) for d, n in ring.unit.items()}]
+        for y in range(1, len(group)):
+            s = group.elements[y].word[0]
+            cols.append(ring.mul(gens[s], cols[group.left_table[s][y]]))
+        B = [[_ZERO] * len(group) for _ in cols]
+        for y, col in enumerate(cols):
+            for x, c in col.items():
                 B[x][y] = c
         return B
 
     def phi_matrix_det(self) -> LaurentPoly:
-        return det_laurent_matrix(self.phi_matrix)
+        """det phi, as a product over the right cells.
+
+        phi_matrix is C F, where C[z][w] is the coefficient of t_z in
+        phi(c_w^dagger) and Tt_y = sum of F[w][y] c_w^dagger.  c_w^dagger is
+        (-1)^l(w) Tt_w plus shorter terms, so det F = (-1)^(sum of l(y)).
+        C is nonzero only where a(z) > a(w), or a(z) = a(w) with z and w in
+        one right cell (the inverse of a left cell): ordered by a, C is block
+        triangular with the right cells as diagonal blocks.  That pattern is
+        checked entry by entry first; an entry outside it raises
+        PropertyFailure with (z, w) as the witness.
+        """
+        self.require_checks()
+        group = self.group
+        inv = group.inverse_index
+        a = self.afn
+        right_cells = [sorted(inv(x) for x in cell) for cell in self.left_cells]
+        cell_of = [0] * len(group)
+        for i, cell in enumerate(right_cells):
+            for z in cell:
+                cell_of[z] = i
+        C = [self.phi_cdagger(w) for w in range(len(group))]
+        for w, col in enumerate(C):
+            for z in col:
+                if a[z] < a[w] or (a[z] == a[w] and cell_of[z] != cell_of[w]):
+                    raise PropertyFailure(
+                        f"phi(c_{group.elements[w].name()}^dagger) has a "
+                        f"t_{group.elements[z].name()} term outside the right-cell "
+                        "block pattern", (z, w))
+        det = LaurentPoly.const(-1 if sum(x.length for x in group.elements) % 2 else 1)
+        for cell in right_cells:
+            det = det * det_laurent_matrix([[C[w].get(z, _ZERO) for w in cell] for z in cell])
+        return det
 
 
 class JRing:

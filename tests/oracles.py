@@ -19,7 +19,7 @@ from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGro
                               _column_negative, _mat_mul)
 from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _iword,
                            check_multipartition, etilde, mp_size)
-from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, HeckeElement, KLData
+from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import Partition, standard_tableaux
 
@@ -126,13 +126,127 @@ def bruhat_leq(W: WeylGroup, y: GroupElement, w: GroupElement) -> bool:
 # Hecke algebras and Kazhdan-Lusztig data
 # ---------------------------------------------------------------------------
 
-def jmap(alg: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
+class HeckeElement:
+    """A formal A-linear combination of the rescaled basis elements."""
+
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra: "TtAlgebra", coeffs: Coeffs):
+        self.algebra = algebra
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
+
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        return HeckeElement(self.algebra, add_into(dict(self.coeffs), other.coeffs))
+
+    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        return HeckeElement(self.algebra, add_into(dict(self.coeffs), other.coeffs, -1))
+
+    def scale(self, f: LaurentPoly) -> "HeckeElement":
+        if not f:
+            return HeckeElement(self.algebra, {})
+        return HeckeElement(self.algebra, {w: c * f for w, c in self.coeffs.items()})
+
+    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
+        return self.algebra.mul(self, other)
+
+    def __eq__(self, other):
+        return isinstance(other, HeckeElement) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset((w, c) for w, c in self.coeffs.items()))
+
+    def __repr__(self):
+        return f"HeckeElement({self.algebra.text(self.coeffs)})"
+
+
+class TtAlgebra(HeckeAlgebra):
+    """Oracle: the Tt-basis arithmetic of the Hecke algebra, by whole words.
+
+    Products fold the reduced word of the left factor into Tt_s steps, and
+    bar and dagger sum the library's bar rows.  The library reads phi and
+    the structure constants off the W-graph instead.
+    """
+
+    @classmethod
+    def of(cls, data: KLData) -> "TtAlgebra":
+        return cls(data.group, data.weights)
+
+    def t(self, w) -> HeckeElement:
+        idx = w.index if isinstance(w, GroupElement) else int(w)
+        return HeckeElement(self, {idx: LaurentPoly.one()})
+
+    def one(self) -> HeckeElement:
+        return self.t(self.group.identity)
+
+    def element(self, coeffs: Coeffs) -> HeckeElement:
+        return HeckeElement(self, coeffs)
+
+    def lmul_basis(self, w_idx: int, coeffs: Coeffs) -> Coeffs:
+        """Tt_w times an element, by folding the reduced word of w."""
+        for s in reversed(self.group.elements[w_idx].word):
+            coeffs = self._lgen(s, coeffs)
+        return coeffs
+
+    def mul(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+        out: Coeffs = {}
+        for w, c in h1.coeffs.items():
+            add_into(out, self.lmul_basis(w, h2.coeffs), c)
+        return HeckeElement(self, out)
+
+    def bar(self, h: HeckeElement) -> HeckeElement:
+        out: Coeffs = {}
+        for w, c in h.coeffs.items():
+            add_into(out, self.bar_row(w), c.bar())
+        return HeckeElement(self, out)
+
+    def dagger(self, h: HeckeElement) -> HeckeElement:
+        """The A-linear algebra automorphism sending Tt_w to (-1)^l(w) bar(Tt_w)."""
+        elements = self.group.elements
+        out: Coeffs = {}
+        for w, c in h.coeffs.items():
+            add_into(out, self.bar_row(w), c if elements[w].length % 2 == 0 else -c)
+        return HeckeElement(self, out)
+
+
+def cexpand_dagger(data: KLData, h: HeckeElement) -> Coeffs:
+    """Coordinates of h in the dagger image of the c-basis."""
+    return data.cexpand(h.algebra.dagger(h).coeffs)
+
+
+def phi_by_cexpand(data: KLData, h: HeckeElement) -> dict[int, LaurentPoly]:
+    """Oracle for phi on any element: expand h in the dagger image of the
+    c-basis by back-substitution and add up the images of the c_w^dagger."""
+    data.require_checks()
+    out: dict[int, LaurentPoly] = {}
+    for w, f in cexpand_dagger(data, h).items():
+        add_into(out, data.phi_cdagger(w), f)
+    return out
+
+
+def phi_matrix_by_cexpand(data: KLData) -> list[list[LaurentPoly]]:
+    """Oracle for KLData.phi_matrix: column y is phi_by_cexpand of Tt_y."""
+    alg = TtAlgebra.of(data)
+    n = len(data.group)
+    B = [[LaurentPoly.zero()] * n for _ in range(n)]
+    for y in range(n):
+        for x, c in phi_by_cexpand(data, alg.t(y)).items():
+            B[x][y] = c
+    return B
+
+
+def phi_det_by_elimination(data: KLData) -> LaurentPoly:
+    """Oracle for KLData.phi_matrix_det: fraction-free elimination of the
+    whole |W| x |W| matrix (B3, 48 elements, takes 14-45 s)."""
+    return det_laurent_matrix(data.phi_matrix)
+
+
+def jmap(alg: TtAlgebra, h: HeckeElement) -> HeckeElement:
     elements = alg.group.elements
     return alg.element({w: c.bar() if elements[w].length % 2 == 0 else -c.bar()
                         for w, c in h.coeffs.items()})
 
 
-def tau(alg: HeckeAlgebra, h: HeckeElement) -> LaurentPoly:
+def tau(alg: TtAlgebra, h: HeckeElement) -> LaurentPoly:
     """The symmetrizing trace: coefficient of the identity basis element."""
     return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
 
@@ -225,7 +339,7 @@ def check_star_compatibility(data: KLData) -> CheckResult:
     form of the statement that the phi kernel pushes the filtration down.
     """
     data.require_checks()
-    alg = data.algebra
+    alg = TtAlgebra.of(data)
     n = len(data.group)
     a = data.afn
     inv = data.group.inverse_index
@@ -235,7 +349,7 @@ def check_star_compatibility(data: KLData) -> CheckResult:
         aw = a[w]
         for y in range(n):
             prod = alg.mul(alg.t(y), cdag_w)
-            coords = data.cexpand_dagger(prod)
+            coords = cexpand_dagger(data, prod)
             for z, c in coords.items():
                 if a[z] < aw and c:
                     return CheckResult("star", False, (y, w, z, "below level"))

@@ -21,7 +21,7 @@ from heckekit.schur import (G2_LABELS, bipartitions, e_regular,
                             f4_invariants, f4_labels, g2_invariants, g2_schur,
                             invariants_A, invariants_asymptotic, invariants_B,
                             nfun, partitions)
-from oracles import (bruhat_leq, cartan_pairing, check_dominance_triangularity,
+from oracles import (TtAlgebra, bruhat_leq, cartan_pairing, check_dominance_triangularity,
                      dim_bipartition, dominance_leq, normal_nodes_literal,
                      reduced_word)
 
@@ -332,7 +332,7 @@ def test_criterion_9_property_suites():
     # and every other p_{y,w} lies in v^-1 Z[v^-1] with y <= w in Bruhat order
     for fam, rank, a, b in [("A", 2, 1, None), ("B", 2, 1, 3)]:
         ct = CoxeterType(fam, rank)
-        alg = HeckeAlgebra(build(ct), weight_from_ab(ct, a, b))
+        alg = TtAlgebra(build(ct), weight_from_ab(ct, a, b))
         W = alg.group
         for w, row in enumerate(kl_cbasis(alg)):
             assert alg.bar(alg.element(row)).coeffs == row

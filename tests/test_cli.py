@@ -358,9 +358,7 @@ def kl_argv(draw):
     else:
         weights = draw(st.sampled_from(["", ",", "1,,2", "x", "1.5", "2,b", "--"]))
     argv = ["kl", "--type", family, "--rank", str(rank), "--weights", weights]
-    # the phimatrix determinant has size |W|: B3 (48) takes 12-40 s
-    emits = KL_EMITS[:-1] if (family, rank) == ("B", 3) else KL_EMITS
-    emit = draw(st.sampled_from([None, *emits]))
+    emit = draw(st.sampled_from([None, *KL_EMITS]))
     if emit:
         argv += ["--emit", emit]
     names = st.sampled_from([*PROPERTY_NAMES, "P15", "P15prime", "P1", "P9", "p2", ""])

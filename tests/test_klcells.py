@@ -10,13 +10,15 @@ from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
                               det_laurent_matrix, kl_cbasis, strongly_connected_components)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
-from oracles import (bruhat_leq, check_star_compatibility, cs_times_cw, dim_bipartition,
-                     jmap, jring_mul_by_scan, kl_cbasis_all_products, tau, wgraph_by_products)
+from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
+                     dim_bipartition, jmap, jring_mul_by_scan, kl_cbasis_all_products,
+                     phi_by_cexpand, phi_det_by_elimination, phi_matrix_by_cexpand, tau,
+                     wgraph_by_products)
 
 
 def algebra(family, rank, a, b=None):
     ct = CoxeterType(family, rank)
-    return HeckeAlgebra(build(ct), weight_from_ab(ct, a, b))
+    return TtAlgebra(build(ct), weight_from_ab(ct, a, b))
 
 
 S3 = algebra("A", 2, 1)
@@ -312,7 +314,7 @@ class TestKLBasis:
         # c_s c_w = c_sw + sum of M^s_{z,w} c_z, each M bar-invariant and
         # nonzero only for sz < z < w
         data = shared_kl("B", 3, 1, 2)
-        W, alg = data.group, data.algebra
+        W, alg = data.group, TtAlgebra.of(data)
         basis = data.cbasis
         for w in range(len(W)):
             for s in range(W.rank):
@@ -382,7 +384,7 @@ class TestStructureConstants:
         # both kinds of row: c_s c_w = (v^L + v^-L) c_w when sw < w, and
         # c_sw + sum of M^s_{z,w} c_z when sw > w
         data = shared_kl(family, rank, a, b)
-        W, alg = data.group, data.algebra
+        W, alg = data.group, TtAlgebra.of(data)
         for s in range(W.rank):
             cs = alg.element(data.cbasis[W.generators[s].index])
             for w in range(len(W)):
@@ -555,11 +557,11 @@ class TestAFunction:
 
         The level sizes come from the Kazhdan-Lusztig machinery alone; the
         right-hand side comes from Schur invariants and hook-length counts,
-        so this ties three independent computations together.  A4, D4 and B4
-        are past the reach of the structure-constant oracle.
+        so this ties three independent computations together.  A4, D4, B4
+        and F4 are past the reach of the structure-constant oracle.
         """
-        from heckekit.schur import (G2_LABELS, g2_invariants, invariants_A,
-                                    standard_tableaux, typeD_invariants,
+        from heckekit.schur import (G2_LABELS, f4_invariants, f4_labels, g2_invariants,
+                                    invariants_A, standard_tableaux, typeD_invariants,
                                     typeD_invariants_split)
 
         for n in (3, 5):
@@ -597,6 +599,17 @@ class TestAFunction:
             expect = Counter()
             for lab in G2_LABELS:
                 expect[g2_invariants(lab, a, b).alpha] += dims[lab] ** 2
+            assert Counter(data.afn) == expect
+
+        # F4 (1152 elements, over the c-basis cap): the label 9_1 names a
+        # character of dimension 9, and alpha comes from the embedded table
+        ct = CoxeterType("F4", 4)
+        for a, b in [(1, 1), (1, 2), (2, 3), (1, 3)]:
+            data = KLData(ct, weight_from_ab(ct, a, b), force=True)
+            expect = Counter()
+            for lab in f4_labels():
+                expect[f4_invariants(lab, a, b).alpha] += int(lab.split("_")[0]) ** 2
+            assert sum(expect.values()) == 1152
             assert Counter(data.afn) == expect
 
 
@@ -658,6 +671,13 @@ class TestPropertyChecks:
             kl(S3).check_property("P9")
 
 
+#: Every regime of A2, A3, D3, B2, G2 and B3 that phi is tied to its oracle on.
+PHI_GROUPS = [("A", 2, 1, None), ("A", 3, 1, None), ("D", 3, 1, None),
+              ("B", 2, 1, 1), ("B", 2, 1, 2), ("B", 2, 1, 3), ("B", 2, 2, 1),
+              ("G2", 2, 1, 1), ("G2", 2, 1, 2), ("G2", 2, 2, 1), ("G2", 2, 1, 3),
+              ("B", 3, 1, 1), ("B", 3, 1, 2), ("B", 3, 2, 1), ("B", 3, 1, 3)]
+
+
 class TestJRingAndPhi:
     def test_unit_and_associativity_exhaustive(self):
         data = kl(S3)
@@ -706,7 +726,7 @@ class TestJRingAndPhi:
     def test_phi_preserves_identity(self):
         for alg in (S3, B2_13):
             data = kl(alg)
-            img = data.phi(alg.one())
+            img = phi_by_cexpand(data, alg.one())
             assert img == {z: LaurentPoly.const(c) for z, c in data.jring.unit.items()}
 
     def test_phi_matrix_det_nonzero(self):
@@ -714,6 +734,42 @@ class TestJRingAndPhi:
         det = data.phi_matrix_det()
         assert not det.is_zero()
         assert det.at_one() != 0
+
+    @pytest.mark.parametrize("family,rank,a,b", PHI_GROUPS)
+    def test_phi_matrix_matches_the_cexpand_oracle(self, family, rank, a, b):
+        data = shared_kl(family, rank, a, b)
+        alg = TtAlgebra.of(data)
+        assert data.phi_matrix == phi_matrix_by_cexpand(data)
+        for s, g in enumerate(data.group.generators):
+            assert data.phi(s) == phi_by_cexpand(data, alg.t(g))
+
+    @pytest.mark.parametrize("family,rank,a,b",
+                             [g for g in PHI_GROUPS if CoxeterType(*g[:2]).order() <= 24])
+    def test_phi_det_by_blocks_matches_the_elimination_oracle(self, family, rank, a, b):
+        # A2 is the one group here with sum of l(y) odd, so it fixes the sign
+        data = shared_kl(family, rank, a, b)
+        det = data.phi_matrix_det()
+        assert not det.is_zero()
+        assert det == phi_det_by_elimination(data)
+
+    # A2: e, s1, s2, s1.s2, s2.s1, s1.s2.s1; the right cells of a = 1 are
+    # {s1, s1.s2} and {s2, s2.s1}
+    @pytest.mark.parametrize("z,w", [(0, 5), (2, 1)], ids=["a-below", "other-right-cell"])
+    def test_entry_outside_the_block_pattern_fails(self, capsys, monkeypatch, z, w):
+        real = KLData.phi_cdagger
+
+        def skewed(self, u):
+            out = real(self, u)
+            return {**out, z: vpow(1)} if u == w else out
+
+        monkeypatch.setattr(KLData, "phi_cdagger", skewed)
+        with pytest.raises(PropertyFailure) as exc:
+            kl(S3).phi_matrix_det()
+        assert exc.value.witness == (z, w)
+        code = cli.main(["kl", "--type", "A", "--rank", "2", "--weights", "1",
+                         "--emit", "phimatrix"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
 
     def test_det_helper(self):
         one = LaurentPoly.one()
@@ -751,8 +807,8 @@ class TestJRingAndPhi:
         n = len(alg.group)
         for x in range(n):
             for y in range(n):
-                lhs = data.phi(alg.mul(alg.t(x), alg.t(y)))
-                rhs = jmul_laurent(data.phi(alg.t(x)), data.phi(alg.t(y)))
+                lhs = phi_by_cexpand(data, alg.mul(alg.t(x), alg.t(y)))
+                rhs = jmul_laurent(phi_by_cexpand(data, alg.t(x)), phi_by_cexpand(data, alg.t(y)))
                 assert lhs == rhs, (x, y)
 
     @pytest.mark.parametrize("alg", [S3, B2_13], ids=["S3", "B2"])
