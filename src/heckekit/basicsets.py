@@ -129,32 +129,25 @@ def basic_set_sym(params: SpecParams, n: int) -> list[Partition]:
     return [nu for nu in partitions(n) if e_regular(nu, e)]
 
 
-def _kleshchev_set(params: SpecParams, n: int) -> list[Multipartition]:
-    """Simple-module labels through the component-order crystal.
+def _specht_index_set(params: SpecParams, n: int, zero: bool,
+                      d: Optional[int]) -> list[Multipartition]:
+    """The Specht-module indexing set of simple modules for type B, given
+    (zero, d) = `fn_zero(params, n)`.
 
-    Needs the root-of-unity translation: l = order of xi^a and a shift d
-    with xi^(b + a d) = -1; the two charges are then (0, d mod l).
+    Without a vanishing factor it is the pairs of e-regular partitions.
+    With one and xi^a = 1, xi^b = -1 is forced and the simples extend the
+    symmetric-group ones.  Otherwise the labels come from the
+    component-order crystal at l = e, the order of xi^a, and charges
+    (0, d mod l), since xi^(b + a d) = -1.
     """
-    m, a = params.xi_order, params.a
-    l = m // math.gcd(m, a)
-    zero, d = fn_zero(params, n)
-    if not zero:
-        raise CaseNotCovered("no crystal translation without a vanishing factor")
-    p = FockParams(l=l, r=2, u=(0, d % l), node_order=ARIKI)
-    return sorted(fock.uryu_set(p, n))
-
-
-def _specht_index_set(params: SpecParams, n: int) -> list[Multipartition]:
-    """The Specht-module indexing set of simple modules for type B."""
     e = e_value(params)
-    zero, _ = fn_zero(params, n)
     if not zero:
         return [lam for lam in bipartitions(n)
                 if e_regular(lam[0], e) and e_regular(lam[1], e)]
     if params.xi_power_is_one(params.a):
-        # xi^b = -1 forced here: simples extend the symmetric-group ones
         return [(lam1, ()) for lam1 in partitions(n) if e_regular(lam1, e)]
-    return _kleshchev_set(params, n)
+    p = FockParams(l=e, r=2, u=(0, d % e), node_order=ARIKI)
+    return sorted(fock.uryu_set(p, n))
 
 
 def basic_set_B(params: SpecParams, n: int) -> tuple[list[Multipartition], str]:
@@ -168,16 +161,15 @@ def basic_set_B(params: SpecParams, n: int) -> tuple[list[Multipartition], str]:
     if params.char == 2:
         raise CharTwoUnsupported("type-B dispatch is stated away from char 2")
     a, b, m = params.a, params.b, params.xi_order
+    zero, d = fn_zero(params, n)
 
     if a > 0 and b > (n - 1) * a:
-        return _specht_index_set(params, n), "asymptotic/DJM"
-
-    zero, _ = fn_zero(params, n)
+        return _specht_index_set(params, n, zero, d), "asymptotic/DJM"
     if not zero or params.xi_power_is_one(a):
         # a vanishing product with xi^a = 1 forces xi^b = -1
-        return _specht_index_set(params, n), "DJ-extension" if zero else "DJ-Morita"
+        return _specht_index_set(params, n, zero, d), "DJ-extension" if zero else "DJ-Morita"
 
-    l = m // math.gcd(m, a)
+    l = e_value(params)
     if a == b and a > 0:
         # vanishing product forces -1 into <xi^a>, so l is even
         p = FockParams(l=l, r=2, u=(1, l // 2), node_order=FLOTW)
@@ -196,27 +188,20 @@ TypeDLabel = tuple  # ("pair", lam, mu) with lam != mu, or ("split", lam, "+"/"-
 def basic_set_D(params: SpecParams, n: int) -> list[TypeDLabel]:
     """Canonical basic set for type D_n from the b = 0 crystal set.
 
-    Unordered pairs with distinct components, plus two split labels for each
+    The crystal is that of `basic_set_B` at b = 0: FLOTW charges (0, l/2),
+    l the order of xi^a, which must be even.  Unordered pairs with distinct
+    components, named ("pair", larger, smaller) and in the order they are
+    first met in the sorted set, plus two split labels for each
     (l/2)-regular partition of n/2 when n is even.
     """
     if params.char == 2:
         raise CharTwoUnsupported("type-D dispatch is stated away from char 2")
-    l = params.xi_order
-    if l % 2 != 0 or l < 2:
-        raise OddOrderUnsupported("type D needs xi of even order")
+    l = e_value(params)
+    if params.xi_power_is_one(params.a) or l % 2:
+        raise OddOrderUnsupported("type D needs xi^a of even order")
     p = FockParams(l=l, r=2, u=(0, l // 2), node_order=FLOTW)
-    labels: list[TypeDLabel] = []
-    seen = set()
-    for lam in sorted(fock.uryu_set(p, n)):
-        l1, l2 = lam
-        if l1 == l2:
-            continue
-        key = frozenset((l1, l2))
-        if key in seen:
-            continue
-        seen.add(key)
-        first, second = max(l1, l2), min(l1, l2)
-        labels.append(("pair", first, second))
+    labels: list[TypeDLabel] = list(dict.fromkeys(
+        ("pair", max(lam), min(lam)) for lam in sorted(fock.uryu_set(p, n)) if lam[0] != lam[1]))
     if n % 2 == 0:
         for lam in partitions(n // 2):
             if e_regular(lam, l // 2):
@@ -320,23 +305,16 @@ class BasicSetResult:
         return [matrix.labels[self.assignment[j]] for j in order]
 
     def to_json_dict(self, matrix: DecompMatrix) -> dict:
-        def render(lab):
-            if isinstance(lab, str):
-                return lab
-            if lab and isinstance(lab[0], tuple):
-                return [list(c) for c in lab]
-            return list(lab)
-
         if self.exists:
             return {
                 "verdict": "exists",
-                "labels": [render(l) for l in self.selected_labels(matrix)],
+                "labels": self.selected_labels(matrix),
                 "breve_alpha": list(self.breve_alpha or []),
             }
         return {
             "verdict": "fails",
             "witness_column": self.witness_column,
-            "witness_rows": [render(matrix.labels[i]) for i in self.witness_rows or []],
+            "witness_rows": [matrix.labels[i] for i in self.witness_rows or []],
         }
 
 

@@ -20,10 +20,6 @@ from .klcells import (CBASIS_CAP, HCONST_CAP, WITNESS_FIELDS, KLData, PropertyFa
                       coeff_prefix, property_name)
 
 
-def _render_mp(mp):
-    return [list(c) for c in mp]
-
-
 def _parse_bipartition(text: str):
     lam = json.loads(text)
     if not (isinstance(lam, list) and len(lam) == 2 and all(map(basicsets.is_int_list, lam))):
@@ -53,68 +49,52 @@ def _cmd_crystal(args) -> int:
 def _cmd_basicset(args) -> int:
     params = SpecParams(char=args.char, xi_order=args.xi_order, a=args.a, b=args.b)
     if args.type == "A":
-        labels = basicsets.basic_set_sym(params, args.n)
-        out = {"type": "A", "labels": [list(nu) for nu in labels],
-               "tag": "e-regular"}
+        labels, tag = basicsets.basic_set_sym(params, args.n), "e-regular"
     elif args.type == "B":
         labels, tag = basicsets.basic_set_B(params, args.n)
-        out = {"type": "B", "labels": [_render_mp(mp) for mp in labels], "tag": tag}
     else:
-        labels = basicsets.basic_set_D(params, args.n)
-        rendered = []
-        for lab in labels:
-            if lab[0] == "pair":
-                rendered.append(["pair", list(lab[1]), list(lab[2])])
-            else:
-                rendered.append(["split", list(lab[1]), lab[2]])
-        out = {"type": "D", "labels": rendered, "tag": "Jacon-D"}
+        labels, tag = basicsets.basic_set_D(params, args.n), "Jacon-D"
     if args.format == "text":
-        print(f"# {out['tag']}")
-        for lab in out["labels"]:
+        print(f"# {tag}")
+        for lab in labels:
             print(json.dumps(lab))
     else:
-        _print_json(out)
+        _print_json({"type": args.type, "labels": labels, "tag": tag})
     return 0
 
 
 # -- schur ---------------------------------------------------------------------
 
-def _print_invariant_table(out: dict) -> None:
-    rows = out["rows"]
-    label_w = max(len(str(r["label"])) for r in rows)
+def _print_invariant_table(rows: list[dict]) -> None:
+    labels = [r["label"] if isinstance(r["label"], str) else json.dumps(r["label"])
+              for r in rows]
+    label_w = max(map(len, labels))
     print(f"{'E':<{label_w}}  {'f':>4}  alpha")
-    for r in rows:
-        print(f"{str(r['label']):<{label_w}}  {r['f']:>4}  {r['alpha']}")
+    for label, r in zip(labels, rows):
+        print(f"{label:<{label_w}}  {r['f']:>4}  {r['alpha']}")
 
 
 def _cmd_schur(args) -> int:
-    if args.bipartition is not None and args.type != "B":
-        raise ValueError(f"--bipartition is for type B only, not type {args.type}")
-    if args.type in ("G2", "F4"):
-        rows = [{"label": lab, "f": pair.f, "alpha": pair.alpha}
-                for lab, pair in schur.all_invariants(args.type, args.a, args.b)]
-        out = {"type": args.type, "a": args.a, "b": args.b, "rows": rows}
-    elif args.type == "A":
-        rows = [{"label": list(nu), "f": pair.f, "alpha": pair.alpha}
-                for nu, pair in schur.all_invariants("A", args.a, n=args.n)]
-        rows.sort(key=lambda r: (r["alpha"], str(r["label"])))
-        out = {"type": "A", "n": args.n, "a": args.a, "rows": rows}
-    else:
-        if args.bipartition is not None:
-            lam = _parse_bipartition(args.bipartition)
-            poly = schur.schur_element_B(lam, args.a, args.b)
-            pair = schur._extract_invariants(poly)
-            out = {"type": "B", "label": _render_mp(lam), "a": args.a, "b": args.b,
-                   "f": pair.f, "alpha": pair.alpha,
-                   "element": poly.json_pairs(), "text": poly.text()}
-            _print_json(out)
-            return 0
-        rows = [{"label": _render_mp(lam), "f": pair.f, "alpha": pair.alpha}
-                for lam, pair in schur.all_invariants("B", args.a, args.b, args.n)]
-        rows.sort(key=lambda r: (r["alpha"], str(r["label"])))
-        out = {"type": "B", "n": args.n, "a": args.a, "b": args.b, "rows": rows}
+    if args.bipartition is not None:
+        if args.type != "B":
+            raise ValueError(f"--bipartition is for type B only, not type {args.type}")
+        lam = _parse_bipartition(args.bipartition)
+        poly = schur.schur_element_B(lam, args.a, args.b)
+        pair = schur._extract_invariants(poly)
+        _print_json({"type": "B", "label": lam, "a": args.a, "b": args.b,
+                     "f": pair.f, "alpha": pair.alpha,
+                     "element": poly.json_pairs(), "text": poly.text()})
+        return 0
+    rows = [{"label": label, "f": pair.f, "alpha": pair.alpha}
+            for label, pair in schur.all_invariants(args.type, args.a, args.b, args.n)]
+    out = {"type": args.type, "a": args.a, "rows": rows}
+    if args.type in ("B", "G2", "F4"):
+        out["b"] = args.b
+    if args.type in ("A", "B", "D"):
+        out["n"] = args.n
+        rows.sort(key=lambda r: (r["alpha"], json.dumps(r["label"])))
     if args.format == "text":
-        _print_invariant_table(out)
+        _print_invariant_table(rows)
     else:
         _print_json(out)
     return 0
@@ -270,7 +250,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_basicset)
 
     p = sub.add_parser("schur", help="Schur-element invariant tables")
-    p.add_argument("--type", choices=["A", "B", "G2", "F4"], required=True)
+    p.add_argument("--type", choices=["A", "B", "D", "G2", "F4"], required=True)
     p.add_argument("--n", type=_nonneg_int, default=0)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=0)

@@ -111,18 +111,7 @@ def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
     turns it addable and changes only the (i+-1)-nodes, so N_i^a is #A - #R
     strictly above gamma in the larger diagram's own i-word.
     """
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        terms = {}
-        na = 0
-        for entry in _iword(mp, i, params):
-            if entry[1] == "R":
-                terms[_moved(mp, entry)] = vpow(-na)
-                na -= 1
-            else:
-                na += 1
-        add_into(out, terms, coeff)
-    return out
+    return _quantum(i, vec, params, False)
 
 
 def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
@@ -133,16 +122,24 @@ def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
     it removable and changes only the (i+-1)-nodes, so N_i^b is #A - #R
     strictly below gamma in the smaller diagram's own i-word.
     """
+    return _quantum(i, vec, params, True)
+
+
+def _quantum(i: int, vec: FockVector, params: FockParams, add: bool) -> FockVector:
+    """F_i vec (add) or E_i vec (not add): the i-word of each multipartition
+    scanned upwards for F and downwards for E, with #A - #R counted over the
+    nodes passed; each addable (F) or removable (E) node is weighted by v to
+    the count, negated for E."""
+    kind, sign = ("A", 1) if add else ("R", -1)
     out: FockVector = {}
     for mp, coeff in vec.items():
         terms = {}
-        nb = 0
-        for entry in reversed(_iword(mp, i, params)):
-            if entry[1] == "A":
-                terms[_moved(mp, entry)] = vpow(nb)
-                nb += 1
-            else:
-                nb -= 1
+        count = 0
+        word = _iword(mp, i, params)
+        for entry in (reversed(word) if add else word):
+            if entry[1] == kind:
+                terms[_moved(mp, entry)] = vpow(sign * count)
+            count += 1 if entry[1] == "A" else -1
         add_into(out, terms, coeff)
     return out
 
@@ -478,33 +475,19 @@ def flotw_member(mp: Multipartition, params: FockParams) -> bool:
 def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:
     """Membership in the component-order crystal at the residue classes of u.
 
-    mp is a member when some chain of good-node removals reaches the empty
-    multipartition.  The chains are searched depth first with an explicit
-    stack, trying residue 0 first, so the depth is not bounded by Python's
-    recursion limit; the memo of visited multipartitions lives for one call.
+    Good nodes are removed one at a time, the lowest residue first, until
+    none is left; mp is a member when that ends at the empty multipartition.
+    One descent decides it: e~_i keeps a vertex in its connected component,
+    and the Fock space is an integrable module, so the component of the
+    empty multipartition is the highest-weight crystal B(Lambda), whose only
+    vertex without a good node is the empty multipartition.
     """
     mp = check_multipartition(mp, params.r)
     params = FockParams(l=params.l, r=params.r, u=tuple(x % params.l for x in params.u),
                         node_order=ARIKI)
-    memo: dict[Multipartition, bool] = {}
-    stack: list[tuple[Multipartition, list[Multipartition]]] = []
-
-    def enter(mp: Multipartition) -> None:
-        # all l good removals before descending, from one `_targets` pass
-        below = _targets(mp, params, False)
-        stack.append((mp, [smaller for smaller in reversed(below) if smaller is not None]))
-
-    enter(mp)
-    found = False  # the verdict of the last multipartition settled
-    while stack:
-        top, below = stack[-1]
-        if below and not found:
-            smaller = below.pop()
-            if smaller in memo:
-                found = memo[smaller]
-            else:
-                enter(smaller)
-        else:
-            memo[top] = found = found or mp_size(top) == 0
-            stack.pop()
-    return memo[mp]
+    while any(mp):
+        mp = next((smaller for smaller in _targets(mp, params, False) if smaller is not None),
+                  None)
+        if mp is None:
+            return False
+    return True

@@ -452,15 +452,14 @@ def all_invariants(family: str, a: int, b: int = 0, n: int = 0):
     if family == "F4":
         return [(lab, f4_invariants(lab, a, b)) for lab in f4_labels()]
     if family == "D":
+        # an unordered pair is met twice, and kept as ("pair", larger, smaller)
         out = []
-        seen = set()
         for lam, mu in bipartitions(n):
             if lam == mu:
                 pair = typeD_invariants_split(lam, a)
                 out.append((("split", lam, "+"), pair))
                 out.append((("split", lam, "-"), pair))
-            elif (mu, lam) not in seen:
-                seen.add((lam, mu))
+            elif lam > mu:
                 out.append((("pair", lam, mu), typeD_invariants(lam, mu, a)))
         return out
     raise ValueError(f"unknown family {family!r}")

@@ -10,7 +10,7 @@ from heckekit.basicsets import (BasicSetResult, CaseNotCovered,
                                 basic_set_D, basic_set_sym, PRIME_LIMIT, e_value, fn_zero, is_prime,
                                 verify_decomp)
 from heckekit.fock import ARIKI, FLOTW, FockParams, uryu_set
-from heckekit.schur import bipartitions, e_regular, invariants_B, partitions
+from heckekit.schur import all_invariants, bipartitions, e_regular, invariants_B, partitions
 from oracles import check_dominance_triangularity, dim_bipartition
 
 
@@ -191,6 +191,13 @@ class TestBasicSetD:
     def test_odd_order_refused(self):
         with pytest.raises(OddOrderUnsupported):
             basic_set_D(SpecParams(char=0, xi_order=3, a=1, b=0), 3)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_labels_are_the_schur_table_labels(self, n):
+        # at a large order every bipartition is in the crystal set, so both
+        # name every unordered pair and every split label, the same way
+        labels = basic_set_D(SpecParams(char=0, xi_order=1000, a=1, b=0), n)
+        assert set(labels) == {label for label, _ in all_invariants("D", 1, n=n)}
 
     def test_crystal_set_is_swap_stable(self):
         # the unordered collapse is well defined because the source set is

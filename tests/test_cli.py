@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -129,6 +130,19 @@ class TestBasicsetCommand:
         assert data["tag"] == "Jacon-D"
         assert len(data["labels"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_type_d_uses_the_order_of_xi_to_the_a(self, capsys, fmt):
+        # xi^3 has order 2 when xi has order 6
+        argv = ["basicset", "--type", "D", "--n", "6", "--format", fmt]
+        code, out, _ = run(capsys, *argv, "--a", "3", "--xi-order", "6")
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--xi-order", "2")[:2]
+
+    def test_type_d_odd_order_of_xi_to_the_a(self, capsys):
+        # xi^2 has order 3 when xi has order 6
+        assert_input_error(*run(capsys, "basicset", "--type", "D", "--n", "4",
+                                "--a", "2", "--xi-order", "6"))
+
     def test_char_two_exit_code(self, capsys):
         code, _, err = run(capsys, "basicset", "--type", "B", "--n", "3",
                            "--a", "1", "--b", "0", "--xi-order", "2",
@@ -194,6 +208,15 @@ class TestSchurCommand:
         data = run_json(capsys, "schur", "--type", "A", "--n", "3", "--a", "0")
         assert {str(r["label"]): r["f"] for r in data["rows"]} == \
             {"[3]": 6, "[2, 1]": 3, "[1, 1, 1]": 6}
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_d3_table_is_the_a3_table(self, capsys, a):
+        d3 = run_json(capsys, "schur", "--type", "D", "--n", "3", "--a", str(a))
+        a3 = run_json(capsys, "schur", "--type", "A", "--n", "4", "--a", str(a))
+        assert set(d3) == {"type", "n", "a", "rows"}
+        assert Counter((r["alpha"], r["f"]) for r in d3["rows"]) == \
+            Counter((r["alpha"], r["f"]) for r in a3["rows"])
+        assert d3["rows"] == sorted(d3["rows"], key=lambda r: (r["alpha"], json.dumps(r["label"])))
 
     def test_regime_not_covered(self, capsys):
         code, _, _ = run(capsys, "schur", "--type", "G2", "--a", "2", "--b", "1")
@@ -379,8 +402,8 @@ class TestKlFuzz:
 
 @st.composite
 def schur_argv(draw):
-    """schur argv over types A/B/G2/F4, n <= 10, weights in [-1, 4]."""
-    argv = ["schur", "--type", draw(st.sampled_from(["A", "B", "G2", "F4"])),
+    """schur argv over types A/B/D/G2/F4, n <= 10, weights in [-1, 4]."""
+    argv = ["schur", "--type", draw(st.sampled_from(["A", "B", "D", "G2", "F4"])),
             "--n", str(draw(st.integers(0, 10))),
             "--a", str(draw(st.integers(-1, 4))), "--b", str(draw(st.integers(-1, 4)))]
     kind = draw(st.integers(0, 3))

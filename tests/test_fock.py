@@ -519,16 +519,26 @@ class TestCrystalOperators:
         assert not kleshchev_member(((), (3,)), A22)
         assert kleshchev_member(((3,), ()), A22)
 
+    @staticmethod
+    def assert_kleshchev_is_the_ariki_crystal(l, u, n_max):
+        r = len(u)
+        p = FockParams(l=l, r=r, u=u, node_order=FLOTW)
+        pa = FockParams(l=l, r=r, u=tuple(x % l for x in u), node_order=ARIKI)
+        for n in range(n_max + 1):
+            level = uryu_set(pa, n)
+            for mp in multipartitions(r, n):
+                got = kleshchev_member(mp, p)
+                assert got == (mp in level), (u, mp)
+                assert got == kleshchev_member_oracle(mp, p), (u, mp)
+
     def test_kleshchev_member_is_the_ariki_crystal(self):
         for u in ((0, 1), (1, 4)):
-            p = FockParams(l=3, r=2, u=u, node_order=FLOTW)
-            pa = FockParams(l=3, r=2, u=tuple(x % 3 for x in u), node_order=ARIKI)
-            for n in range(6):
-                level = uryu_set(pa, n)
-                for mp in multipartitions(2, n):
-                    got = kleshchev_member(mp, p)
-                    assert got == (mp in level), (u, mp)
-                    assert got == kleshchev_member_oracle(mp, p), (u, mp)
+            self.assert_kleshchev_is_the_ariki_crystal(3, u, 5)
+
+    @pytest.mark.parametrize("l, u", [(2, (0, 1, 1)), (2, (1, 0, 3)), (4, (0, 1, 3)),
+                                      (4, (2, 5, 0))])
+    def test_kleshchev_member_is_the_ariki_crystal_at_level_three(self, l, u):
+        self.assert_kleshchev_is_the_ariki_crystal(l, u, 6)
 
     @pytest.mark.parametrize("mp", [((1100,), ()), ((), (1100,)), ((550,), (550,))])
     def test_kleshchev_member_past_the_recursion_limit(self, mp):
