@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 from . import fock
 from .fock import ARIKI, FLOTW, FockParams, Multipartition
-from .schur import Partition, bipartitions, check_partition, e_regular, partitions
+from .schur import (Partition, bipartitions, check_partition, check_rank_D, e_regular,
+                    partitions)
 
 
 class CharTwoUnsupported(ValueError):
@@ -194,6 +195,7 @@ def basic_set_D(params: SpecParams, n: int) -> list[TypeDLabel]:
     first met in the sorted set, plus two split labels for each
     (l/2)-regular partition of n/2 when n is even.
     """
+    check_rank_D(n)
     if params.char == 2:
         raise CharTwoUnsupported("type-D dispatch is stated away from char 2")
     l = e_value(params)

@@ -142,16 +142,7 @@ def _write_cbasis(kl: KLData, name: list[str]) -> None:
 def _cmd_kl(args) -> int:
     ctype = CoxeterType(args.type, args.rank)
     checks = [property_name(c) for c in args.check or ()]
-    weights = args.weights
-    if ctype.family in ("B", "G2", "F4"):
-        if len(weights) != 2:
-            raise ValueError(f"type {ctype.family} takes two weights a,b")
-        wf = weight_from_ab(ctype, weights[0], weights[1])
-    else:
-        if len(weights) != 1:
-            raise ValueError(f"type {ctype.family} takes one weight")
-        wf = weight_from_ab(ctype, weights[0])
-    kl = KLData(ctype, wf, force=args.force)
+    kl = KLData(ctype, weight_from_ab(ctype, *args.weights), force=args.force)
 
     # every stage runs before the names are read, so that an over-cap job is
     # refused before the group is enumerated
@@ -160,7 +151,7 @@ def _cmd_kl(args) -> int:
     value = getattr(kl, {"phimatrix": "phi_matrix"}.get(emit, emit)) if emit else None
     name = [w.name() for w in kl.group.elements]
 
-    report: dict = {"type": str(ctype), "weights": list(wf.values),
+    report: dict = {"type": str(ctype), "weights": list(kl.weights.values),
                     "elements": {name[w.index]: list(w.word) for w in kl.group.elements}}
     if checks:
         report["checks"] = []

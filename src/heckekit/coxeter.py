@@ -1,15 +1,15 @@
 """Finite Weyl groups of types A, B, D, G2 and F4.
 
-Elements are realized through the faithful integer representation on the root
-lattice: each group element acts on simple roots via its Cartan-matrix
-reflection matrix, so all products, lengths and descent tests are exact
-integer computations.  The group is enumerated in one breadth-first pass by
-left products s*u, each costing one row operation on the matrix of u and
-one column operation on its inverse.  Every element carries its
-lexicographically smallest reduced word, read off that pass: the smallest s
-reaching w is its first letter.  The enumeration order (by length, then
-word) is the canonical index order used everywhere else, and the same pass
-fills the table of left products by generators.
+A group is its elements' canonical reduced words, the table of left
+products by generators and the table of inverses.  The elements are
+enumerated in one breadth-first pass by left products s*u, identified by
+their action on the root lattice: gen_s * M changes one row of the integer
+matrix M of u, and a product that lands on an element of the layer below is
+a left descent.  The matrices live only inside that pass.  Every element
+carries its lexicographically smallest reduced word, read off the pass: the
+smallest s reaching w is its first letter.  The enumeration order (by
+length, then word) is the canonical index order used everywhere else.
+Products and inverses are folds of words through the left table.
 """
 
 from __future__ import annotations
@@ -102,54 +102,21 @@ class CoxeterType:
             bond(2, 3)
         return tuple(tuple(row) for row in A)
 
-    def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Bond orders m(s, t); m = 2, 3, 4, 6 for Cartan products 0, 1, 2, 3."""
-        cartan = self.cartan_matrix()
-        n = self.rank
-        table = {0: 2, 1: 3, 2: 4, 3: 6}
-        M = [[1 if i == j else table[cartan[i][j] * cartan[j][i]]
-              for j in range(n)] for i in range(n)]
-        return tuple(tuple(row) for row in M)
-
-    def generator_conjugacy_classes(self) -> list[set[int]]:
-        """Generators linked by odd bond orders must share weights."""
-        parent = list(range(self.rank))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        m = self.coxeter_matrix()
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if m[i][j] % 2 == 1:
-                    parent[find(i)] = find(j)
-        classes: dict[int, set[int]] = {}
-        for i in range(self.rank):
-            classes.setdefault(find(i), set()).add(i)
-        return list(classes.values())
-
     def validate_weight(self, weights) -> bool:
+        """Non-negative, one per generator, and equal on conjugate generators:
+        s and t are conjugate iff a path of odd bonds (m = 3, Cartan product
+        1) joins them, so equality along each odd bond is enough."""
         vals = weights.values if isinstance(weights, WeightFunction) else tuple(weights)
         if len(vals) != self.rank or any(v < 0 for v in vals):
             return False
-        return all(len({vals[s] for s in cls}) == 1
-                   for cls in self.generator_conjugacy_classes())
+        cartan = self.cartan_matrix()
+        return all(vals[i] == vals[j] for i in range(self.rank) for j in range(i)
+                   if cartan[i][j] * cartan[j][i] == 1)
 
     def __str__(self):
         if self.family in ("G2", "F4"):
             return self.family
         return f"{self.family}{self.rank}"
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _reflect_row(M, s, bond):
@@ -160,31 +127,15 @@ def _reflect_row(M, s, bond):
     return M[:s] + (tuple(row),) + M[s + 1:]
 
 
-def _reflect_column(row, s, bond):
-    """One row of M * gen_s: only the entries s and bonded to s change."""
-    out = list(row)
-    out[s] = -row[s]
-    for j, c in bond:
-        out[j] += c * row[s]
-    return tuple(out)
-
-
-def _column_negative(M, j) -> bool:
-    # Images of simple roots are roots: all entries of one sign.
-    return any(M[i][j] < 0 for i in range(len(M)))
-
-
 class GroupElement:
-    """An element of a WeylGroup: canonical reduced word plus matrix data."""
+    """An element of a WeylGroup: its index and canonical reduced word."""
 
-    __slots__ = ("group", "index", "word", "matrix", "inv_matrix")
+    __slots__ = ("group", "index", "word")
 
-    def __init__(self, group, index, word, matrix, inv_matrix):
+    def __init__(self, group, index, word):
         self.group = group
         self.index = index
         self.word = word
-        self.matrix = matrix
-        self.inv_matrix = inv_matrix
 
     @property
     def length(self) -> int:
@@ -199,7 +150,7 @@ class GroupElement:
         return self.group.mult(self, other)
 
     def inverse(self) -> "GroupElement":
-        return self.group.element_by_matrix(self.inv_matrix)
+        return self.group.elements[self.group.inverse_index(self.index)]
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
@@ -220,9 +171,8 @@ class WeylGroup:
         self.ctype = ctype
         self.rank = ctype.rank
         self.names = ctype.generator_names()
-        self.cartan = ctype.cartan_matrix()
 
-        n = self.rank
+        n, cartan = self.rank, ctype.cartan_matrix()
         ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
         # Breadth-first by left products s*u.  Within a depth, s runs outside
         # and u in index order inside, so the first s to reach w = s*u is its
@@ -230,11 +180,11 @@ class WeylGroup:
         # smallest reduced word, and new elements come out in index order.
         # Each pair (s, u) is an ascent here or a descent of the shorter s*u,
         # so both entries of left_table are filled when s*u is reached.
-        bonds = [[(j, -self.cartan[s][j]) for j in range(n) if j != s and self.cartan[s][j]]
+        bonds = [[(j, -cartan[s][j]) for j in range(n) if j != s and cartan[s][j]]
                  for s in range(n)]
         words: list[tuple[int, ...]] = [()]
-        mats, invs = [ident], [ident]
-        by_matrix = self._by_matrix = {ident: 0}
+        mats = [ident]
+        by_matrix = {ident: 0}
         #: left_table[s][i] = index of generator s times element i
         self.left_table: list[list[int]] = [[0] * order for _ in range(n)]
         start, stop = 0, 1
@@ -242,14 +192,13 @@ class WeylGroup:
             for s in range(n):
                 table, bond = self.left_table[s], bonds[s]
                 for u in range(start, stop):
-                    if _column_negative(invs[u], s):
-                        continue  # left descent: s*u is shorter and already recorded
                     M = _reflect_row(mats[u], s, bond)
                     w = by_matrix.setdefault(M, len(words))
+                    if w < start:
+                        continue  # left descent: s*u is one layer down and recorded
                     if w == len(words):
                         words.append((s,) + words[u])
                         mats.append(M)
-                        invs.append(tuple(_reflect_column(r, s, bond) for r in invs[u]))
                     table[u] = w
                     table[w] = u
             start, stop = stop, len(words)
@@ -257,28 +206,29 @@ class WeylGroup:
             raise AssertionError(f"enumerated {len(words)} elements, expected {order}")
 
         self.elements: list[GroupElement] = [
-            GroupElement(self, idx, word, mats[idx], invs[idx])
-            for idx, word in enumerate(words)]
+            GroupElement(self, idx, word) for idx, word in enumerate(words)]
         self.identity = self.elements[0]
         self.longest = self.elements[-1]
         self.generators = [self.elements[table[0]] for table in self.left_table]
-        self._inv_table: list[int] | None = None
+        # w = s1...sk has inverse sk...s1: s1 first, each next letter on the left
+        self._inverses = [self._fold(word, 0) for word in words]
 
     # -- core operations -------------------------------------------------
 
     def __len__(self):
         return len(self.elements)
 
-    def element_by_matrix(self, M) -> GroupElement:
-        return self.elements[self._by_matrix[M]]
+    def _fold(self, letters, i: int) -> int:
+        """Index of the product of the letters, last one leftmost, times element i."""
+        for s in letters:
+            i = self.left_table[s][i]
+        return i
 
     def mult(self, u: GroupElement, v: GroupElement) -> GroupElement:
-        return self.elements[self._by_matrix[_mat_mul(u.matrix, v.matrix)]]
+        return self.elements[self._fold(reversed(u.word), v.index)]
 
     def inverse_index(self, i: int) -> int:
-        if self._inv_table is None:
-            self._inv_table = [self._by_matrix[w.inv_matrix] for w in self.elements]
-        return self._inv_table[i]
+        return self._inverses[i]
 
 
 @dataclass(frozen=True)
@@ -294,21 +244,21 @@ class WeightFunction:
         return all(v > 0 for v in self.values)
 
 
-def weight_from_ab(ctype: CoxeterType, a: int, b: int | None = None) -> WeightFunction:
-    """Standard two-parameter weights: type B gets L(t)=b, L(s_i)=a; G2 gets
-    L(s)=a, L(t)=b; F4 gets L(s1)=L(s2)=a, L(s3)=L(s4)=b; A and D take a only.
+def weight_from_ab(ctype: CoxeterType, *weights: int) -> WeightFunction:
+    """Standard weights from a for A and D, or (a, b) for B, G2 and F4: type B
+    gets L(t)=b, L(s_i)=a; G2 gets L(s)=a, L(t)=b; F4 gets L(s1)=L(s2)=a,
+    L(s3)=L(s4)=b; A and D get L(s)=a on every generator.
     """
-    if ctype.family == "B":
-        if b is None:
-            raise ValueError("type B needs two weights (a, b)")
+    family = ctype.family
+    arity = 2 if family in ("B", "G2", "F4") else 1
+    if len(weights) != arity:
+        raise ValueError(f"type {family} takes {arity} weight(s), got {len(weights)}")
+    a, b = weights[0], weights[-1]
+    if family == "B":
         return WeightFunction((b,) + (a,) * (ctype.rank - 1))
-    if ctype.family == "G2":
-        if b is None:
-            raise ValueError("G2 needs two weights (a, b)")
+    if family == "G2":
         return WeightFunction((a, b))
-    if ctype.family == "F4":
-        if b is None:
-            raise ValueError("F4 needs two weights (a, b)")
+    if family == "F4":
         return WeightFunction((a, a, b, b))
     return WeightFunction((a,) * ctype.rank)
 

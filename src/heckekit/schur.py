@@ -309,6 +309,12 @@ def invariants_azero(lam: Bipartition, b: int) -> InvariantPair:
     return InvariantPair(alpha=alpha, f=pair.f)
 
 
+def check_rank_D(n: int) -> None:
+    """There is no D_0 or D_1: type D starts at n = 2."""
+    if n < 2:
+        raise DomainError(f"type D needs n >= 2, got n={n}")
+
+
 def typeD_invariants(lam: Partition, mu: Partition, a: int) -> InvariantPair:
     """Invariants for an unordered type-D label [lam, mu], lam != mu.
 
@@ -452,6 +458,7 @@ def all_invariants(family: str, a: int, b: int = 0, n: int = 0):
     if family == "F4":
         return [(lab, f4_invariants(lab, a, b)) for lab in f4_labels()]
     if family == "D":
+        check_rank_D(n)
         # an unordered pair is met twice, and kept as ("pair", larger, smaller)
         out = []
         for lam, mu in bipartitions(n):

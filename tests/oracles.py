@@ -15,8 +15,7 @@ from typing import NamedTuple, Optional
 
 from heckekit.basicsets import BasicSetResult, DecompMatrix
 from heckekit.cli import _witness
-from heckekit.coxeter import (CoxeterType, GroupElement, WeightFunction, WeylGroup,
-                              _column_negative, _mat_mul)
+from heckekit.coxeter import CoxeterType, GroupElement, WeightFunction, WeylGroup
 from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _iword,
                            check_multipartition, etilde, mp_size)
 from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
@@ -28,15 +27,27 @@ from heckekit.schur import Partition, standard_tableaux
 # Weyl groups
 # ---------------------------------------------------------------------------
 
+def _mat_mul(A, B):
+    n = len(A)
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _column_negative(M, j) -> bool:
+    # Images of simple roots are roots: all entries of one sign.
+    return any(M[i][j] < 0 for i in range(len(M)))
+
+
 @dataclass
 class PeeledGroup:
-    """What WeylGroup enumerates, in its index order: per element its word,
-    matrix and inverse matrix, the left products by generators and the index
-    of the inverse."""
+    """What WeylGroup enumerates, in its index order: per element its word
+    and its matrix on the root lattice, the left products by generators and
+    the index of the inverse."""
 
     words: list[tuple[int, ...]]
     matrices: list[tuple]
-    inv_matrices: list[tuple]
     left_table: list[list[int]]
     inverse_index: list[int]
 
@@ -84,7 +95,6 @@ def weyl_group_by_peeling(ctype: CoxeterType) -> PeeledGroup:
     return PeeledGroup(
         words=[e[1] for e in entries],
         matrices=[e[2] for e in entries],
-        inv_matrices=[e[3] for e in entries],
         left_table=[[by_matrix[_mat_mul(gens[s], e[2])] for e in entries] for s in range(n)],
         inverse_index=[by_matrix[e[3]] for e in entries])
 
@@ -102,11 +112,12 @@ def lweight(W: WeylGroup, w: GroupElement, weights) -> int:
 
 
 def descents_left(W: WeylGroup, w: GroupElement) -> frozenset[int]:
-    return frozenset(s for s in range(W.rank) if _column_negative(w.inv_matrix, s))
+    return frozenset(s for s in range(W.rank)
+                     if W.elements[W.left_table[s][w.index]].length < w.length)
 
 
 def descents_right(W: WeylGroup, w: GroupElement) -> frozenset[int]:
-    return frozenset(s for s in range(W.rank) if _column_negative(w.matrix, s))
+    return frozenset(s for s in range(W.rank) if W.mult(w, W.generators[s]).length < w.length)
 
 
 def bruhat_leq(W: WeylGroup, y: GroupElement, w: GroupElement) -> bool:
@@ -118,7 +129,7 @@ def bruhat_leq(W: WeylGroup, y: GroupElement, w: GroupElement) -> bool:
             return False
         s = min(descents_left(W, w))
         w = W.elements[W.left_table[s][w.index]]
-        if _column_negative(y.inv_matrix, s):
+        if s in descents_left(W, y):
             y = W.elements[W.left_table[s][y.index]]
 
 

@@ -187,11 +187,11 @@ def test_criterion_5_basic_set_verification():
 
 def test_criterion_6_kl_suite():
     start = time.monotonic()
-    configs = [("A", 2, 1, None), ("B", 2, 1, 3)]
+    configs = [("A", 2, (1,)), ("B", 2, (1, 3))]
     datas = []
-    for fam, rank, a, b in configs:
+    for fam, rank, ab in configs:
         ct = CoxeterType(fam, rank)
-        alg = HeckeAlgebra(build(ct), weight_from_ab(ct, a, b))
+        alg = HeckeAlgebra(build(ct), weight_from_ab(ct, *ab))
         data = KLData(ct, alg.weights)
         datas.append(data)
         assert data.cbasis[0] == {0: LaurentPoly.one()}
@@ -330,9 +330,9 @@ def test_criterion_9_property_suites():
 
     # the properties that fix the canonical basis: bar(c_w) = c_w, p_{w,w} = 1,
     # and every other p_{y,w} lies in v^-1 Z[v^-1] with y <= w in Bruhat order
-    for fam, rank, a, b in [("A", 2, 1, None), ("B", 2, 1, 3)]:
+    for fam, rank, ab in [("A", 2, (1,)), ("B", 2, (1, 3))]:
         ct = CoxeterType(fam, rank)
-        alg = TtAlgebra(build(ct), weight_from_ab(ct, a, b))
+        alg = TtAlgebra(build(ct), weight_from_ab(ct, *ab))
         W = alg.group
         for w, row in enumerate(kl_cbasis(alg)):
             assert alg.bar(alg.element(row)).coeffs == row

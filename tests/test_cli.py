@@ -153,6 +153,13 @@ class TestBasicsetCommand:
         assert_input_error(*run(capsys, "basicset", "--type", "D", "--n", "31",
                                 "--xi-order", "6"))
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    @pytest.mark.parametrize("command", [["schur"], ["basicset", "--xi-order", "6"]],
+                             ids=["schur", "basicset"])
+    def test_type_d_below_rank_two_exit_code(self, capsys, command, n):
+        # there is no D_0 or D_1
+        assert_input_error(*run(capsys, *command, "--type", "D", "--n", n))
+
     def test_uncovered_case_exit_code(self, capsys):
         code, _, _ = run(capsys, "basicset", "--type", "B", "--n", "3",
                          "--a", "1", "--b", "2", "--xi-order", "4")

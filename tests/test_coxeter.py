@@ -1,11 +1,11 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from heckekit import coxeter
 from heckekit.coxeter import (CoxeterType, GroupTooLarge, WeightFunction,
                               build, weight_from_ab)
-from oracles import (bruhat_leq, descents_left, descents_right, element_from_word,
+from oracles import (_mat_mul, bruhat_leq, descents_left, descents_right, element_from_word,
                      lweight, weyl_group_by_peeling)
 
 
@@ -179,6 +179,56 @@ def test_validate_weight():
     assert not D4.validate_weight((2, 1, 1, 1))
 
 
+def test_weight_arity():
+    assert weight_from_ab(CoxeterType("A", 2), 2).values == (2, 2)
+    assert weight_from_ab(CoxeterType("G2", 2), 1, 2).values == (1, 2)
+    for ct, weights in [(CoxeterType("A", 2), (1, 2)), (CoxeterType("D", 4), (1, 1)),
+                        (CoxeterType("B", 2), (1,)), (CoxeterType("F4", 4), (1, 2, 3)),
+                        (CoxeterType("G2", 2), ())]:
+        with pytest.raises(ValueError):
+            weight_from_ab(ct, *weights)
+
+
+def _conjugacy_classes_of_generators(ct):
+    """Generators up to conjugacy in W, from the peeling oracle's matrices:
+    t ~ s iff M_t = M_w M_s M_w^-1 for some w."""
+    oracle = weyl_group_by_peeling(ct)
+    mats = oracle.matrices
+    gens = [mats[oracle.left_table[s][0]] for s in range(ct.rank)]
+    conjugates = [{_mat_mul(_mat_mul(M, g), mats[oracle.inverse_index[w]])
+                   for w, M in enumerate(mats)} for g in gens]
+    return {frozenset(t for t in range(ct.rank) if gens[t] in conjugates[s])
+            for s in range(ct.rank)}
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("D", 2), ("D", 3), ("D", 4), ("G2", 2), ("F4", 4)])
+def test_validate_weight_is_constancy_on_conjugacy_classes(family, rank):
+    ct = CoxeterType(family, rank)
+    classes = _conjugacy_classes_of_generators(ct)
+    for weights in product((1, 2), repeat=rank):
+        constant = all(len({weights[s] for s in cls}) == 1 for cls in classes)
+        assert ct.validate_weight(weights) == constant, weights
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G2", 2), ("D", 4)])
+def test_products_match_the_oracle_matrices(family, rank):
+    ct = CoxeterType(family, rank)
+    W = build(ct)
+    mats = weyl_group_by_peeling(ct).matrices
+    for u in W.elements:
+        for v in W.elements:
+            assert mats[W.mult(u, v).index] == _mat_mul(mats[u.index], mats[v.index])
+
+
+def test_inverses_match_the_oracle():
+    ct = CoxeterType("F4", 4)
+    W = build(ct)
+    oracle = weyl_group_by_peeling(ct)
+    assert [u.inverse().index for u in W.elements] == oracle.inverse_index
+
+
 def test_type_b_parabolic_is_symmetric_group():
     """Closure of s1, s2 inside B3 has order 3! = 6."""
     W = build(CoxeterType("B", 3))
@@ -214,8 +264,6 @@ def test_enumeration_matches_the_peeling_oracle(family, rank):
     oracle = weyl_group_by_peeling(ct)
     assert [w.index for w in W.elements] == list(range(ct.order()))
     assert [w.word for w in W.elements] == oracle.words
-    assert [w.matrix for w in W.elements] == oracle.matrices
-    assert [w.inv_matrix for w in W.elements] == oracle.inv_matrices
     assert W.left_table == oracle.left_table
     assert [W.inverse_index(i) for i in range(len(W))] == oracle.inverse_index
     assert [g.word for g in W.generators] == [(s,) for s in range(rank)]

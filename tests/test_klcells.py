@@ -16,9 +16,14 @@ from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_c
                      wgraph_by_products)
 
 
+def weights_ab(ct, a, b):
+    """The standard weights: b is None for the one-parameter families A and D."""
+    return weight_from_ab(ct, a) if b is None else weight_from_ab(ct, a, b)
+
+
 def algebra(family, rank, a, b=None):
     ct = CoxeterType(family, rank)
-    return TtAlgebra(build(ct), weight_from_ab(ct, a, b))
+    return TtAlgebra(build(ct), weights_ab(ct, a, b))
 
 
 S3 = algebra("A", 2, 1)
@@ -98,7 +103,7 @@ def kl(alg):
 def shared_kl(family, rank, a, b=None):
     """One KLData per algebra, for tests that only read it (B3 hconst takes seconds)."""
     ct = CoxeterType(family, rank)
-    return KLData(ct, weight_from_ab(ct, a, b))
+    return KLData(ct, weights_ab(ct, a, b))
 
 
 def afn_from_hconst(data):
