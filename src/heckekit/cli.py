@@ -14,7 +14,7 @@ import sys
 
 from . import basicsets, fock, schur
 from .basicsets import DecompMatrix, SpecParams
-from .coxeter import CoxeterType, weight_from_ab
+from .coxeter import CoxeterType
 from .fock import ARIKI, FLOTW, FockParams
 from .klcells import (CBASIS_CAP, HCONST_CAP, WITNESS_FIELDS, KLData, PropertyFailure,
                       coeff_prefix, property_name)
@@ -142,7 +142,7 @@ def _write_cbasis(kl: KLData, name: list[str]) -> None:
 def _cmd_kl(args) -> int:
     ctype = CoxeterType(args.type, args.rank)
     checks = [property_name(c) for c in args.check or ()]
-    kl = KLData(ctype, weight_from_ab(ctype, *args.weights), force=args.force)
+    kl = KLData(ctype, args.weights, force=args.force)  # refused over the caps first
 
     # every stage runs before the names are read, so that an over-cap job is
     # refused before the group is enumerated

@@ -59,6 +59,10 @@ class CoxeterType:
             return 12
         return 1152
 
+    def exceeds(self, cap: int) -> bool:
+        """|W| > cap, without forming |W| for a huge rank: |W| >= 2^(rank-1)."""
+        return self.rank > cap.bit_length() or self.order() > cap
+
     def generator_names(self) -> list[str]:
         n = self.rank
         if self.family == "A":
@@ -268,8 +272,13 @@ def _cached_group(family: str, rank: int) -> WeylGroup:
     return WeylGroup(CoxeterType(family, rank))
 
 
+def check_group_cap(ctype: CoxeterType) -> None:
+    """Refuse a type that build would not enumerate, before anything rank-sized."""
+    if ctype.exceeds(GROUP_CAP):
+        raise GroupTooLarge(f"{ctype} exceeds the group cap |W| <= {GROUP_CAP}")
+
+
 def build(ctype: CoxeterType) -> WeylGroup:
     """Enumerate the group, once per type; GROUP_CAP is checked before the cache."""
-    if ctype.order() > GROUP_CAP:
-        raise GroupTooLarge(f"{ctype} has order {ctype.order()} > cap {GROUP_CAP}")
+    check_group_cap(ctype)
     return _cached_group(ctype.family, ctype.rank)

@@ -23,11 +23,13 @@ computation deterministic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .coxeter import CoxeterType, GroupTooLarge, WeylGroup, WeightFunction, build
+from .coxeter import (CoxeterType, GroupTooLarge, WeylGroup, WeightFunction, build,
+                      check_group_cap, weight_from_ab)
 from .laurent import LaurentPoly, add_into, add_product_into, interned, vpow
 
 Coeffs = dict[int, LaurentPoly]
@@ -283,20 +285,22 @@ def property_name(name: str) -> str:
 #: each.  F4 (1152) takes about 0.8-1.0 s and 0.5 s and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.2 s on
-#: A4 (120) and 0.6-1.1 s on D4 (192), but the jobs that need them cost more:
-#: D4 --check about 4 s (2-3 s of it P15'), and --emit phimatrix about
-#: 4.5 s: every P-check, then phi (1.6 s) and its determinant by right-cell
-#: blocks (0.8 s).
+#: A4 (120) and 0.7-1.1 s on D4 (192), but the jobs that need them cost more:
+#: D4 --check 2-3 s (1-2 s of it P15'), and --emit phimatrix 3-4.5 s:
+#: every P-check, then phi (0.15 s) and its determinant by right-cell
+#: blocks (0.7-1.0 s).
 HCONST_CAP = 120
 #: Largest |W| where afn checks itself against the structure constants even
 #: when nothing else needs them: up to A3 (24) they take under 0.01 s.
 AFN_CHECK_CAP = 24
 
 
-def check_cap(order: int, cap: int, what: str) -> None:
-    if order > cap:
-        raise GroupTooLarge(f"{what} for |W| = {order} exceed the cap {cap}; "
+def check_cap(ctype: CoxeterType, cap: int, what: str, force: bool) -> None:
+    """Refuse what for ctype over cap unless force, and over the group cap always."""
+    if not force and ctype.exceeds(cap):
+        raise GroupTooLarge(f"{what} for {ctype} exceed the cap |W| <= {cap}; "
                             "pass --force (force=True) to override")
+    check_group_cap(ctype)
 
 
 def check_weights(ctype: CoxeterType, weights: WeightFunction) -> None:
@@ -311,18 +315,20 @@ class KLData:
     """All Kazhdan-Lusztig data of W(ctype) with weights L, built in lazy stages.
 
     group -> algebra -> c-basis -> W-graph -> left cells -> a-function, and
-    structure constants -> gamma -> P-checks -> J-ring and phi.  Each stage
-    is one cached property, computed on first use from the stages before
-    it alone.  Both size caps are decided here from ctype.order(), so a
+    structure constants -> gamma -> the gamma index gamma_rows -> P-checks
+    -> J-ring and phi.  Each stage is one cached property, computed on first
+    use from the stages before it.  Both size caps are decided from ctype, so a
     refused job has enumerated nothing: the constructor checks CBASIS_CAP,
     and hconst checks HCONST_CAP before it touches any other stage; every
     consumer of the structure constants asks for hconst first.  force lifts
-    both caps.
+    both caps but not GROUP_CAP.  weights is a WeightFunction, or the
+    arguments of weight_from_ab, applied only once ctype passes the caps.
     """
 
-    def __init__(self, ctype: CoxeterType, weights: WeightFunction, force: bool = False):
-        if not force:
-            check_cap(ctype.order(), CBASIS_CAP, "Kazhdan-Lusztig data")
+    def __init__(self, ctype: CoxeterType, weights, force: bool = False):
+        check_cap(ctype, CBASIS_CAP, "Kazhdan-Lusztig data", force)
+        if not isinstance(weights, WeightFunction):
+            weights = weight_from_ab(ctype, *weights)
         check_weights(ctype, weights)
         self.ctype = ctype
         self.weights = weights
@@ -491,8 +497,7 @@ class KLData:
         one object; finished rows are only read.  A4 (120 elements) takes
         about 0.2 s and D4 (192) 0.6-1.1 s.
         """
-        if not self.force:
-            check_cap(self.ctype.order(), HCONST_CAP, "structure constants")
+        check_cap(self.ctype, HCONST_CAP, "structure constants", self.force)
         n = len(self.group)
         elements = self.group.elements
         left_table = self.group.left_table
@@ -567,24 +572,39 @@ class KLData:
         for (x, y), row in hconst.items():
             for zinv, p in row.items():
                 z = inv(zinv)
-                c = p.coeff(-a[z])
-                if c:
+                if c := p.coeff(-a[z]):
                     out[(x, y, z)] = c
         return out
 
     @cached_property
-    def nhat(self) -> list[int]:
-        """nhat_z = n_d for the unique distinguished d with gamma_{z, z^-1, d} != 0."""
+    def gamma_rows(self) -> list[dict[int, dict[int, int]]]:
+        """The gamma index: rows[x][y] = t_x t_y in J = {z^-1: gamma_{x,y,z}}.
+
+        Built once from gamma in sorted order (y, then z, increasing); P3,
+        P5, P15', nhat and the J-ring read gamma only through it.
+        """
         inv = self.group.inverse_index
-        out = []
-        for z in range(len(self.group)):
-            cands = [d for d in self.dinv if (z, inv(z), d) in self.gamma]
-            if len(cands) != 1:
-                raise PropertyFailure(
-                    f"expected one distinguished involution pairing with "
-                    f"{self.group.elements[z].name()}, found {len(cands)}")
-            out.append(self.nz[cands[0]])
-        return out
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(len(self.group))]
+        for (x, y, z), g in sorted(self.gamma.items()):
+            rows[x].setdefault(y, {})[inv(z)] = g
+        return rows
+
+    @cached_property
+    def partners(self) -> list[list[tuple[int, int]]]:
+        """partners[y] = [(d, gamma_{y^-1,y,d})] over distinguished d, by increasing d."""
+        inv = self.group.inverse_index
+        rows = self.gamma_rows
+        return [[(d, g) for z, g in rows[inv(y)].get(y, {}).items() if (d := inv(z)) in self.dinv]
+                for y in range(len(self.group))]
+
+    @cached_property
+    def nhat(self) -> list[int]:
+        """nhat_z = n_d for the distinguished d with gamma_{z,z^-1,d} != 0, unique by P3."""
+        res = self.check_property("P3")
+        if not res:
+            raise PropertyFailure("nhat needs one distinguished partner per element", res.witness)
+        inv = self.group.inverse_index
+        return [self.nz[self.partners[inv(z)][0][0]] for z in range(len(self.group))]
 
     # -- property checks ---------------------------------------------------------
 
@@ -613,11 +633,9 @@ class KLData:
         return CheckResult("P2", True)
 
     def _check_P3(self) -> CheckResult:
-        inv = self.group.inverse_index
-        for y in range(len(self.group)):
-            cands = [d for d in self.dinv if (inv(y), y, d) in self.gamma]
-            if len(cands) != 1:
-                return CheckResult("P3", False, (y, tuple(sorted(cands))))
+        for y, pairs in enumerate(self.partners):
+            if len(pairs) != 1:
+                return CheckResult("P3", False, (y, tuple(d for d, _ in pairs)))
         return CheckResult("P3", True)
 
     def _check_P4(self) -> CheckResult:
@@ -630,11 +648,9 @@ class KLData:
         return CheckResult("P4", True)
 
     def _check_P5(self) -> CheckResult:
-        inv = self.group.inverse_index
-        for y in range(len(self.group)):
-            for d in self.dinv:
-                g = self.gamma.get((inv(y), y, d))
-                if g is not None and not (g == self.nz[d] and g in (1, -1)):
+        for y, pairs in enumerate(self.partners):
+            for d, g in pairs:
+                if not (g == self.nz[d] and g in (1, -1)):
                     return CheckResult("P5", False, (y, d, g, self.nz[d]))
         return CheckResult("P5", True)
 
@@ -661,39 +677,32 @@ class KLData:
     def _check_P15prime(self) -> CheckResult:
         """Sum_u gamma_{w,x',u^-1} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^-1} if a(w) = a(y).
 
-        Per x, both sides add each h scaled by its nonzero integer gamma into
-        term maps {exponent: int} keyed (w, y, x'), updated in place; the structure
-        constants are only read.  A missing map counts as empty, and the
-        first differing key in sorted order is the witness (x, x', y, w).
-        D4 (192 elements) takes 2-3 s.
+        Both sides read gamma from gamma_rows.  Per x, one term map
+        {exponent: int} per key (w, y, x') holds the left side less the
+        right, each h added in place scaled by +gamma or -gamma.  The least
+        key left nonzero is the witness (x, x', y, w).  D4 takes 1-2 s.
         """
         n = len(self.group)
         a = self.afn
-        inv = self.group.inverse_index
         hconst = self.hconst
-        by_last: list[list[tuple]] = [[] for _ in range(n)]
-        by_first: list[list[tuple]] = [[] for _ in range(n)]
-        for (w, xp, z), g in self.gamma.items():
-            by_last[inv(z)].append((w, xp, g))
-            by_first[w].append((xp, inv(z), g))
-        empty: dict[int, int] = {}
+        rows = self.gamma_rows
         for x in range(n):
-            lhs: dict[tuple[int, int, int], dict[int, int]] = {}
-            rhs: dict[tuple[int, int, int], dict[int, int]] = {}
-            for u in range(n):
-                row = hconst[(x, u)]
-                for w, xp, g in by_last[u]:
-                    for y, h in row.items():
-                        if a[y] == a[w]:
-                            add_into(lhs.setdefault((w, y, xp), {}), h._terms, g)
+            diff: defaultdict[tuple[int, int, int], dict[int, int]] = defaultdict(dict)
             for w in range(n):
+                aw = a[w]
+                for xp, prod in rows[w].items():  # prod[u] = gamma_{w,x',u^-1}
+                    for u, g in prod.items():
+                        for y, h in hconst[(x, u)].items():
+                            if a[y] == aw:
+                                add_into(diff[(w, y, xp)], h._terms, g)
                 for u, h in hconst[(x, w)].items():
-                    for xp, y, g in by_first[u]:
-                        if a[y] == a[w]:
-                            add_into(rhs.setdefault((w, y, xp), {}), h._terms, g)
-            for w, y, xp in sorted(lhs.keys() | rhs.keys()):
-                if lhs.get((w, y, xp), empty) != rhs.get((w, y, xp), empty):
-                    return CheckResult("P15'", False, (x, xp, y, w))
+                    for xp, prod in rows[u].items():  # prod[y] = gamma_{u,x',y^-1}
+                        for y, g in prod.items():
+                            if a[y] == aw:
+                                add_into(diff[(w, y, xp)], h._terms, -g)
+            if any(diff.values()):
+                w, y, xp = min(key for key, t in diff.items() if t)
+                return CheckResult("P15'", False, (x, xp, y, w))
         return CheckResult("P15'", True)
 
     def require_checks(self):
@@ -746,11 +755,7 @@ class KLData:
         for y in range(1, len(group)):
             s = group.elements[y].word[0]
             cols.append(ring.mul(gens[s], cols[group.left_table[s][y]]))
-        B = [[_ZERO] * len(group) for _ in cols]
-        for y, col in enumerate(cols):
-            for x, c in col.items():
-                B[x][y] = c
-        return B
+        return [[col.get(x, _ZERO) for col in cols] for x in range(len(group))]
 
     def phi_matrix_det(self) -> LaurentPoly:
         """det phi, as a product over the right cells.
@@ -769,10 +774,7 @@ class KLData:
         inv = group.inverse_index
         a = self.afn
         right_cells = [sorted(inv(x) for x in cell) for cell in self.left_cells]
-        cell_of = [0] * len(group)
-        for i, cell in enumerate(right_cells):
-            for z in cell:
-                cell_of[z] = i
+        cell_of = {z: i for i, cell in enumerate(right_cells) for z in cell}
         C = [self.phi_cdagger(w) for w in range(len(group))]
         for w, col in enumerate(C):
             for z in col:
@@ -788,27 +790,22 @@ class KLData:
 
 
 class JRing:
-    """The asymptotic ring: integer structure constants on a group basis."""
+    """The asymptotic ring: integer structure constants on a group basis.
+
+    Products read the gamma index of kl: kl.gamma_rows[x][y] is t_x t_y.
+    """
 
     def __init__(self, kl: KLData):
         self.kl = kl
-        self.group = kl.group
 
-    @cached_property
-    def products(self) -> dict[tuple[int, int], dict[int, int]]:
-        """products[(x, y)] = t_x t_y = {z^-1: gamma_{x,y,z}}, by increasing z."""
-        inv = self.group.inverse_index
-        out: dict[tuple[int, int], dict[int, int]] = {}
-        for (x, y, z), g in sorted(self.kl.gamma.items()):
-            out.setdefault((x, y), {})[inv(z)] = g
-        return out
-
-    def mul(self, jx: dict[int, int], jy: dict[int, int]) -> dict[int, int]:
-        products = self.products
-        out: dict[int, int] = {}
+    def mul(self, jx: dict, jy: dict) -> dict:
+        """jx jy, adding t_x t_y only for the (x, y) whose product is not zero."""
+        rows = self.kl.gamma_rows
+        out: dict = {}
         for x, cx in jx.items():
-            for y, cy in jy.items():
-                add_into(out, products.get((x, y), {}), cx * cy)
+            for y, prod in rows[x].items():
+                if y in jy:
+                    add_into(out, prod, cx * jy[y])
         return out
 
     def basis(self, w: int) -> dict[int, int]:

@@ -389,25 +389,25 @@ def g2_schur(label: str, a: int, b: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _load_table(name: str):
+def _load_table(family: str) -> dict:
+    """{label: {regime: [f, [cb, ca]]}} of the family's table, in its row order."""
+    name = f"{family.lower()}_invariants.json"
     data = json.loads(resources.files("heckekit.fixtures").joinpath(name).read_text())
-    table = {}
-    for row in data["rows"]:
-        table[row["label"]] = {
-            reg: (cell[0], tuple(cell[1]))
-            for reg, cell in zip(data["regimes"], row["cells"])
-        }
-    return data["regimes"], [r["label"] for r in data["rows"]], table
+    return {row["label"]: dict(zip(data["regimes"], row["cells"])) for row in data["rows"]}
+
+
+def _table_invariants(family: str, regime: str, label: str, a: int, b: int) -> InvariantPair:
+    """(f, alpha) of label in the family's table: alpha = cb * b + ca * a."""
+    table = _load_table(family)
+    if label not in table:
+        raise ValueError(f"unknown {family} character label {label!r}")
+    f, (cb, ca) = table[label][regime]
+    return InvariantPair(alpha=cb * b + ca * a, f=f)
 
 
 def g2_invariants(label: str, a: int, b: int) -> InvariantPair:
     """Table lookup of (f, alpha) for G2; redundant with g2_schur by design."""
-    regime = _g2_regime(a, b)
-    _, _, table = _load_table("g2_invariants.json")
-    if label not in table:
-        raise ValueError(f"unknown G2 character label {label!r}")
-    f, (cb, ca) = table[label][regime]
-    return InvariantPair(alpha=cb * b + ca * a, f=f)
+    return _table_invariants("G2", _g2_regime(a, b), label, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +430,11 @@ def _f4_regime(a: int, b: int) -> str:
 
 
 def f4_labels() -> list[str]:
-    _, labels, _ = _load_table("f4_invariants.json")
-    return list(labels)
+    return list(_load_table("F4"))
 
 
 def f4_invariants(label: str, a: int, b: int) -> InvariantPair:
-    regime = _f4_regime(a, b)
-    _, _, table = _load_table("f4_invariants.json")
-    if label not in table:
-        raise ValueError(f"unknown F4 character label {label!r}")
-    f, (cb, ca) = table[label][regime]
-    return InvariantPair(alpha=cb * b + ca * a, f=f)
+    return _table_invariants("F4", _f4_regime(a, b), label, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,30 @@ def check_star_compatibility(data: KLData) -> CheckResult:
     return CheckResult("star", True)
 
 
+def partner_witnesses(data: KLData) -> dict[str, Optional[tuple]]:
+    """Oracle: the P2, P3 and P5 witnesses (None where the property holds).
+
+    A dense scan of gamma by increasing x, y and distinguished z for P2, and
+    by increasing y and distinguished d for the pairs (y^-1, y, d) of P3
+    and P5.  As in the checks, a key of gamma counts as present whatever
+    its value.
+    """
+    n, inv, gamma, nz = len(data.group), data.group.inverse_index, data.gamma, data.nz
+    dinv = sorted(data.dinv)
+    p2 = next(((x, y, z, gamma[x, y, z]) for x in range(n) for y in range(n) for z in dinv
+               if x != inv(y) and (x, y, z) in gamma), None)
+    p3 = p5 = None
+    for y in range(n):
+        ds = [d for d in dinv if (inv(y), y, d) in gamma]
+        if p3 is None and len(ds) != 1:
+            p3 = (y, tuple(ds))
+        for d in ds:
+            g = gamma[inv(y), y, d]
+            if p5 is None and not (g == nz[d] and g in (1, -1)):
+                p5 = (y, d, g, nz[d])
+    return {"P2": p2, "P3": p3, "P5": p5}
+
+
 def jring_mul_by_scan(data: KLData, jx: dict[int, int], jy: dict[int, int]) -> dict[int, int]:
     """Oracle: t_x t_y = sum of gamma_{x,y,z} t_{z^-1}, probing every z for each (x, y)."""
     inv = data.group.inverse_index

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckekit import schur
+from heckekit import klcells, schur
 from heckekit.cli import main
 from heckekit.coxeter import CoxeterType, _cached_group, weight_from_ab
 from heckekit.fock import ARIKI, FLOTW, FockParams, crystal
@@ -367,6 +367,41 @@ class TestKlCommand:
         code, _, _ = run(capsys, "kl", "--type", "B", "--rank", "2",
                          "--weights", "1", "--emit", "afn")
         assert code == 2
+
+    @pytest.mark.parametrize("family,rank,weights,force,cap", [
+        ("A", 2000, "1", False, 400),
+        ("A", 1000000, "1", False, 400),
+        ("B", 10 ** 18, "1,2", False, 400),
+        ("A", 3000, "1", True, 2000),
+        ("A", 1000000, "1", True, 2000),
+        ("D", 10 ** 18, "1", True, 2000),
+    ], ids=["A2000", "A1e6", "B1e18", "A3000-force", "A1e6-force", "D1e18-force"])
+    def test_a_huge_rank_is_refused_at_once(self, capsys, monkeypatch, family, rank,
+                                           weights, force, cap):
+        # |W|, the Cartan matrix and the weights are all rank-sized: none is formed
+        def rank_sized(*args):
+            raise AssertionError("rank-sized work before the caps were checked")
+
+        monkeypatch.setattr(CoxeterType, "order", rank_sized)
+        monkeypatch.setattr(CoxeterType, "cartan_matrix", rank_sized)
+        monkeypatch.setattr(klcells, "weight_from_ab", rank_sized)
+        before = _cached_group.cache_info()
+        argv = ["kl", "--type", family, "--rank", str(rank), "--weights", weights,
+                "--emit", "afn"] + ["--force"] * force
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert f"{family}{rank}" in err and f"<= {cap}" in err
+        assert _cached_group.cache_info() == before
+
+    @pytest.mark.parametrize("argv,name,cap", [
+        (("--type", "A", "--rank", "7", "--weights", "1", "--force"), "A7", 2000),
+        (("--type", "B", "--rank", "5", "--weights", "1,2"), "B5", 400),
+        (("--type", "D", "--rank", "4", "--weights", "1", "--check", "P2"), "D4", 120),
+    ], ids=["A7-force", "B5", "D4-check"])
+    def test_the_cap_message_names_the_type_and_the_cap(self, capsys, argv, name, cap):
+        code, out, err = run(capsys, "kl", *argv)
+        assert_input_error(code, out, err)
+        assert name in err and f"<= {cap}" in err
 
 
 KL_EMITS = ["cbasis", "afn", "gamma", "dinv", "jring", "phimatrix"]

@@ -47,6 +47,20 @@ def test_cache_is_keyed_by_type_alone(monkeypatch):
     assert coxeter._cached_group.cache_info() == before
 
 
+def test_exceeds_is_the_order_against_the_cap(monkeypatch):
+    for family, ranks in (("A", range(1, 9)), ("B", range(2, 8)), ("D", range(2, 8)),
+                          ("G2", [2]), ("F4", [4])):
+        for rank in ranks:
+            ct = CoxeterType(family, rank)
+            for cap in (0, 1, 5, 23, 24, 120, 400, 2000, ct.order() - 1, ct.order()):
+                assert ct.exceeds(cap) == (ct.order() > cap), (ct, cap)
+    # a huge rank is decided without forming |W|
+    monkeypatch.setattr(CoxeterType, "order", lambda self: pytest.fail("|W| was formed"))
+    assert CoxeterType("A", 10 ** 9).exceeds(2000)
+    with pytest.raises(GroupTooLarge, match="A1000000000 .* 2000"):
+        build(CoxeterType("A", 10 ** 9))
+
+
 def test_unique_extremes():
     for ct in (CoxeterType("A", 3), CoxeterType("B", 3), CoxeterType("G2", 2)):
         W = build(ct)

@@ -12,8 +12,8 @@ from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
                      dim_bipartition, jmap, jring_mul_by_scan, kl_cbasis_all_products,
-                     phi_by_cexpand, phi_det_by_elimination, phi_matrix_by_cexpand, tau,
-                     wgraph_by_products)
+                     partner_witnesses, phi_by_cexpand, phi_det_by_elimination,
+                     phi_matrix_by_cexpand, tau, wgraph_by_products)
 
 
 def weights_ab(ct, a, b):
@@ -647,6 +647,28 @@ class TestPropertyChecks:
                 assert lhs != rhs
         assert failures
 
+    @pytest.mark.parametrize("alg", [S3, B2_13], ids=["A2", "B2"])
+    def test_partner_witnesses_match_the_dense_scan(self, alg):
+        # every gamma key, every (x, y, d) with d distinguished (the absent
+        # (y^-1, y, d) among them) and every (y^-1, y, z), raised by one in turn
+        base = kl(alg)
+        n, dinv, inv = len(base.group), base.dinv, base.group.inverse_index
+        keys = sorted(set(base.gamma)
+                      | {(x, y, d) for x in range(n) for y in range(n) for d in dinv}
+                      | {(inv(y), y, z) for y in range(n) for z in range(n)})
+        failures = Counter()
+        for key in keys:
+            data = kl(alg)
+            data.hconst, data.afn, data.trace_leading = base.hconst, base.afn, base.trace_leading
+            data.gamma = dict(base.gamma)
+            data.gamma[key] = data.gamma.get(key, 0) + 1
+            expected = partner_witnesses(data)
+            for name in ("P2", "P3", "P5"):
+                res = data.check_property(name)
+                assert (res.passed, res.witness) == (expected[name] is None, expected[name])
+                failures[name] += not res.passed
+        assert all(failures[name] for name in ("P2", "P3", "P5"))
+
     @pytest.mark.parametrize("family,rank,a,b,step", [("B", 2, 1, 3, 1), ("G2", 2, 1, 2, 15)],
                              ids=["B2", "G2"])
     def test_p15prime_fails_on_a_raised_structure_constant(self, family, rank, a, b, step):
@@ -711,6 +733,21 @@ class TestJRingAndPhi:
                     list(jring_mul_by_scan(data, jx, jy).items())
         unit = ring.unit
         assert ring.mul(unit, unit) == jring_mul_by_scan(data, unit, unit) == unit
+
+    @pytest.mark.parametrize("family,rank,a,b", [("G2", 2, 1, 2), ("B", 3, 1, 2)])
+    def test_mul_of_several_terms_matches_the_scan_oracle(self, family, rank, a, b):
+        # phi(Tt_s) images and sums of basis vectors, dense and sparse, so that
+        # many y of a product row are missing from the right factor
+        data = shared_kl(family, rank, a, b)
+        ring = data.jring
+        n = len(data.group)
+        rng = random.Random(f"{family}{rank}")
+        sums = [{x: rng.choice([-2, -1, 1, 3]) for x in rng.sample(range(n), k)}
+                for k in (2, 3, n // 4, n)]
+        vectors = [data.phi(s) for s in range(data.group.rank)] + sums + [ring.unit]
+        for jx in vectors:
+            for jy in vectors:
+                assert ring.mul(jx, jy) == jring_mul_by_scan(data, jx, jy)
 
     def test_idempotents(self):
         data = kl(B2_13)
