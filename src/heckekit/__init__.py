@@ -10,9 +10,9 @@ decomposition-matrix verification), cli (command-line front end).
 from .laurent import LaurentPoly, NotDivisible, DivisionByZero, ZeroPolynomial
 from .coxeter import CoxeterType, WeylGroup, WeightFunction, build, weight_from_ab
 from .klcells import HeckeAlgebra, KLData, JRing, PropertyFailure
-from .schur import (Bipartition, InvariantPair, Partition, Symbol,
+from .schur import (Bipartition, InvariantPair, Partition,
                     invariants_A, invariants_B, invariants_asymptotic,
-                    invariants_azero, schur_element_B, symbol_of,
+                    invariants_azero, schur_element_B,
                     g2_schur, g2_invariants, f4_invariants, l_good)
 from .fock import (CrystalGraph, FockParams, Multipartition, crystal,
                    flotw_member, kleshchev_member, uryu_set)

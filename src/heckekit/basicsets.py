@@ -17,8 +17,8 @@ from typing import Optional, Union
 
 from . import fock
 from .fock import ARIKI, FLOTW, FockParams, Multipartition
-from .schur import (Partition, bipartitions, check_partition, check_rank_D, e_regular,
-                    partitions)
+from .schur import (Partition, bipartitions, check_partition, check_rank_D, check_size,
+                    e_regular, partitions)
 
 
 class CharTwoUnsupported(ValueError):
@@ -124,6 +124,7 @@ def fn_zero(params: SpecParams, n: int) -> tuple[bool, Optional[int]]:
 
 def basic_set_sym(params: SpecParams, n: int) -> list[Partition]:
     """e-regular partitions of n (the symmetric-group basic set)."""
+    check_size("A", n)
     if params.a <= 0:
         raise ValueError("requires a > 0")
     e = e_value(params)
@@ -159,6 +160,7 @@ def basic_set_B(params: SpecParams, n: int) -> tuple[list[Multipartition], str]:
     product vanishing; (5) b = 0 with the product vanishing.  Anything else
     is not covered and raises.
     """
+    check_size("B", n)
     if params.char == 2:
         raise CharTwoUnsupported("type-B dispatch is stated away from char 2")
     a, b, m = params.a, params.b, params.xi_order

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .laurent import LaurentPoly, add_into, vpow
-from .schur import Partition, check_partition, partitions
+from .schur import Partition, _capped_partitions, check_partition, multipartitions
 
 Multipartition = tuple[Partition, ...]
 FockVector = dict[Multipartition, LaurentPoly]
@@ -78,17 +78,6 @@ def empty_mp(r: int) -> Multipartition:
 
 def mp_size(mp: Multipartition) -> int:
     return sum(sum(c) for c in mp)
-
-
-def multipartitions(r: int, n: int) -> Iterator[Multipartition]:
-    if r == 1:
-        for nu in partitions(n):
-            yield (nu,)
-        return
-    for k in range(n, -1, -1):
-        for nu in partitions(k):
-            for rest in multipartitions(r - 1, n - k):
-                yield (nu,) + rest
 
 
 def mp_text(mp: Multipartition) -> str:
@@ -381,25 +370,6 @@ def uryu_set(params: FockParams, n: int) -> set[Multipartition]:
     if params.node_order == FLOTW and params.flotw_ok():
         return _flotw_level(params, n)
     return set(crystal(params, n).levels[n])
-
-
-def _capped_partitions(n: int, caps: list[int], floors: Partition = ()) -> Iterator[Partition]:
-    """Partitions of n whose row a is at most caps[a-1] and at least floors[a-1].
-
-    Rows past caps are empty, and rows past floors have no floor.
-    """
-    depth = len(floors)
-    lows = list(floors) + [1] * (len(caps) - depth)
-
-    def extend(left: int, a: int, top: int) -> Iterator[Partition]:
-        if left == 0:
-            if a >= depth:
-                yield ()
-        elif a < len(caps):
-            for part in range(min(left, top, caps[a]), lows[a] - 1, -1):
-                for rest in extend(left - part, a + 1, part):
-                    yield (part,) + rest
-    return extend(n, 0, n)
 
 
 def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:

@@ -286,9 +286,6 @@ def _coerce(x):
 _ZERO = _wrap({})
 _ONE = _wrap({0: 1})
 
-#: the generator v
-V = LaurentPoly.monomial(1)
-
 
 def add_into(acc: MutableMapping, terms: Mapping, scale=None) -> MutableMapping:
     """Add scale * terms into acc entry by entry and return acc.

@@ -1,9 +1,11 @@
 """Partition combinatorics and Schur-element invariants.
 
-Covers partitions and bipartitions with e-regularity and hook lengths,
-two-row symbols, the exact product formula for type-B Schur elements with
-weights (a, b), the derived invariants (alpha, f) for types A/B/D, embedded
-invariant tables for G2 and F4, and L-good prime tests.
+Covers partitions and multipartitions with e-regularity and hook lengths,
+the exact type-B Schur elements with weights (a, b) as one product over the
+boxes of the bipartition (the hook formula of Chlouveraki-Jacon, J.
+Algebraic Combin. 35 (2012), at r = 2), the derived invariants (alpha, f)
+for types A/B/D, embedded invariant tables for G2 and F4, L-good prime
+tests, and the size caps of the type-A, B and D tables.
 
 Conventions: an invariant pair is read off the lowest term of the Schur
 element, which always has the shape f * v^(-2*alpha) + higher terms with
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Iterator, NamedTuple, Optional
@@ -25,16 +26,16 @@ Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
 
 
-class MTooSmall(ValueError):
-    """Symbol padding size below the number of parts."""
-
-
 class RegimeNotCovered(ValueError):
     """No table column or closed form covers the requested (a, b)."""
 
 
 class DomainError(ValueError):
     """Closed-form precondition violated."""
+
+
+class SizeCapExceeded(ValueError):
+    """A type-A, B or D job beyond its SIZE_CAPS entry."""
 
 
 class InvariantPair(NamedTuple):
@@ -46,6 +47,19 @@ class InvariantPair(NamedTuple):
 # partition basics
 # ---------------------------------------------------------------------------
 
+#: Largest n for the type-A, B and D invariant tables and the type-A and B
+#: basic sets.  At the cap the slowest of these takes about 2-3 s as a fresh
+#: process: the A table at a = 0, the B table and the D table.
+SIZE_CAPS = {"A": 40, "B": 20, "D": 22}
+
+
+def check_size(family: str, n: int) -> None:
+    """Refuse a type-A, B or D job over its cap, before any partition is listed."""
+    cap = SIZE_CAPS[family]
+    if n > cap:
+        raise SizeCapExceeded(f"type {family} at n = {n} exceeds the cap n <= {cap}")
+
+
 def check_partition(nu) -> Partition:
     nu = tuple(nu)
     if any(p <= 0 for p in nu) or any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
@@ -53,27 +67,45 @@ def check_partition(nu) -> Partition:
     return nu
 
 
+def _capped_partitions(n: int, caps: list[int], floors: Partition = ()) -> Iterator[Partition]:
+    """Partitions of n whose row a is at most caps[a-1] and at least floors[a-1],
+    in reverse lexicographic order.
+
+    Rows past caps are empty, and rows past floors have no floor.
+    """
+    depth = len(floors)
+    lows = list(floors) + [1] * (len(caps) - depth)
+
+    def extend(left: int, a: int, top: int) -> Iterator[Partition]:
+        if left == 0:
+            if a >= depth:
+                yield ()
+        elif a < len(caps):
+            for part in range(min(left, top, caps[a]), lows[a] - 1, -1):
+                for rest in extend(left - part, a + 1, part):
+                    yield (part,) + rest
+    return extend(n, 0, n)
+
+
 def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse lexicographic order."""
-    if n == 0:
-        yield ()
+    return _capped_partitions(n, [n] * n)
+
+
+def multipartitions(r: int, n: int) -> Iterator[tuple[Partition, ...]]:
+    """All r-multipartitions of n, by decreasing size of the first component."""
+    if r == 1:
+        for nu in partitions(n):
+            yield (nu,)
         return
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            yield from rec(remaining - p, p, prefix + [p])
-
-    yield from rec(n, n, [])
+    for k in range(n, -1, -1):
+        for nu in partitions(k):
+            for rest in multipartitions(r - 1, n - k):
+                yield (nu,) + rest
 
 
 def bipartitions(n: int) -> Iterator[Bipartition]:
-    for k in range(n, -1, -1):
-        for lam in partitions(k):
-            for mu in partitions(n - k):
-                yield (lam, mu)
+    return multipartitions(2, n)
 
 
 def nfun(nu: Partition) -> int:
@@ -118,124 +150,53 @@ def standard_tableaux(nu: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbols and the type-B Schur element
+# the type-B Schur element
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Symbol:
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-    m: int
-
-
-def min_symbol_size(lam: Bipartition) -> int:
-    return max(len(lam[0]) - 1, len(lam[1]), 0)
-
-
-def symbol_of(lam: Bipartition, m: int) -> Symbol:
-    """The two-row symbol of a bipartition with padding size m."""
-    lam1, lam2 = check_partition(lam[0]), check_partition(lam[1])
-    if m + 1 < len(lam1) or m < len(lam2):
-        raise MTooSmall(f"m={m} too small for {lam}")
-    p1 = list(lam1) + [0] * (m + 1 - len(lam1))
-    p2 = list(lam2) + [0] * (m - len(lam2))
-    top = tuple(i - 1 + p1[m + 1 - i] for i in range(1, m + 2))
-    bottom = tuple(i - 1 + p2[m - i] for i in range(1, m + 1))
-    for row in (top, bottom):
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            raise AssertionError(f"symbol rows must strictly increase: {row}")
-    return Symbol(top, bottom, m)
-
-
-#: Largest n at which invariants_B checks its lowest-term pair against the
-#: full product formula (the exact division is the runtime proof that the
-#: formula yields a Laurent polynomial): a whole n = 3 table costs about
-#: 2 ms that way, n = 5 about 20 ms and n = 7 about 150 ms.
+#: Largest n at which invariants_B checks the pair it reads off the factors'
+#: lowest terms against the lowest term of the multiplied-out element of
+#: schur_element_B.  A whole (1, 2) table costs 1.0 ms that way at n = 3
+#: (0.3 ms without the check), 6 ms at n = 5 (1.1 ms) and 31 ms at n = 7
+#: (4.7 ms), in process on Python 3.11.
 SCHUR_CHECK_CAP = 3
 
 
-def _vsum(e1: int, e2: int) -> dict[int, int]:
-    """v^e1 + v^e2 as an {exponent: coefficient} map."""
-    return {e1: 2} if e1 == e2 else {e1: 1, e2: 1}
+def _factors_B(lam: Bipartition, a: int, b: int) -> Iterator[dict[int, int]]:
+    """The factors of the weight-(a, b) type-B Schur element at a bipartition.
 
+    Yields {exponent: coefficient} maps, all with positive coefficients.  By
+    the hook formula (Chlouveraki-Jacon, J. Algebraic Combin. 35 (2012),
+    the Ariki-Koike case r = 2), with q = v^(2a) and [h]_q = 1 + q + ... +
+    q^(h-1), which is the constant h when a = 0:
 
-def _geometric(k: int, step: int, shift: int = 0) -> dict[int, int]:
-    """v^shift * (1 + v^step + ... + v^((k-1)*step)); k * v^shift when step = 0."""
-    if step == 0:
-        return {shift: k}
-    return {shift + j * step: 1 for j in range(k)}
+        c = v^(-2a n(lam-bar)) * prod over s in {0, 1} and the boxes (i, j)
+            of lam^s of [h_ij]_q * (v^(2(eps_s b + a g_ij)) + 1)
 
-
-def _factors_B(lam: Bipartition, a: int, b: int,
-               m: Optional[int] = None) -> Iterator[tuple[bool, dict[int, int]]]:
-    """The factors of the type-B symbol product formula at a bipartition.
-
-    Yields (is_denominator, {exponent: coefficient}); every factor has
-    positive coefficients.  The (v^2a - 1)-type factors occurring in numerator
-    and denominator are cancelled in matched pairs before specialization,
-    which keeps the a = 0 case well defined: each v^(2ak) - 1 appears as
-    1 + v^2a + ... + v^(2a(k-1)), which is the constant k when a = 0.
+    h_ij = lam^s_i - j + (lam^s)'_j - i + 1 is the hook length, and g_ij is
+    the same with the column length (lam^t)'_j of the other component
+    t = 1 - s, so it can be 0 or negative.  eps_0 = 1, eps_1 = -1, and
+    lam-bar is the partition made of all the parts of lam^0 and lam^1.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise DomainError("weights must be nonnegative and not both zero")
-    lam1, lam2 = check_partition(lam[0]), check_partition(lam[1])
-    n = sum(lam1) + sum(lam2)
-    if m is None:
-        m = min_symbol_size((lam1, lam2))
-    sym = symbol_of((lam1, lam2), m)
-    alpha, beta = sym.top, sym.bottom
-    x = 2 * a  # exponent of v carried by one power of the a-parameter
-    y = 2 * b
-    num_c1 = den_c1 = 0  # matched (v^(2a) - 1) factor counts
-
-    # Leading monomial and the (v^2a + v^2b)^m factor.  The b-part of the
-    # exponent makes the value independent of the padding size m; without it
-    # the result drifts by v^(-2b) per increment of the triangular number
-    # m(m-1)/2 (anchored at m = 0 by the Poincare polynomial of the group).
-    yield False, {a * 2 * m * (2 * m + 1) * (m - 2) // 3 + b * m * (m - 1): 1}
-    for _ in range(m):
-        yield False, _vsum(x, y)
-
-    for ai in alpha:
-        for k in range(1, ai + 1):
-            num_c1 += 1
-            yield False, _geometric(k, x)                  # (v^(2ak) - 1) factor
-            yield False, _vsum(x * (k - 1) + y, 0)
-    for bj in beta:
-        for k in range(1, bj + 1):
-            num_c1 += 1
-            yield False, _geometric(k, x)
-            yield False, _vsum(x * (k + 1) - y, 0)
-
-    den_c1 += n                                            # (v^(2a) - 1)^n
-    for ai in alpha:
-        for bj in beta:
-            yield True, _vsum(x * (ai - 1) + y, x * bj)
-    for i2 in range(len(alpha)):
-        for i1 in range(i2):
-            den_c1 += 1                                    # v^(2a*ai2) - v^(2a*ai1)
-            yield True, _geometric(alpha[i2] - alpha[i1], x, x * alpha[i1])
-    for j2 in range(len(beta)):
-        for j1 in range(j2):
-            den_c1 += 1
-            yield True, _geometric(beta[j2] - beta[j1], x, x * beta[j1])
-
-    if num_c1 != den_c1:
-        raise AssertionError("unbalanced cancellation in Schur product formula")
+    comps = check_partition(lam[0]), check_partition(lam[1])
+    cols = conjugate(comps[0]), conjugate(comps[1])
+    yield {-2 * a * nfun(tuple(sorted(comps[0] + comps[1], reverse=True))): 1}
+    for s, eps in ((0, 1), (1, -1)):
+        own, other = cols[s], cols[1 - s] + (0,) * len(cols[s])
+        for i, row in enumerate(comps[s]):
+            for j in range(row):
+                h = row - j + own[j] - i - 1
+                g = row - j + other[j] - i - 1
+                yield {2 * a * k: 1 for k in range(h)} if a else {0: h}
+                e = 2 * (eps * b + a * g)
+                yield {0: 2} if e == 0 else {0: 1, e: 1}
 
 
-def schur_element_B(lam: Bipartition, a: int, b: int, m: Optional[int] = None) -> LaurentPoly:
-    """Schur element of the weight-(a, b) type-B algebra at a bipartition.
-
-    Evaluates the symbol product formula (``_factors_B``) exactly.
-    """
-    p = q = LaurentPoly.one()
-    for is_den, terms in _factors_B(lam, a, b, m):
-        if is_den:
-            q = q * LaurentPoly(terms)
-        else:
-            p = p * LaurentPoly(terms)
-    return p.exact_div(q)
+def schur_element_B(lam: Bipartition, a: int, b: int) -> LaurentPoly:
+    """Schur element of the weight-(a, b) type-B algebra at a bipartition:
+    the product of the hook-formula factors of ``_factors_B``."""
+    return math.prod(map(LaurentPoly, _factors_B(lam, a, b)), start=LaurentPoly.one())
 
 
 def _extract_invariants(c: LaurentPoly) -> InvariantPair:
@@ -250,24 +211,18 @@ def _extract_invariants(c: LaurentPoly) -> InvariantPair:
 def invariants_B(lam: Bipartition, a: int, b: int) -> InvariantPair:
     """(alpha, f) read off the lowest term of the type-B Schur element.
 
-    Over Z the lowest term of a product is the product of the lowest terms,
-    and the Schur element is an exact quotient, so only each factor's lowest
-    exponent and coefficient are needed.  Up to SCHUR_CHECK_CAP the pair is
-    checked against the fully divided element.
+    Every factor of ``_factors_B`` has positive coefficients, so the lowest
+    term of the product is the product of the factors' lowest terms:
+    alpha = a n(lam-bar) - sum min(0, eps_s b + a g_ij), and f is 2 to the
+    number of boxes with eps_s b + a g_ij = 0, times prod h_ij when a = 0.
+    Up to SCHUR_CHECK_CAP the pair is checked against the multiplied-out
+    element.
     """
-    lo, num, den = 0, 1, 1
-    for is_den, terms in _factors_B(lam, a, b):
+    lo, f = 0, 1
+    for terms in _factors_B(lam, a, b):
         e = min(terms)
-        if is_den:
-            lo -= e
-            den *= terms[e]
-        else:
-            lo += e
-            num *= terms[e]
-    f, rem = divmod(num, den)
-    if rem or lo % 2 != 0 or f <= 0:
-        raise ArithmeticError(f"lowest term {num}/{den} * v^{lo} of the Schur "
-                              "element is not f * v^(-2 alpha) with f a positive integer")
+        lo += e
+        f *= terms[e]
     pair = InvariantPair(alpha=-lo // 2, f=f)
     if sum(map(sum, lam)) <= SCHUR_CHECK_CAP \
             and pair != _extract_invariants(schur_element_B(lam, a, b)):
@@ -443,6 +398,8 @@ def f4_invariants(label: str, a: int, b: int) -> InvariantPair:
 
 def all_invariants(family: str, a: int, b: int = 0, n: int = 0):
     """(label, InvariantPair) pairs for every irreducible of the given type."""
+    if family in SIZE_CAPS:
+        check_size(family, n)
     if family == "A":
         return [(nu, invariants_A(nu, a)) for nu in partitions(n)]
     if family == "B":

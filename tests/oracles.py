@@ -20,7 +20,8 @@ from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition,
                            check_multipartition, etilde, mp_size)
 from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
 from heckekit.laurent import LaurentPoly, add_into, vpow
-from heckekit.schur import Partition, standard_tableaux
+from heckekit.schur import (Bipartition, DomainError, Partition, check_partition,
+                            standard_tableaux)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +482,89 @@ def check_dominance_triangularity(matrix: DecompMatrix,
             if not dominance_leq_multi(lam_t, mu_t):
                 return False, (lam, mu)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# the type-B Schur element by Lusztig symbols
+# ---------------------------------------------------------------------------
+
+class MTooSmall(ValueError):
+    """Symbol padding size below the number of parts."""
+
+
+@dataclass(frozen=True)
+class Symbol:
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+    m: int
+
+
+def min_symbol_size(lam: Bipartition) -> int:
+    return max(len(lam[0]) - 1, len(lam[1]), 0)
+
+
+def symbol_of(lam: Bipartition, m: int) -> Symbol:
+    """The two-row symbol of a bipartition with padding size m."""
+    lam1, lam2 = check_partition(lam[0]), check_partition(lam[1])
+    if m + 1 < len(lam1) or m < len(lam2):
+        raise MTooSmall(f"m={m} too small for {lam}")
+    p1 = list(lam1) + [0] * (m + 1 - len(lam1))
+    p2 = list(lam2) + [0] * (m - len(lam2))
+    top = tuple(i - 1 + p1[m + 1 - i] for i in range(1, m + 2))
+    bottom = tuple(i - 1 + p2[m - i] for i in range(1, m + 1))
+    for row in (top, bottom):
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            raise AssertionError(f"symbol rows must strictly increase: {row}")
+    return Symbol(top, bottom, m)
+
+
+def _vsum(e1: int, e2: int) -> LaurentPoly:
+    """v^e1 + v^e2."""
+    return LaurentPoly({e1: 1}) + LaurentPoly({e2: 1})
+
+
+def _geometric(k: int, step: int, shift: int = 0) -> LaurentPoly:
+    """v^shift * (1 + v^step + ... + v^((k-1)*step)); k * v^shift when step = 0."""
+    return LaurentPoly({shift: k} if step == 0 else {shift + j * step: 1 for j in range(k)})
+
+
+def schur_element_B_by_symbols(lam: Bipartition, a: int, b: int,
+                               m: Optional[int] = None) -> LaurentPoly:
+    """The type-B Schur element by the symbol product formula, padded to size
+    m (the least size by default), as numerator / denominator by exact division.
+
+    The (v^2a - 1)-type factors of numerator and denominator are cancelled in
+    matched pairs before specialization, which keeps a = 0 well defined: each
+    v^(2ak) - 1 appears as 1 + v^2a + ... + v^(2a(k-1)), the constant k at a = 0.
+    """
+    if a < 0 or b < 0 or (a == 0 and b == 0):
+        raise DomainError("weights must be nonnegative and not both zero")
+    lam = check_partition(lam[0]), check_partition(lam[1])
+    n = sum(map(sum, lam))
+    if m is None:
+        m = min_symbol_size(lam)
+    sym = symbol_of(lam, m)
+    alpha, beta = sym.top, sym.bottom
+    x, y = 2 * a, 2 * b
+    # The b-part of the leading exponent makes the value independent of the
+    # padding size m; without it the result drifts by v^(-2b) per increment of
+    # m(m-1)/2 (anchored at m = 0 by the Poincare polynomial of the group).
+    num = [LaurentPoly({a * 2 * m * (2 * m + 1) * (m - 2) // 3 + b * m * (m - 1): 1})]
+    num += [_vsum(x, y)] * m
+    for row, sign in ((alpha, -1), (beta, 1)):
+        for ai in row:
+            for k in range(1, ai + 1):
+                num += [_geometric(k, x), _vsum(x * (k + sign) - sign * y, 0)]
+    den = [_vsum(x * (ai - 1) + y, x * bj) for ai in alpha for bj in beta]
+    for row in (alpha, beta):
+        den += [_geometric(row[i2] - row[i1], x, x * row[i1])
+                for i2 in range(len(row)) for i1 in range(i2)]
+    # one (v^(2a) - 1) per numerator k, and per box and per pair of a row
+    pairs = sum(len(row) * (len(row) - 1) // 2 for row in (alpha, beta))
+    if sum(alpha) + sum(beta) != n + pairs:
+        raise AssertionError("unbalanced cancellation in the symbol product formula")
+    return math.prod(num, start=LaurentPoly.one()).exact_div(
+        math.prod(den, start=LaurentPoly.one()))
 
 
 # ---------------------------------------------------------------------------

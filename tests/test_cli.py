@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import tempfile
+import time
 from collections import Counter
 from functools import cached_property
 from importlib import resources
@@ -637,6 +639,27 @@ class TestUsage:
     def test_negative_n(self, capsys, argv):
         assert_input_error(*run(capsys, *argv))
 
+    @pytest.mark.parametrize("argv", [
+        ("schur", "--type", "A", "--a", "1"),
+        ("schur", "--type", "B", "--a", "1", "--b", "2"),
+        ("schur", "--type", "D", "--a", "1"),
+        ("basicset", "--type", "A", "--a", "1", "--xi-order", "3"),
+        ("basicset", "--type", "B", "--a", "1", "--b", "2", "--xi-order", "6"),
+    ], ids=["schur-A", "schur-B", "schur-D", "basicset-A", "basicset-B"])
+    def test_a_huge_n_is_refused_at_once(self, capsys, monkeypatch, argv):
+        # no partition is listed before the cap is checked
+        def listed(*args):
+            raise AssertionError("partitions listed before the size cap was checked")
+
+        monkeypatch.setattr(schur, "_capped_partitions", listed)
+        monkeypatch.setattr(schur, "multipartitions", listed)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--n", "1000000000")
+        assert time.perf_counter() - start < 1
+        assert_input_error(code, out, err)
+        family = argv[2]
+        assert f"type {family}" in err and f"<= {schur.SIZE_CAPS[family]}" in err
+
     @pytest.mark.parametrize("char", [str(2 * 10**400), "4", "-3"],
                              ids=["huge", "composite", "negative"])
     def test_bad_char(self, capsys, char):
@@ -647,3 +670,23 @@ class TestUsage:
         data = run_json(capsys, "basicset", "--type", "B", "--n", "3",
                         "--xi-order", "2", "--char", str(10**18 + 3))
         assert data["tag"] == "Jacon-b0"
+
+
+def readme_cli_lines() -> list[str]:
+    """The `heckekit ...` lines of the sh block under "## CLI" in README.md."""
+    text = (REPO_ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("heckekit ")]
+
+
+class TestReadme:
+    def test_every_subcommand_has_an_example(self):
+        assert {line.split()[1] for line in readme_cli_lines()} == \
+            {"crystal", "basicset", "schur", "kl", "verify-decomp"}
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_example(self, capsys, monkeypatch, line):
+        # paths in the examples are relative to the repository root
+        monkeypatch.chdir(REPO_ROOT)
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == (1 if "exits 1" in line else 0), err

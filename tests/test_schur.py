@@ -7,17 +7,18 @@ import pytest
 
 from heckekit import schur
 from heckekit.laurent import vpow
-from heckekit.schur import (G2_LABELS, SCHUR_CHECK_CAP, DomainError, MTooSmall,
-                            RegimeNotCovered, Symbol, _extract_invariants,
-                            all_invariants, bipartitions, conjugate,
+from heckekit.schur import (G2_LABELS, SCHUR_CHECK_CAP, SIZE_CAPS, DomainError,
+                            RegimeNotCovered, SizeCapExceeded, _extract_invariants,
+                            all_invariants, bipartitions, check_size, conjugate,
                             e_regular,
                             f4_invariants, f4_labels, g2_invariants, g2_schur,
                             invariants_A, invariants_asymptotic,
                             invariants_azero, invariants_B, l_good,
-                            min_symbol_size, nfun, partitions, schur_element_B,
-                            standard_tableaux, symbol_of, typeD_invariants,
+                            nfun, partitions, schur_element_B,
+                            standard_tableaux, typeD_invariants,
                             typeD_invariants_split)
-from oracles import dominance_leq, dominance_leq_multi
+from oracles import (MTooSmall, Symbol, dominance_leq, dominance_leq_multi,
+                     min_symbol_size, schur_element_B_by_symbols, symbol_of)
 
 # Table of alpha values per weight pair, one block per even b
 TABLE3_ALPHA = {
@@ -85,6 +86,16 @@ class TestPartitionBasics:
         assert len(list(partitions(8))) == 22
         assert len(list(bipartitions(3))) == 10
 
+    def test_partition_counts_and_order(self):
+        # p(n) by Euler's pentagonal recurrence, and reverse lexicographic order
+        p = [1]
+        for n in range(1, 25):
+            p.append(sum((-1) ** (k + 1) * p[n - g] for k in range(1, n + 1)
+                         for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= n))
+        for n in range(25):
+            parts = list(partitions(n))
+            assert len(parts) == p[n] and parts == sorted(parts, reverse=True)
+
     def test_standard_tableaux(self):
         assert standard_tableaux((2, 1)) == 2
         assert standard_tableaux((3,)) == 1
@@ -132,7 +143,7 @@ class TestSchurElementB:
         for lam in bipartitions(3):
             m0 = min_symbol_size(lam)
             for (a, b) in [(1, 1), (1, 2), (2, 1), (1, 0), (0, 1)]:
-                vals = {schur_element_B(lam, a, b, m) for m in range(m0, m0 + 3)}
+                vals = {schur_element_B_by_symbols(lam, a, b, m) for m in range(m0, m0 + 3)}
                 assert len(vals) == 1
 
     def test_trivial_is_poincare_b2(self):
@@ -169,6 +180,12 @@ class TestSchurElementB:
         for lam in bipartitions(3):
             assert invariants_azero(lam, 2).alpha == 2 * sum(lam[1])
 
+    def test_size_caps(self):
+        for family, cap in SIZE_CAPS.items():
+            check_size(family, cap)
+            with pytest.raises(SizeCapExceeded, match=f"type {family} .* <= {cap}"):
+                check_size(family, cap + 1)
+
     def test_bad_weights(self):
         with pytest.raises(DomainError):
             schur_element_B(((1,), ()), 0, 0)
@@ -184,6 +201,19 @@ class TestLowestTerms:
         for n in range(7):
             for lam in bipartitions(n):
                 assert invariants_B(lam, *ab) == _extract_invariants(schur_element_B(lam, *ab))
+
+    @pytest.mark.parametrize("ab", REGIMES)
+    def test_hook_product_is_the_symbol_formula(self, ab):
+        for n in range(7):
+            for lam in bipartitions(n):
+                assert schur_element_B(lam, *ab) == schur_element_B_by_symbols(lam, *ab), lam
+
+    @pytest.mark.parametrize("ab", [(1, 2), (1, 0), (0, 1)])
+    def test_lowest_term_of_the_symbol_formula(self, ab):
+        for n in range(10):
+            for lam in bipartitions(n):
+                assert invariants_B(lam, *ab) == \
+                    _extract_invariants(schur_element_B_by_symbols(lam, *ab)), lam
 
     @pytest.mark.parametrize("ab", REGIMES)
     def test_element_unchanged(self, ab):
