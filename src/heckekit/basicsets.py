@@ -198,6 +198,7 @@ def basic_set_D(params: SpecParams, n: int) -> list[TypeDLabel]:
     (l/2)-regular partition of n/2 when n is even.
     """
     check_rank_D(n)
+    check_size("D", n)
     if params.char == 2:
         raise CharTwoUnsupported("type-D dispatch is stated away from char 2")
     l = e_value(params)

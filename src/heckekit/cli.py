@@ -40,7 +40,8 @@ def _cmd_crystal(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     else:
-        print(graph.to_json())
+        graph.write_json(sys.stdout.write)
+        sys.stdout.write("\n")
     return 0
 
 

@@ -11,14 +11,17 @@ orders are first class citizens:
 
 Good/cogood nodes come from the usual signature cancellation on the ordered
 addable/removable word, and the crystal graph is the closure of the empty
-multipartition under the cogood addition operator.
+multipartition under the cogood addition operator.  Every word is read off
+the component rims, which list only the nodes present, so no cost here
+grows with l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from itertools import accumulate
+from typing import Callable, Iterator, Optional
 
 from .laurent import LaurentPoly, add_into, vpow
 from .schur import Partition, _capped_partitions, check_partition, multipartitions
@@ -127,7 +130,7 @@ def _quantum(i: int, vec: FockVector, params: FockParams, add: bool) -> FockVect
         word = _iword(mp, i, params)
         for entry in (reversed(word) if add else word):
             if entry[1] == kind:
-                terms[_moved(mp, entry)] = vpow(sign * count)
+                terms[_moved(mp, entry[4], entry[5])] = vpow(sign * count)
             count += 1 if entry[1] == "A" else -1
         add_into(out, terms, coeff)
     return out
@@ -146,97 +149,96 @@ def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> Fo
 # rims, signature cancellation and crystal operators
 # ---------------------------------------------------------------------------
 
-def _component_rim(part: Partition, c: int, params: FockParams) -> tuple[list, ...]:
-    """The addable and removable nodes of component c, one list per residue.
+def _component_rim(part: Partition, c: int, params: FockParams) -> tuple[tuple, ...]:
+    """The addable and removable nodes of component c, sorted by (residue, key).
 
-    Entry (key, 'A'|'R', row, col, c, moved) has key = content * r + (r - c),
-    content = col - row + u_c, and moved is part with the node added for 'A'
-    and removed for 'R'.  Contents along one rim are distinct and fall down
-    the rows, so walking the rows bottom-up leaves every list sorted by key.
+    Entry (residue, key, 'A'|'R', row, col, c, moved) has moved = part with
+    the node added for 'A' and removed for 'R'.  The key orders the nodes of
+    one residue highest first in the configured node order: content * r +
+    (r - c) for FLOTW, content = col - row + u_c, and (-c, -row) for ARIKI,
+    the larger component first and then the larger row.  Two nodes of one
+    multipartition never share a residue and a key, so the sort never
+    compares further fields, and nothing here grows with l.
     """
     l, r, u = params.l, params.r, params.u[c - 1]
-    rim: tuple[list, ...] = tuple([] for _ in range(l))
+    flotw = params.node_order == FLOTW
+    rim = []
     depth = len(part)
     for a in range(depth + 1, 0, -1):
         cur = part[a - 1] if a <= depth else 0
         if a <= depth and (a == depth or part[a] < cur):
             cont = cur - a + u
-            rim[cont % l].append((cont * r + r - c, "R", a, cur, c,
-                                  part[:a - 1] + ((cur - 1,) if cur > 1 else ()) + part[a:]))
+            rim.append((cont % l, cont * r + r - c if flotw else (-c, -a), "R", a, cur, c,
+                        part[:a - 1] + ((cur - 1,) if cur > 1 else ()) + part[a:]))
         if a == 1 or part[a - 2] > cur:
             cont = cur + 1 - a + u
-            rim[cont % l].append((cont * r + r - c, "A", a, cur + 1, c,
-                                  part[:a - 1] + (cur + 1,) + part[a:]))
-    return rim
+            rim.append((cont % l, cont * r + r - c if flotw else (-c, -a), "A", a, cur + 1, c,
+                        part[:a - 1] + (cur + 1,) + part[a:]))
+    rim.sort()
+    return tuple(rim)
 
 
 @lru_cache(maxsize=1)
-def _rim_table(params: FockParams) -> dict[tuple[Partition, int], tuple[list, ...]]:
+def _rim_table(params: FockParams) -> dict[tuple[Partition, int], tuple[tuple, ...]]:
     """The rims met so far under params, keyed (partition, component); the
     single slot drops them when the parameters change."""
     return {}
 
 
-def _rims(mp: Multipartition, params: FockParams) -> list[tuple[list, ...]]:
-    """The cached rim of every component, the larger component first."""
+def _word(mp: Multipartition, params: FockParams) -> list[tuple]:
+    """Every rim entry of mp, sorted by (residue, key): the i-words one after
+    another, each highest node first.  The component rims are cached."""
     table = _rim_table(params)
-    out = []
-    for c in range(len(mp), 0, -1):
-        rim = table.get((mp[c - 1], c))
+    word: list[tuple] = []
+    for c, part in enumerate(mp, start=1):
+        rim = table.get((part, c))
         if rim is None:
-            rim = table[mp[c - 1], c] = _component_rim(mp[c - 1], c, params)
-        out.append(rim)
-    return out
-
-
-def _word(rims: list[tuple[list, ...]], i: int, flotw: bool) -> list:
-    """The i-word, highest node first: the components' i-lists concatenated,
-    and sorted by key in the FLOTW order.  The ARIKI order puts the larger
-    component first and, inside a component, the larger row first, which is
-    the concatenation as it stands."""
-    word = [entry for rim in rims for entry in rim[i]]
-    if flotw:
-        word.sort()
+            rim = table[part, c] = _component_rim(part, c, params)
+        word += rim
+    word.sort()
     return word
 
 
-def _iword(mp: Multipartition, i: int, params: FockParams) -> list:
-    """The i-word of mp, highest node first (see `_component_rim` for the entries)."""
-    return _word(_rims(mp, params), i, params.node_order == FLOTW)
+def _iword(mp: Multipartition, i: int, params: FockParams) -> list[tuple]:
+    """The i-word of mp, highest node first, as entries (key, 'A'|'R', row,
+    col, c, moved) (see `_component_rim`)."""
+    return [entry[1:] for entry in _word(mp, params) if entry[0] == i]
 
 
-def _moved(mp: Multipartition, entry: tuple) -> Multipartition:
-    """mp with the node of a word entry added ('A') or removed ('R')."""
-    c = entry[4]
-    return mp[:c - 1] + (entry[5],) + mp[c:]
+def _moved(mp: Multipartition, c: int, part: Partition) -> Multipartition:
+    """mp with component c replaced by part."""
+    return mp[:c - 1] + (part,) + mp[c:]
 
 
-def _targets(mp: Multipartition, params: FockParams, add: bool) -> list:
-    """f~_i mp (add) or e~_i mp (not add) for every residue i, None where mp
-    has no cogood or good i-node.
+def _targets(mp: Multipartition, params: FockParams, add: bool) -> dict[int, Multipartition]:
+    """{i: f~_i mp} (add) or {i: e~_i mp} (not add) over the residues i at
+    which mp has a cogood or good node.
 
     Signature cancellation pairs each removable node with the nearest free
     addable node below it.  Scanned downwards, an addable node survives when
     no removable node above it is still waiting for one, so a count of those
     stands in for a stack, and the cogood node is the last survivor.  Scanned
     upwards with the kinds swapped, the good node is the last surviving
-    removable node.
+    removable node.  One scan of the merged word covers every residue: the
+    count starts again at each residue's run.  The keys come in increasing
+    residue for add and in decreasing residue otherwise.
     """
-    rims, flotw = _rims(mp, params), params.node_order == FLOTW
+    word = _word(mp, params)
+    if not add:
+        word.reverse()
     blocker = "R" if add else "A"
-    out = []
-    for i in range(params.l):
-        word = _word(rims, i, flotw)
-        waiting, node = 0, None
-        for entry in (word if add else reversed(word)):
-            if entry[1] == blocker:
-                waiting += 1
-            elif waiting:
-                waiting -= 1
-            else:
-                node = entry
-        out.append(None if node is None else _moved(mp, node))
-    return out
+    found = {}
+    res, waiting = None, 0
+    for entry in word:
+        if entry[0] != res:
+            res, waiting = entry[0], 0
+        if entry[2] == blocker:
+            waiting += 1
+        elif waiting:
+            waiting -= 1
+        else:
+            found[res] = entry
+    return {i: _moved(mp, node[5], node[6]) for i, node in found.items()}
 
 
 #: mp, params, add and `_targets(mp, params, add)` of the last `etilde` or
@@ -244,42 +246,47 @@ def _targets(mp: Multipartition, params: FockParams, add: bool) -> list:
 _slot: list = [None, None, None, None]
 
 
-def _target(mp: Multipartition, i: int, params: FockParams, add: bool) -> Optional[Multipartition]:
-    """Entry i of `_targets(mp, params, add)`, kept in a single slot for the l
-    back-to-back calls on one vertex.  The slot is checked by identity, which
-    is cheaper than hashing mp and params; an equal but distinct mp or params
-    only computes the targets again."""
+def _slot_targets(mp: Multipartition, params: FockParams, add: bool) -> dict[int, Multipartition]:
+    """`_targets(mp, params, add)`, kept in a single slot for the back-to-back
+    calls on one vertex.  The slot is checked by identity, which is cheaper
+    than hashing mp and params; an equal but distinct mp or params only
+    computes the targets again."""
     slot = _slot
     if slot[0] is not mp or slot[1] is not params or slot[2] is not add:
         slot[:] = mp, params, add, _targets(mp, params, add)
-    return slot[3][i]
+    return slot[3]
 
 
 def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
     """mp minus its good i-node."""
-    return _target(mp, i, params, False)
+    return _slot_targets(mp, params, False).get(i)
 
 
 def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
-    """mp plus its cogood i-node; the l calls on one vertex in `crystal` read
-    one `_targets` list."""
-    return _target(mp, i, params, True)
+    """mp plus its cogood i-node; the calls on one vertex in `crystal` read
+    one `_targets` table."""
+    return _slot_targets(mp, params, True).get(i)
 
 
 # ---------------------------------------------------------------------------
 # the crystal graph and its vertex sets
 # ---------------------------------------------------------------------------
 
+#: Edge texts per `write` call in `CrystalGraph.write_json`.
+_CHUNK = 4096
+
+
 @dataclass
 class CrystalGraph:
     """Levels 0..n of a crystal, each sorted, and the arrows out of every vertex.
 
-    arrows[k][p] lists the pairs (q, i) with f~_i levels[k][p] = levels[k+1][q],
-    in increasing i; the last level has no arrow lists.
+    arrows[k][p] is the flat tuple (q0, i0, q1, i1, ...) with f~_i
+    levels[k][p] = levels[k+1][q] for each pair, in increasing i; the last
+    level has no arrow tuples.
     """
     params: FockParams
     levels: list[list[Multipartition]] = field(default_factory=list)
-    arrows: list[list[list[tuple[int, int]]]] = field(default_factory=list)
+    arrows: list[list[tuple[int, ...]]] = field(default_factory=list)
 
     @property
     def vertices(self) -> set[Multipartition]:
@@ -295,21 +302,56 @@ class CrystalGraph:
         rows holds one entry per vertex, laid out like `levels`."""
         for src, dst, outs in zip(rows, rows[1:], self.arrows):
             for p, out in enumerate(outs):
-                for q, i in out:
+                pairs = iter(out)
+                for q, i in zip(pairs, pairs):
                     yield src[p], dst[q], i
 
-    def to_json(self) -> str:
-        """The text of `json.dumps({"levels": ..., "edges": ...}, sort_keys=True)`
-        with edges sorted by their text, built from one rendering per vertex,
-        joined from one rendering per distinct partition: for int lists `str`
-        and `json.dumps` agree."""
+    def write_json(self, write: Callable[[str], object]) -> None:
+        """Write the text of `json.dumps({"levels": ..., "edges": ...},
+        sort_keys=True)` with edges sorted by their text, in pieces.
+
+        Each vertex is rendered once, joined from one rendering per distinct
+        partition: for int lists `str` and `json.dumps` agree.  A vertex
+        text is a complete bracketed list, so none is a proper prefix of
+        another, and the text order of "[a, b, i]" is the order of (text a,
+        text b), which fixes i.  So the arrows are sorted as the ints
+        (rank a * V + rank b) * l + i, V vertices ranked by text, and
+        rendered `_CHUNK` at a time: no more edge texts are held than that.
+        """
         parts = {part for level in self.levels for mp in level for part in mp}
         rendered = {part: str(list(part)) for part in parts}
-        texts = [["[" + ", ".join([rendered[part] for part in mp]) + "]" for mp in level]
-                 for level in self.levels]
-        edges = sorted(f"[{a}, {b}, {i}]" for a, b, i in self._arrows_over(texts))
-        levels = ("[" + ", ".join(level) + "]" for level in texts)
-        return '{"edges": [' + ", ".join(edges) + '], "levels": [' + ", ".join(levels) + "]}"
+        texts = ["[" + ", ".join([rendered[part] for part in mp]) + "]"
+                 for level in self.levels for mp in level]
+        starts = list(accumulate(map(len, self.levels), initial=0))
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        rank = [0] * len(texts)
+        for k, v in enumerate(order):
+            rank[v] = k
+        V, l = len(texts), self.params.l
+        keys: list[int] = []
+        for k, outs in enumerate(self.arrows):
+            dst = rank[starts[k + 1]:starts[k + 2]]
+            keys += [(top + dst[out[j]]) * l + out[j + 1]
+                     for top, out in zip([x * V for x in rank[starts[k]:starts[k + 1]]], outs)
+                     for j in range(0, len(out), 2)]
+        keys.sort()
+        by_rank = [texts[v] for v in order]
+        write('{"edges": [')
+        Vl = V * l
+        for lo in range(0, len(keys), _CHUNK):
+            write((", " if lo else "") + ", ".join(
+                [f"[{by_rank[key // Vl]}, {by_rank[key // l % V]}, {key % l}]"
+                 for key in keys[lo:lo + _CHUNK]]))
+        write('], "levels": [')
+        write(", ".join("[" + ", ".join(texts[lo:hi]) + "]"
+                        for lo, hi in zip(starts, starts[1:])))
+        write("]}")
+
+    def to_json(self) -> str:
+        """The text that `write_json` writes."""
+        pieces: list[str] = []
+        self.write_json(pieces.append)
+        return "".join(pieces)
 
     def to_dot(self) -> str:
         """Vertices and then arrows by level, source and colour; levels are sorted."""
@@ -331,8 +373,9 @@ def _check_level(n: int) -> None:
 def crystal(params: FockParams, n: int) -> CrystalGraph:
     """Breadth-first closure of the empty multipartition under cogood addition.
 
-    `ftilde` is called for every (vertex, i) in turn; the l calls on one
-    vertex read the targets of one `_targets` pass over its cached rims.
+    Each vertex fills the `ftilde` slot once, with one `_targets` pass over
+    its cached rims, and `ftilde` is called only at the residues found
+    there, so nothing here loops over the l residues.
     """
     _check_level(n)
     graph = CrystalGraph(params)
@@ -344,16 +387,17 @@ def crystal(params: FockParams, n: int) -> CrystalGraph:
         outs = []
         for mp in current:
             out = []
-            for i in range(params.l):
-                target = ftilde(mp, i, params)
-                if target is not None:
-                    out.append((met.setdefault(target, len(met)), i))
+            for i in _slot_targets(mp, params, True):
+                out.append(met.setdefault(ftilde(mp, i, params), len(met)))
+                out.append(i)
             outs.append(out)
         current = sorted(met)
         pos = [0] * len(current)
         for q, mp in enumerate(current):
             pos[met[mp]] = q
-        graph.arrows.append([[(pos[k], i) for k, i in out] for out in outs])
+        for out in outs:
+            out[::2] = [pos[k] for k in out[::2]]
+        graph.arrows.append([tuple(out) for out in outs])
         graph.levels.append(current)
     return graph
 
@@ -389,7 +433,9 @@ def _flotw_level(params: FockParams, n: int) -> set[Multipartition]:
             if _flotw_residues(prefix, params):
                 out.add(prefix)
             return
-        caps = [left] * left if j == 0 else [left] * (u[j] - u[j - 1]) + list(prefix[-1])
+        # a partition of at most left boxes has at most left rows
+        caps = [left] * left if j == 0 else \
+            ([left] * min(left, u[j] - u[j - 1]) + list(prefix[-1]))[:left]
         floors = prefix[0][l + u[0] - u[j]:] if 0 < j == r - 1 else ()
         for size in ((left,) if j == r - 1 else range(left + 1)):
             for part in _capped_partitions(size, caps, floors):
@@ -456,8 +502,8 @@ def kleshchev_member(mp: Multipartition, params: FockParams) -> bool:
     params = FockParams(l=params.l, r=params.r, u=tuple(x % params.l for x in params.u),
                         node_order=ARIKI)
     while any(mp):
-        mp = next((smaller for smaller in _targets(mp, params, False) if smaller is not None),
-                  None)
-        if mp is None:
+        down = _targets(mp, params, False)
+        if not down:
             return False
+        mp = down[min(down)]
     return True

@@ -168,9 +168,11 @@ def csw_terms(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
     Tt_sy + v^-L(s) Tt_y when sy > y.  Walking down from sw, the coefficient
     of Tt_z left at each z is p_{z,sw} + M^s_{z,w}: p_{z,sw} has only
     negative degrees and M is bar-invariant, so its terms of degree >= 0 fix
-    M, and M c_z is taken off.  basis must hold c_z for every index below
-    sw.  Only the new maps are updated in place; the coefficients of basis
-    are read, never changed.  A map may end up empty.
+    M, and M c_z is taken off.  M^s_{z,w} is zero unless sz < z, so the z
+    with sz > z, whose coefficient has only negative degrees, are skipped as
+    in `KLData.wgraph`.  basis must hold c_z for every index below sw.  Only
+    the new maps are updated in place; the coefficients of basis are read,
+    never changed.  A map may end up empty.
     """
     L = algebra.weights(s)
     table = algebra.group.left_table[s]
@@ -180,6 +182,8 @@ def csw_terms(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
         # sy < y as indices iff as lengths: the canonical order sorts by length
         add_product_into(prod.setdefault(y, {}), p._terms, {L if table[y] < y else -L: 1})
     for z in range(table[w] - 1, -1, -1):
+        if table[z] > z:
+            continue
         f = prod.get(z)
         if f and max(f) >= 0:
             m = {e: -c for e, c in f.items() if e >= 0}  # -M

@@ -35,7 +35,8 @@ class DomainError(ValueError):
 
 
 class SizeCapExceeded(ValueError):
-    """A type-A, B or D job beyond its SIZE_CAPS entry."""
+    """A type-A, B or D job beyond its SIZE_CAPS entry, or a type-B Schur
+    element beyond ELEMENT_CAP."""
 
 
 class InvariantPair(NamedTuple):
@@ -47,10 +48,18 @@ class InvariantPair(NamedTuple):
 # partition basics
 # ---------------------------------------------------------------------------
 
-#: Largest n for the type-A, B and D invariant tables and the type-A and B
-#: basic sets.  At the cap the slowest of these takes about 2-3 s as a fresh
-#: process: the A table at a = 0, the B table and the D table.
+#: Largest n for the type-A, B and D invariant tables and basic sets.  At
+#: the cap the slowest of these takes about 2-3 s as a fresh process: the A
+#: table at a = 0, the B table and the D table.  The type-D basic set takes
+#: at most about 0.8 s there (n = 22, xi of order 40 or more), and 3.3 s at
+#: n = 26.
 SIZE_CAPS = {"A": 40, "B": 20, "D": 22}
+
+#: Largest n = |lam| for one type-B Schur element (`schur --bipartition`).
+#: The element has up to about n^3 terms at generic weights: [[32], []] at
+#: (a, b) = (7, 1000) takes about 1.2 s for 1.9 MB of output, and [[40], []]
+#: 3.3 s for 4.8 MB.
+ELEMENT_CAP = 32
 
 
 def check_size(family: str, n: int) -> None:
@@ -195,7 +204,12 @@ def _factors_B(lam: Bipartition, a: int, b: int) -> Iterator[dict[int, int]]:
 
 def schur_element_B(lam: Bipartition, a: int, b: int) -> LaurentPoly:
     """Schur element of the weight-(a, b) type-B algebra at a bipartition:
-    the product of the hook-formula factors of ``_factors_B``."""
+    the product of the hook-formula factors of ``_factors_B``, refused
+    before any factor is formed when lam has more than ELEMENT_CAP boxes."""
+    n = sum(map(sum, map(check_partition, lam)))
+    if n > ELEMENT_CAP:
+        raise SizeCapExceeded(
+            f"a type-B Schur element at n = {n} exceeds the cap n <= {ELEMENT_CAP}")
     return math.prod(map(LaurentPoly, _factors_B(lam, a, b)), start=LaurentPoly.one())
 
 

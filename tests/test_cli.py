@@ -103,7 +103,9 @@ class TestCrystalCommand:
         (4, (0, 1, 3), 7, FLOTW), (3, (0, 1), 7, ARIKI),
         (5, (2,), 8, FLOTW),          # one component
         (2, (0, 0), 6, FLOTW),        # vertices with equal components share a text
-        (2, (0, 0), 6, ARIKI)])
+        (2, (0, 0), 6, ARIKI),
+        (2, (0,), 12, FLOTW),         # parts of 10 or more: text order is not tuple order
+        (2, (0, 1), 11, ARIKI)])
     def test_json_bytes_match_oracle(self, capsys, l, u, n, order):
         code, out, _ = run(capsys, "crystal", "--l", str(l), "--r", str(len(u)),
                            "--u", ",".join(map(str, u)), "--n", str(n),
@@ -111,6 +113,16 @@ class TestCrystalCommand:
         assert code == 0
         p = FockParams(l=l, r=len(u), u=u, node_order=order)
         assert out == json_oracle(crystal(p, n)) + "\n"
+
+    def test_a_huge_l_costs_only_the_rims(self, capsys):
+        # nothing in the closure or the JSON grows with l
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "crystal", "--l", "1000000", "--r", "2", "--u", "0,1",
+                           "--n", "3")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "47e86fbeed07af550d16fd417abccae2ffedab22b9895208d17d276b6e8f7f5c"
 
 
 class TestBasicsetCommand:
@@ -150,6 +162,16 @@ class TestBasicsetCommand:
                            "--a", "1", "--b", "0", "--xi-order", "2",
                            "--char", "2")
         assert code == 2 and "char" in err.lower()
+
+    def test_type_d_at_a_huge_order_of_xi(self, capsys):
+        # the charge gap l/2 is far past n: every bipartition is in the set,
+        # and the FLOTW enumeration does not grow with the gap
+        argv = ["basicset", "--type", "D", "--n", "10"]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--xi-order", "1000000")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--xi-order", "1000")[:2]
 
     def test_type_d_over_cap_exit_code(self, capsys):
         assert_input_error(*run(capsys, "basicset", "--type", "D", "--n", "31",
@@ -211,6 +233,21 @@ class TestSchurCommand:
                         "--bipartition", "[[2,1],[1]]")
         assert len(calls) == 1
         assert (data["alpha"], data["f"]) == tuple(schur.invariants_B(((2, 1), (1,)), 1, 2))
+
+    @pytest.mark.parametrize("lam", [[[schur.ELEMENT_CAP + 1], []], [[1], [10**9]],
+                                     [[20], [schur.ELEMENT_CAP - 19]]],
+                             ids=["one-past", "huge", "both-components"])
+    def test_a_large_bipartition_is_refused_at_once(self, capsys, monkeypatch, lam):
+        def formed(*args):
+            raise AssertionError("a factor was formed before the size cap was checked")
+
+        monkeypatch.setattr(schur, "_factors_B", formed)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "schur", "--type", "B", "--a", "1", "--b", "2",
+                             "--bipartition", json.dumps(lam))
+        assert time.perf_counter() - start < 1
+        assert_input_error(code, out, err)
+        assert f"<= {schur.ELEMENT_CAP}" in err
 
     def test_type_a_weights(self, capsys):
         assert_input_error(*run(capsys, "schur", "--type", "A", "--n", "3", "--a", "-2"))
@@ -645,7 +682,8 @@ class TestUsage:
         ("schur", "--type", "D", "--a", "1"),
         ("basicset", "--type", "A", "--a", "1", "--xi-order", "3"),
         ("basicset", "--type", "B", "--a", "1", "--b", "2", "--xi-order", "6"),
-    ], ids=["schur-A", "schur-B", "schur-D", "basicset-A", "basicset-B"])
+        ("basicset", "--type", "D", "--a", "1", "--xi-order", "4"),
+    ], ids=["schur-A", "schur-B", "schur-D", "basicset-A", "basicset-B", "basicset-D"])
     def test_a_huge_n_is_refused_at_once(self, capsys, monkeypatch, argv):
         # no partition is listed before the cap is checked
         def listed(*args):

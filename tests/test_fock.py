@@ -72,6 +72,11 @@ def ftilde_oracle(mp, i, params):
     return None if g is None else add_node(mp, g)
 
 
+def etilde_oracle(mp, i, params):
+    g = good_node_oracle(mp, i, params)
+    return None if g is None else remove_node(mp, g)
+
+
 def crystal_oracle(params, n):
     """Levels and edges of the closure of the empty multipartition under
     `ftilde_oracle`."""
@@ -485,10 +490,35 @@ class TestSignatureOracle:
         (FockParams(l=4, r=3, u=(0, 1, 3), node_order=FLOTW), 0),
         (FockParams(l=6, r=2, u=(0, 3), node_order=FLOTW), 10),
         (FockParams(l=3, r=3, u=(0, 0, 2), node_order=ARIKI), 8),
-    ], ids=["l4-flotw", "l3-ariki", "l2-ariki", "n0", "l6-flotw", "l3-r3-ariki"])
+        (FockParams(l=2, r=1, u=(0,), node_order=FLOTW), 12),
+        (FockParams(l=3, r=2, u=(0, 1), node_order=ARIKI), 11),
+    ], ids=["l4-flotw", "l3-ariki", "l2-ariki", "n0", "l6-flotw", "l3-r3-ariki",
+            "l2-r1-parts-past-ten", "l3-ariki-parts-past-ten"])
     def test_json_rendering_matches_str_sort(self, p, n):
         g = crystal(p, n)
         assert g.to_json() == json_oracle(g)
+        if n > 10:
+            # a part of 10 or more sorts "[10]" before "[2]": the text order
+            # of the vertices is not their tuple order
+            texts = {mp_text(mp): mp for level in g.levels for mp in level}
+            assert [texts[t] for t in sorted(texts)] != sorted(texts.values())
+
+    def test_rims_hold_only_the_nodes_at_any_l(self):
+        # one entry per addable or removable node, whatever l is, and the
+        # targets name only the residues that have one
+        for l in (2, 3, 10**6):
+            for order in (FLOTW, ARIKI):
+                p = FockParams(l=l, r=2, u=(0, 1), node_order=order)
+                for n in range(5):
+                    for mp in multipartitions(2, n):
+                        rims = [fock._component_rim(part, c, p) for c, part in enumerate(mp, 1)]
+                        assert sum(map(len, rims)) == \
+                            len(addable(mp, None, p)) + len(removable(mp, None, p))
+                        residues = {entry[0] for rim in rims for entry in rim}
+                        for add, oracle in ((True, ftilde_oracle), (False, etilde_oracle)):
+                            found = {i: oracle(mp, i, p) for i in residues}
+                            assert fock._targets(mp, p, add) == \
+                                {i: t for i, t in found.items() if t is not None}, (mp, add)
 
 
 class TestCrystalOperators:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from heckekit import schur
-from heckekit.laurent import vpow
-from heckekit.schur import (G2_LABELS, SCHUR_CHECK_CAP, SIZE_CAPS, DomainError,
+from heckekit.laurent import LaurentPoly, vpow
+from heckekit.schur import (ELEMENT_CAP, G2_LABELS, SCHUR_CHECK_CAP, SIZE_CAPS, DomainError,
                             RegimeNotCovered, SizeCapExceeded, _extract_invariants,
                             all_invariants, bipartitions, check_size, conjugate,
                             e_regular,
@@ -185,6 +185,13 @@ class TestSchurElementB:
             check_size(family, cap)
             with pytest.raises(SizeCapExceeded, match=f"type {family} .* <= {cap}"):
                 check_size(family, cap + 1)
+
+    def test_element_cap(self, monkeypatch):
+        # the cap counts the boxes of both components, before any factor
+        monkeypatch.setattr(schur, "_factors_B", lambda *args: iter(()))
+        assert schur_element_B(((ELEMENT_CAP - 1,), (1,)), 1, 2) == LaurentPoly.one()
+        with pytest.raises(SizeCapExceeded, match=f"<= {ELEMENT_CAP}"):
+            schur_element_B(((ELEMENT_CAP,), (1,)), 1, 2)
 
     def test_bad_weights(self):
         with pytest.raises(DomainError):
