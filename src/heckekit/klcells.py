@@ -23,7 +23,6 @@ computation deterministic.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -288,11 +287,11 @@ def property_name(name: str) -> str:
 #: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.1 s for
 #: each.  F4 (1152) takes about 0.8-1.0 s and 0.5 s and needs force.
 CBASIS_CAP = 400
-#: Largest |W| for the |W|^2 structure constants.  They take about 0.2 s on
-#: A4 (120) and 0.7-1.1 s on D4 (192), but the jobs that need them cost more:
-#: D4 --check 2-3 s (1-2 s of it P15'), and --emit phimatrix 3-4.5 s:
-#: every P-check, then phi (0.15 s) and its determinant by right-cell
-#: blocks (0.7-1.0 s).
+#: Largest |W| for the |W|^2 structure constants.  They take about 0.07 s
+#: on A4 (120) and 0.3 s on D4 (192), but the jobs that need them cost more,
+#: as fresh processes: D4 --check about 1 s (0.4 s of it P15'), and --emit
+#: phimatrix 1.6-2.6 s: every P-check, then phi (0.15 s) and its
+#: determinant by right-cell blocks (0.7-1.0 s).
 HCONST_CAP = 120
 #: Largest |W| where afn checks itself against the structure constants even
 #: when nothing else needs them: up to A3 (24) they take under 0.01 s.
@@ -313,6 +312,25 @@ def check_weights(ctype: CoxeterType, weights: WeightFunction) -> None:
         raise ValueError("weights must be constant on conjugate generators")
     if not weights.positive():
         raise ValueError("Kazhdan-Lusztig machinery needs L(s) > 0")
+
+
+def _add_product(diff: dict, key, h: LaurentPoly, c: int) -> None:
+    """Add c * h at key of diff, whose values are one product (h, c) or a term map.
+
+    A key's first product is stored as (h, c), and a second that is the
+    same object h with the opposite scale removes the key.  Any other
+    second product turns the key into a term map {exponent: int}, which
+    later products are added into.  Neither h nor c is checked for zero.
+    """
+    cur = diff.get(key)
+    if cur is None:
+        diff[key] = (h, c)
+    elif type(cur) is not tuple:
+        add_into(cur, h._terms, c)
+    elif cur[0] is h and cur[1] + c == 0:
+        del diff[key]
+    else:
+        diff[key] = add_into(add_into({}, cur[0]._terms, cur[1]), h._terms, c)
 
 
 class KLData:
@@ -495,11 +513,16 @@ class KLData:
         h(x, y) = c_s h(r, y) less the M^s_{z,r} h(z, y).  Left
         multiplication by c_s reads each c_s c_w off the W-graph stage, so
         no Tt-coordinates and no back-substitution are involved.  Column y
-        reads only column y.  Each row is summed on {exponent: int} term maps
-        updated in place and wrapped once it is finished, with every
-        coefficient interned over the whole stage, so equal h_{x,y,z} are
-        one object; finished rows are only read.  A4 (120 elements) takes
-        about 0.2 s and D4 (192) 0.6-1.1 s.
+        reads only column y.  The anti-involution Tt_w -> Tt_{w^-1} gives
+        h_{x,y,z} = h_{y^-1,x^-1,z^-1}, so the recursion runs only for
+        x <= y^-1 (as indices): every r and z < r it reads is smaller, so
+        that half column is closed.  A row with x > y^-1 is the row of
+        (y^-1, x^-1) relabelled by z -> z^-1, sharing its coefficients.  Each
+        row is summed on {exponent: int} term maps updated in place and
+        wrapped once it is finished, with every coefficient interned over the
+        whole stage, so equal h_{x,y,z} are one object; finished rows are
+        only read.  A4 (120 elements) takes about 0.07 s, D4 (192) 0.3 s and
+        B4 (384) 2.2-2.4 s.
         """
         check_cap(self.ctype, HCONST_CAP, "structure constants", self.force)
         n = len(self.group)
@@ -512,11 +535,13 @@ class KLData:
         lower = [[[(z, {e: -c for e, c in m._terms.items()}) for z, m in row.items()
                    if z != left_table[s][r]] for r, row in enumerate(rows)]
                  for s, rows in enumerate(self.wgraph)]
+        inverses = [self.group.inverse_index(w) for w in range(n)]
         polys: dict = {}  # one LaurentPoly per distinct coefficient
-        table: dict[tuple[int, int], Coeffs] = {}
+        cols = []  # cols[y][x] = h(x, y) for x <= y^-1
         for y in range(n):
-            col = [{y: interned(polys, {0: 1})}]  # col[x] = h(x, y)
-            for x in range(1, n):
+            col = [{y: interned(polys, {0: 1})}]
+            cols.append(col)
+            for x in range(1, inverses[y] + 1):
                 s = elements[x].word[0]
                 r = left_table[s][x]
                 cs = times[s]
@@ -536,8 +561,14 @@ class KLData:
                         elif not add_product_into(t, g._terms, m):
                             del acc[u]
                 col.append({z: interned(polys, t) for z, t in acc.items()})
-            for x, row in enumerate(col):
-                table[(x, y)] = row
+        table: dict[tuple[int, int], Coeffs] = {}
+        for y, col in enumerate(cols):
+            y_inv = inverses[y]
+            for x in range(n):
+                if x <= y_inv:
+                    table[(x, y)] = col[x]
+                else:  # h(x, y) = h(y^-1, x^-1) relabelled by z -> z^-1
+                    table[(x, y)] = {inverses[z]: p for z, p in cols[inverses[x]][y_inv].items()}
         return table
 
     def check_afn(self, a: list[int]) -> None:
@@ -681,32 +712,48 @@ class KLData:
     def _check_P15prime(self) -> CheckResult:
         """Sum_u gamma_{w,x',u^-1} h_{x,u,y} = sum_u h_{x,w,u} gamma_{u,x',y^-1} if a(w) = a(y).
 
-        Both sides read gamma from gamma_rows.  Per x, one term map
-        {exponent: int} per key (w, y, x') holds the left side less the
-        right, each h added in place scaled by +gamma or -gamma.  The least
-        key left nonzero is the witness (x, x', y, w).  D4 takes 1-2 s.
+        Both sides read gamma from gamma_rows.  The gamma rows, and the
+        h-rows of each x, are grouped by the a-value of y, so a(w) = a(y)
+        picks a group instead of testing every term.  Per (x, w), each key
+        (y, x') holds the left side less the right: its first product as
+        (h, c), dropped when the second is the same interned h with the
+        opposite scale, and a term map {exponent: int} only once two
+        products do not cancel; nearly every key holds one product per
+        side.  The least (w, y, x') left nonzero gives the witness
+        (x, x', y, w).  D4 takes about 0.4 s.
         """
         n = len(self.group)
         a = self.afn
         hconst = self.hconst
         rows = self.gamma_rows
+        # by_a[u][a(y)] = [(x', y, gamma_{u,x',y^-1})]
+        by_a: list[dict[int, list]] = [{} for _ in range(n)]
+        for u, row in enumerate(rows):
+            for xp, prod in row.items():
+                for y, g in prod.items():
+                    by_a[u].setdefault(a[y], []).append((xp, y, g))
         for x in range(n):
-            diff: defaultdict[tuple[int, int, int], dict[int, int]] = defaultdict(dict)
+            # h_by_a[u][a(y)] = [(y, h_{x,u,y})]
+            h_by_a: list[dict[int, list]] = [{} for _ in range(n)]
+            for u in range(n):
+                for y, h in hconst[(x, u)].items():
+                    h_by_a[u].setdefault(a[y], []).append((y, h))
             for w in range(n):
                 aw = a[w]
+                diff: dict[tuple[int, int], object] = {}
                 for xp, prod in rows[w].items():  # prod[u] = gamma_{w,x',u^-1}
                     for u, g in prod.items():
-                        for y, h in hconst[(x, u)].items():
-                            if a[y] == aw:
-                                add_into(diff[(w, y, xp)], h._terms, g)
+                        for y, h in h_by_a[u].get(aw, ()):
+                            _add_product(diff, (y, xp), h, g)
                 for u, h in hconst[(x, w)].items():
-                    for xp, prod in rows[u].items():  # prod[y] = gamma_{u,x',y^-1}
-                        for y, g in prod.items():
-                            if a[y] == aw:
-                                add_into(diff[(w, y, xp)], h._terms, -g)
-            if any(diff.values()):
-                w, y, xp = min(key for key, t in diff.items() if t)
-                return CheckResult("P15'", False, (x, xp, y, w))
+                    for xp, y, g in by_a[u].get(aw, ()):
+                        _add_product(diff, (y, xp), h, -g)
+                # a pair (h, c) is zero only where an injected gamma or h is
+                left = [key for key, t in diff.items()
+                        if ((t[1] and t[0]) if type(t) is tuple else t)]
+                if left:
+                    y, xp = min(left)
+                    return CheckResult("P15'", False, (x, xp, y, w))
         return CheckResult("P15'", True)
 
     def require_checks(self):

@@ -19,7 +19,7 @@ from heckekit.coxeter import CoxeterType, GroupElement, WeightFunction, WeylGrou
 from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _iword,
                            check_multipartition, etilde, mp_size)
 from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
-from heckekit.laurent import LaurentPoly, add_into, vpow
+from heckekit.laurent import LaurentPoly, add_into, add_product_into, vpow
 from heckekit.schur import (Bipartition, DomainError, Partition, check_partition,
                             standard_tableaux)
 
@@ -318,6 +318,38 @@ def wgraph_by_products(data: KLData) -> list[list[Coeffs]]:
                            **cs_times_cw(data.algebra, basis, s, w)[1]}
                      for w in range(len(group))])
     return rows
+
+
+def hconst_by_columns(data: KLData) -> dict[tuple[int, int], Coeffs]:
+    """Oracle for KLData.hconst: the W-graph recursion on x over whole columns.
+
+    With s the first letter of x and r = sx, h(x, y) = c_s h(r, y) less the
+    M^s_{z,r} h(z, y), for every x and y; nothing is read off the row of
+    (y^-1, x^-1).  Rows are summed on term maps and keyed y outer, x inner.
+    """
+    n = len(data.group)
+    elements, left_table = data.group.elements, data.group.left_table
+    times = [[[(z, m._terms) for z, m in row.items()] for row in rows] for rows in data.wgraph]
+    lower = [[[(z, {e: -c for e, c in m._terms.items()}) for z, m in row.items()
+               if z != left_table[s][r]] for r, row in enumerate(rows)]
+             for s, rows in enumerate(data.wgraph)]
+    table: dict[tuple[int, int], Coeffs] = {}
+    for y in range(n):
+        col = [{y: LaurentPoly.one()}]  # col[x] = h(x, y)
+        for x in range(1, n):
+            s = elements[x].word[0]
+            r = left_table[s][x]
+            acc: dict[int, dict[int, int]] = {}
+            for w, f in col[r].items():
+                for z, m in times[s][w]:
+                    add_product_into(acc.setdefault(z, {}), f._terms, m)
+            for z, m in lower[s][r]:
+                for u, g in col[z].items():
+                    add_product_into(acc.setdefault(u, {}), g._terms, m)
+            col.append({z: LaurentPoly(t) for z, t in acc.items() if t})
+        for x, row in enumerate(col):
+            table[(x, y)] = row
+    return table
 
 
 def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:

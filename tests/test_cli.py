@@ -124,6 +124,14 @@ class TestCrystalCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "47e86fbeed07af550d16fd417abccae2ffedab22b9895208d17d276b6e8f7f5c"
 
+    def test_a_crystal_over_the_vertex_cap_prints_nothing(self, capsys):
+        # at l = 1000 every multipartition is a vertex: n = 30 would print
+        # gigabytes, so the closure is refused once it passes VERTEX_CAP
+        code, out, err = run(capsys, "crystal", "--l", "1000", "--r", "2", "--u", "0,1",
+                             "--n", "30")
+        assert_input_error(code, out, err)
+        assert out == ""
+
 
 class TestBasicsetCommand:
     def test_type_b_jacon(self, capsys):

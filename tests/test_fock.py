@@ -237,6 +237,18 @@ class TestCrystalGraphs:
         with pytest.raises(LevelCapExceeded):
             crystal(P22, 40)
 
+    def test_vertex_cap(self, monkeypatch):
+        total = sum(map(len, crystal(P22, 6).levels))
+        monkeypatch.setattr(fock, "VERTEX_CAP", total)
+        assert sum(map(len, crystal(P22, 6).levels)) == total
+        monkeypatch.setattr(fock, "VERTEX_CAP", total - 1)
+        with pytest.raises(LevelCapExceeded, match="vertices"):
+            crystal(P22, 6)
+
+    def test_vertex_cap_admits_the_largest_benchmark_crystal(self):
+        graph = crystal(FockParams(l=4, r=3, u=(0, 1, 3)), 18)
+        assert sum(map(len, graph.levels)) == 44_721
+
     def test_negative_level(self):
         with pytest.raises(ValueError, match="negative"):
             crystal(P22, -2)

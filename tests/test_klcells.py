@@ -11,7 +11,7 @@ from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
-                     dim_bipartition, jmap, jring_mul_by_scan, kl_cbasis_all_products,
+                     dim_bipartition, hconst_by_columns, jmap, jring_mul_by_scan, kl_cbasis_all_products,
                      partner_witnesses, phi_by_cexpand, phi_det_by_elimination,
                      phi_matrix_by_cexpand, tau, wgraph_by_products)
 
@@ -374,6 +374,16 @@ class TestStructureConstants:
         data = shared_kl(family, rank, a, b)
         assert data.hconst == hconst_by_cexpand(data)
 
+    @pytest.mark.parametrize("family,rank,a,b", [
+        ("A", 4, 1, None), ("G2", 2, 1, 2), ("G2", 2, 1, 1), ("G2", 2, 2, 1), ("B", 3, 1, 3)])
+    def test_half_table_matches_the_full_column_recursion(self, family, rank, a, b):
+        # the rows with x > index(y^-1) are read off h_{y^-1,x^-1,z^-1}; A4
+        # (120 elements) is past the reach of the cexpand oracle
+        data = shared_kl(family, rank, a, b)
+        expected = hconst_by_columns(data)
+        assert data.hconst == expected
+        assert list(data.hconst) == list(expected)
+
     @pytest.mark.parametrize("family,rank,a,b", [("G2", 2, 1, 2), ("B", 3, 1, 2)])
     def test_structure_constants_are_interned_and_never_changed(self, family, rank, a, b):
         # equal h_{x,y,z} are one object, shared by many rows, so neither the
@@ -692,6 +702,40 @@ class TestPropertyChecks:
                 lhs, rhs = p15prime_sides(data, *res.witness)
                 assert lhs != rhs
         assert failures
+
+    @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("G2", 2, 1, 2)])
+    def test_p15prime_reads_values_not_interned_objects(self, family, rank, a, b):
+        # a copy of the structure constants whose coefficients are equal but
+        # distinct objects takes the term-map path on every key, and must
+        # give the same result, as is and with one of the first gamma raised
+        base = shared_kl(family, rank, a, b)
+        copied = {key: {z: LaurentPoly(p._terms) for z, p in row.items()}
+                  for key, row in base.hconst.items()}
+        results = []
+        for raised in [None] + sorted(base.gamma)[:3]:
+            pair = []
+            for hconst in (base.hconst, copied):
+                data = KLData(base.ctype, base.weights)
+                data.hconst, data.afn = hconst, base.afn
+                data.gamma = dict(base.gamma)
+                if raised:
+                    data.gamma[raised] += 1
+                pair.append(data.check_property("P15"))
+            assert pair[0] == pair[1]
+            results.append(pair[0].passed)
+        assert results[0] and not all(results)
+
+    def test_p15prime_cancels_only_opposite_products_of_one_object(self):
+        h = vpow(1) + vpow(-1)
+        diff = {}
+        klcells._add_product(diff, "k", h, 2)
+        klcells._add_product(diff, "k", h, -2)
+        assert diff == {}
+        klcells._add_product(diff, "k", h, 2)
+        klcells._add_product(diff, "k", h, 2)  # same object, same sign: adds up
+        assert diff == {"k": {1: 4, -1: 4}}
+        klcells._add_product(diff, "k", vpow(1) + vpow(-1), -4)  # equal, not the same
+        assert diff == {"k": {}}
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):
