@@ -245,10 +245,6 @@ class TestCrystalGraphs:
         with pytest.raises(LevelCapExceeded, match="vertices"):
             crystal(P22, 6)
 
-    def test_vertex_cap_admits_the_largest_benchmark_crystal(self):
-        graph = crystal(FockParams(l=4, r=3, u=(0, 1, 3)), 18)
-        assert sum(map(len, graph.levels)) == 44_721
-
     def test_negative_level(self):
         with pytest.raises(ValueError, match="negative"):
             crystal(P22, -2)
