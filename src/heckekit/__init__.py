@@ -9,7 +9,7 @@ decomposition-matrix verification), cli (command-line front end).
 
 from .laurent import LaurentPoly, NotDivisible, DivisionByZero, ZeroPolynomial
 from .coxeter import CoxeterType, WeylGroup, WeightFunction, build, weight_from_ab
-from .klcells import HeckeAlgebra, KLData, JRing, PropertyFailure
+from .klcells import KLData, JRing, PropertyFailure
 from .schur import (Bipartition, InvariantPair, Partition,
                     invariants_A, invariants_B, invariants_asymptotic,
                     invariants_azero, schur_element_B,

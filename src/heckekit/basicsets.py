@@ -237,6 +237,8 @@ class DecompMatrix:
             raise ValueError("row data lengths disagree")
         if self.dims is not None and len(self.dims) != len(self.labels):
             raise ValueError("row data lengths disagree")
+        if not self.entries:
+            raise ValueError("the matrix has no rows")
         widths = {len(row) for row in self.entries}
         if len(widths) != 1:
             raise ValueError("ragged entry rows")

@@ -17,7 +17,7 @@ from .basicsets import DecompMatrix, SpecParams
 from .coxeter import CoxeterType
 from .fock import ARIKI, FLOTW, FockParams
 from .klcells import (CBASIS_CAP, HCONST_CAP, WITNESS_FIELDS, KLData, PropertyFailure,
-                      coeff_prefix, property_name)
+                      coeff_prefix, property_name, tt_text)
 
 
 def _parse_bipartition(text: str):
@@ -125,6 +125,7 @@ def _write_cbasis(kl: KLData, name: list[str]) -> None:
                 pairs = ", ".join(f'[{e}, "{k}"]' for e, k in c.items())
                 rendered[c] = (f"[{pairs}]", coeff_prefix(c))
     quoted = [f'"{n}"' for n in name]
+    tt = ["Tt_" + n for n in name]
     order = sorted(range(len(name)), key=name.__getitem__)
     write = sys.stdout.write
     write('{"cbasis": {')
@@ -135,7 +136,7 @@ def _write_cbasis(kl: KLData, name: list[str]) -> None:
         write(f'{", " if i else ""}{quoted[w]}: {{{terms}}}')
     write('}, "cbasis_text": {')
     for i, w in enumerate(order):
-        text = kl.algebra.text(kl.cbasis[w], lambda c: rendered[c][1])
+        text = tt_text(tt, kl.cbasis[w], lambda c: rendered[c][1])
         write(f'{", " if i else ""}{quoted[w]}: "{text}"')
     write("}, ")
 

@@ -44,6 +44,18 @@ def coeff_prefix(c: LaurentPoly) -> str:
     return f"{c.text()}*" if len(c) == 1 else f"({c.text()})*"
 
 
+def tt_text(names: list[str], coeffs: Coeffs, prefix=coeff_prefix) -> str:
+    """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1".
+
+    names[w] is the text of Tt_w, made once by the caller.  prefix(c)
+    renders a coefficient as coeff_prefix does; a caller that renders many
+    rows may pass one that looks up a memo of it.
+    """
+    if not coeffs:
+        return "0"
+    return " + ".join(prefix(coeffs[w]) + names[w] for w in sorted(coeffs))
+
+
 class PropertyFailure(RuntimeError):
     """A structural property required for the asymptotic ring fails.
 
@@ -66,35 +78,19 @@ class CheckResult:
 
 
 class HeckeAlgebra:
-    """Generic Iwahori-Hecke algebra of a Weyl group with positive weights.
+    """The Tt-basis base of the test oracles: left multiplication by Tt_s and
+    the bar rows, for positive weights.
 
-    The library keeps elements as Tt-coefficient dicts and needs only their
-    text here.  Left multiplication by Tt_s and the bar rows are the base
-    that the Tt-basis arithmetic of the test oracles is built on.
+    No stage builds one.  It stays in the library, with KLData.cexpand,
+    only because perfbench/tracer.py wraps bar_row by name; its place is
+    tests/oracles.py, whose TtAlgebra subclasses it.
     """
 
     def __init__(self, group: WeylGroup, weights: WeightFunction):
-        check_weights(group.ctype, weights)
         self.group = group
         self.weights = weights
         self.zeta = [vpow(weights(s)) - vpow(-weights(s)) for s in range(group.rank)]
         self._bar_rows: dict[int, Coeffs] = {}
-
-    def text(self, coeffs: Coeffs, prefix=None) -> str:
-        """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1".
-
-        prefix(c) renders a coefficient as coeff_prefix does; a caller that
-        renders many rows may pass one that looks up a memo of it.
-        """
-        if not coeffs:
-            return "0"
-        prefix = prefix or coeff_prefix
-        tt = self.tt_names
-        return " + ".join(prefix(coeffs[w]) + tt[w] for w in sorted(coeffs))
-
-    @cached_property
-    def tt_names(self) -> list[str]:
-        return ["Tt_" + w.name() for w in self.group.elements]
 
     def _lgen(self, s: int, coeffs: Coeffs, inverse: bool = False) -> Coeffs:
         """Left multiplication of a coefficient dict by Tt_s, or by Tt_s^-1.
@@ -130,7 +126,7 @@ class HeckeAlgebra:
 # the Kazhdan-Lusztig basis
 # ---------------------------------------------------------------------------
 
-def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
+def kl_cbasis(group: WeylGroup, weights: WeightFunction) -> list[Coeffs]:
     """The bar-invariant basis congruent to {Tt_w} modulo negative degrees.
 
     Lusztig's recursion (Hecke algebras with unequal parameters, ch. 6), as
@@ -144,7 +140,6 @@ def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
     coefficient interned, so equal coefficients are one object across the
     basis.  B4 (384 elements) takes about 0.1 s and F4 (1152) 0.8-1.0 s.
     """
-    group = algebra.group
     inv = group.inverse_index
     polys: dict = {}  # one LaurentPoly per distinct coefficient
     basis: list[Coeffs] = [{0: interned(polys, {0: 1})}]
@@ -154,12 +149,12 @@ def kl_cbasis(algebra: HeckeAlgebra) -> list[Coeffs]:
             basis.append({inv(y): p for y, p in basis[w_inv].items()})
             continue
         s = group.elements[w].word[0]
-        row = csw_terms(algebra, basis, s, group.left_table[s][w])
+        row = csw_terms(group, weights, basis, s, group.left_table[s][w])
         basis.append({y: interned(polys, t) for y, t in row.items() if t})
     return basis
 
 
-def csw_terms(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
+def csw_terms(group: WeylGroup, weights: WeightFunction, basis: list[Coeffs], s: int,
               w: int) -> dict[int, dict[int, int]]:
     """The Tt-coefficients of c_sw as term maps {exponent: coefficient}, for sw > w.
 
@@ -173,8 +168,8 @@ def csw_terms(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
     the new maps are updated in place; the coefficients of basis are read,
     never changed.  A map may end up empty.
     """
-    L = algebra.weights(s)
-    table = algebra.group.left_table[s]
+    L = weights(s)
+    table = group.left_table[s]
     cw = basis[w]
     prod = {table[y]: dict(p._terms) for y, p in cw.items()}  # y -> sy is a bijection
     for y, p in cw.items():
@@ -308,10 +303,12 @@ def check_cap(ctype: CoxeterType, cap: int, what: str, force: bool) -> None:
 
 def check_weights(ctype: CoxeterType, weights: WeightFunction) -> None:
     """Raise ValueError unless weights suit the Kazhdan-Lusztig stages of ctype."""
+    if not weights.positive():  # first, so that any weight <= 0 is named as such
+        raise ValueError("Kazhdan-Lusztig machinery needs L(s) > 0")
+    if len(weights.values) != ctype.rank:
+        raise ValueError(f"{ctype} needs {ctype.rank} weights, not {len(weights.values)}")
     if not ctype.validate_weight(weights):
         raise ValueError("weights must be constant on conjugate generators")
-    if not weights.positive():
-        raise ValueError("Kazhdan-Lusztig machinery needs L(s) > 0")
 
 
 def _add_product(diff: dict, key, h: LaurentPoly, c: int) -> None:
@@ -336,15 +333,16 @@ def _add_product(diff: dict, key, h: LaurentPoly, c: int) -> None:
 class KLData:
     """All Kazhdan-Lusztig data of W(ctype) with weights L, built in lazy stages.
 
-    group -> algebra -> c-basis -> W-graph -> left cells -> a-function, and
-    structure constants -> gamma -> the gamma index gamma_rows -> P-checks
-    -> J-ring and phi.  Each stage is one cached property, computed on first
-    use from the stages before it.  Both size caps are decided from ctype, so a
-    refused job has enumerated nothing: the constructor checks CBASIS_CAP,
-    and hconst checks HCONST_CAP before it touches any other stage; every
-    consumer of the structure constants asks for hconst first.  force lifts
-    both caps but not GROUP_CAP.  weights is a WeightFunction, or the
-    arguments of weight_from_ab, applied only once ctype passes the caps.
+    group -> c-basis -> W-graph -> left cells -> a-function, and structure
+    constants -> gamma, read in the a-function check's scan -> the gamma index
+    gamma_rows -> P-checks -> J-ring and phi.  Each stage is one cached
+    property, computed on first use from the stages before it.  Both size
+    caps are decided from ctype, so a refused job has enumerated nothing: the
+    constructor checks CBASIS_CAP, and hconst checks HCONST_CAP before it
+    touches any other stage; every consumer of the structure constants asks
+    for hconst first.  force lifts both caps but not GROUP_CAP.  weights is a
+    WeightFunction, or the arguments of weight_from_ab, applied only once
+    ctype passes the caps.
     """
 
     def __init__(self, ctype: CoxeterType, weights, force: bool = False):
@@ -357,22 +355,18 @@ class KLData:
         self.force = force
         self._checks: dict[str, CheckResult] = {}
 
-    # -- stage 0: the group and the algebra ----------------------------------------
+    # -- stage 0: the group ------------------------------------------------------
 
     @cached_property
     def group(self) -> WeylGroup:
         return build(self.ctype)
-
-    @cached_property
-    def algebra(self) -> HeckeAlgebra:
-        return HeckeAlgebra(self.group, self.weights)
 
     # -- stage 1: the c-basis -------------------------------------------------
 
     @cached_property
     def cbasis(self) -> list[Coeffs]:
         """cbasis[w] = Tt-coefficients of c_w."""
-        return kl_cbasis(self.algebra)
+        return kl_cbasis(self.group, self.weights)
 
     def cexpand(self, coeffs: Coeffs) -> Coeffs:
         """c-basis coordinates of the element with Tt-coefficients coeffs.
@@ -380,7 +374,8 @@ class KLData:
         Triangular back-substitution: c_z is Tt_z plus shorter terms, so the
         largest index left is always the next pivot.  No stage calls it: it
         serves the test oracles, which build in Tt-coordinates what the
-        stages read off the W-graph.
+        stages read off the W-graph.  It stays here, not in tests/oracles.py,
+        only because perfbench/tracer.py wraps it by name.
         """
         rest = dict(coeffs)
         out: Coeffs = {}
@@ -571,45 +566,45 @@ class KLData:
                     table[(x, y)] = {inverses[z]: p for z, p in cols[inverses[x]][y_inv].items()}
         return table
 
-    def check_afn(self, a: list[int]) -> None:
-        """Raise PropertyFailure unless a is the a-function of the structure constants.
+    def check_afn(self, a: list[int]) -> dict[tuple[int, int, int], int]:
+        """gamma under a, in one scan that checks a against the structure constants.
 
         Every h_{x,y,z} must lie in v^(-a(z)) Z[v], and each z must have some
-        h_{x,y,z} with a v^(-a(z)) term.
+        h_{x,y,z} with a v^(-a(z)) term; otherwise PropertyFailure.  The
+        same scan reads gamma_{x,y,z^-1}, the coefficient of v^(-a(z^-1)) in
+        h_{x,y,z}, keyed in the order of hconst.
         """
-        attained = [False] * len(self.group)
-        name = [w.name() for w in self.group.elements]
+        inv = [self.group.inverse_index(z) for z in range(len(self.group))]
+        attained = [False] * len(inv)
+        out: dict[tuple[int, int, int], int] = {}
         for (x, y), row in self.hconst.items():
             for z, p in row.items():
                 lo = p.mindeg
                 if lo < -a[z]:
+                    name = [w.name() for w in self.group.elements]
                     raise PropertyFailure(
                         f"h_{{{name[x]},{name[y]},{name[z]}}} has a term v^{lo} "
                         f"below v^-a = v^{-a[z]}")
                 if lo == -a[z]:
                     attained[z] = True
+                if c := p.coeff(-a[inv[z]]):
+                    out[(x, y, inv[z])] = c
         if not all(attained):
             z = attained.index(False)
+            name = [w.name() for w in self.group.elements]
             raise PropertyFailure(f"no h_{{x,y,{name[z]}}} reaches v^-a = v^{-a[z]}")
+        return out
 
     @cached_property
     def gamma(self) -> dict[tuple[int, int, int], int]:
         """gamma[x, y, z] = coefficient of v^(-a(z)) in h_{x,y,z^-1}, nonzero only.
 
-        The a-function from the cells is checked against the structure
-        constants first.
+        Read by check_afn, which checks the a-function from the cells
+        against the structure constants in the same scan.  hconst is asked
+        for first, so an over-cap job is refused before the cells are built.
         """
-        hconst = self.hconst
-        inv = self.group.inverse_index
-        a = self.afn
-        self.check_afn(a)
-        out: dict[tuple[int, int, int], int] = {}
-        for (x, y), row in hconst.items():
-            for zinv, p in row.items():
-                z = inv(zinv)
-                if c := p.coeff(-a[z]):
-                    out[(x, y, z)] = c
-        return out
+        self.hconst
+        return self.check_afn(self.afn)
 
     @cached_property
     def gamma_rows(self) -> list[dict[int, dict[int, int]]]:

@@ -18,7 +18,8 @@ from heckekit.cli import _witness
 from heckekit.coxeter import CoxeterType, GroupElement, WeightFunction, WeylGroup
 from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _iword,
                            check_multipartition, etilde, mp_size)
-from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
+from heckekit.klcells import (CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix,
+                              tt_text)
 from heckekit.laurent import LaurentPoly, add_into, add_product_into, vpow
 from heckekit.schur import (Bipartition, DomainError, Partition, check_partition,
                             standard_tableaux)
@@ -168,7 +169,8 @@ class HeckeElement:
         return hash(frozenset((w, c) for w, c in self.coeffs.items()))
 
     def __repr__(self):
-        return f"HeckeElement({self.algebra.text(self.coeffs)})"
+        names = ["Tt_" + w.name() for w in self.algebra.group.elements]
+        return f"HeckeElement({tt_text(names, self.coeffs)})"
 
 
 class TtAlgebra(HeckeAlgebra):
@@ -263,7 +265,7 @@ def tau(alg: TtAlgebra, h: HeckeElement) -> LaurentPoly:
     return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
 
 
-def cs_times_cw(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
+def cs_times_cw(group: WeylGroup, weights: WeightFunction, basis: list[Coeffs], s: int,
                 w: int) -> tuple[Coeffs, Coeffs]:
     """Oracle: (c_sw, M) with c_s c_w = c_sw + sum of M[z] c_z, for sw > w,
     formed in LaurentPoly arithmetic.
@@ -276,8 +278,8 @@ def cs_times_cw(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
     the same c_sw on integer term maps, and KLData.wgraph reads the same M
     off the c-basis without forming the product.
     """
-    L = algebra.weights(s)
-    table = algebra.group.left_table[s]
+    L = weights(s)
+    table = group.left_table[s]
     cw = basis[w]
     # sy < y as indices iff as lengths: the canonical order sorts by length
     prod = {y: p.shift(L if table[y] < y else -L) for y, p in cw.items()}
@@ -291,17 +293,16 @@ def cs_times_cw(algebra: HeckeAlgebra, basis: list[Coeffs], s: int,
     return prod, edges
 
 
-def kl_cbasis_all_products(alg: HeckeAlgebra) -> list[Coeffs]:
+def kl_cbasis_all_products(group: WeylGroup, weights: WeightFunction) -> list[Coeffs]:
     """Oracle: the c-basis by Lusztig's recursion for every w.
 
     With s the first letter of w, c_w is c_s c_sw less its lower c-terms;
     nothing is read off c_{w^-1}.
     """
-    group = alg.group
     basis: list[Coeffs] = [{0: LaurentPoly.one()}]
     for w in range(1, len(group)):
         s = group.elements[w].word[0]
-        basis.append(cs_times_cw(alg, basis, s, group.left_table[s][w])[0])
+        basis.append(cs_times_cw(group, weights, basis, s, group.left_table[s][w])[0])
     return basis
 
 
@@ -315,7 +316,7 @@ def wgraph_by_products(data: KLData) -> list[list[Coeffs]]:
         table = group.left_table[s]
         rows.append([{w: vpow(L) + vpow(-L)} if table[w] < w
                      else {table[w]: LaurentPoly.one(),
-                           **cs_times_cw(data.algebra, basis, s, w)[1]}
+                           **cs_times_cw(group, data.weights, basis, s, w)[1]}
                      for w in range(len(group))])
     return rows
 
@@ -352,19 +353,35 @@ def hconst_by_columns(data: KLData) -> dict[tuple[int, int], Coeffs]:
     return table
 
 
+def gamma_by_rescan(data: KLData) -> dict[tuple[int, int, int], int]:
+    """Oracle for KLData.gamma: a scan of every structure-constant row of its
+    own, apart from the a-function check, reading the coefficient of
+    v^(-a(z)) in h_{x,y,z^-1} in the order of hconst."""
+    inv = data.group.inverse_index
+    a = data.afn
+    out: dict[tuple[int, int, int], int] = {}
+    for (x, y), row in data.hconst.items():
+        for zinv, p in row.items():
+            z = inv(zinv)
+            if c := p.coeff(-a[z]):
+                out[(x, y, z)] = c
+    return out
+
+
 def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:
     """Rendering oracle for `kl --emit cbasis [--check ...]`: exit code and
-    stdout, the report built as dicts of json_pairs and HeckeAlgebra.text
+    stdout, the report built as dicts of json_pairs and tt_text
     and dumped by json.dumps(sort_keys=True)."""
     results = [data.check_property(c) for c in checks]
     elements = data.group.elements
     name = [w.name() for w in elements]
+    tt = ["Tt_" + n for n in name]
     report: dict = {
         "type": str(data.ctype), "weights": list(data.weights.values),
         "elements": {name[w.index]: list(w.word) for w in elements},
         "cbasis": {name[w]: {name[y]: c.json_pairs() for y, c in sorted(row.items())}
                    for w, row in enumerate(data.cbasis)},
-        "cbasis_text": {name[w]: data.algebra.text(row) for w, row in enumerate(data.cbasis)}}
+        "cbasis_text": {name[w]: tt_text(tt, row) for w, row in enumerate(data.cbasis)}}
     if checks:
         report["checks"] = [
             {"property": res.name, "passed": res.passed}

@@ -411,9 +411,35 @@ class TestKlCommand:
         assert data["afn"]["e"] == 0
 
     def test_weight_count_validation(self, capsys):
-        code, _, _ = run(capsys, "kl", "--type", "B", "--rank", "2",
-                         "--weights", "1", "--emit", "afn")
+        code, _, err = run(capsys, "kl", "--type", "B", "--rank", "2",
+                           "--weights", "1", "--emit", "afn")
         assert code == 2
+        assert "takes 2 weight(s), got 1" in err
+
+    @pytest.mark.parametrize("family,weights", [
+        ("A", ("--weights", "-1")), ("A", ("--weights", "0")), ("B", ("--weights", "1,-2")),
+        ("B", ("--weights=-1,2",)), ("B", ("--weights", "0,1")), ("G2", ("--weights", "1,0"))])
+    def test_a_weight_below_one_is_named_as_such(self, capsys, family, weights):
+        code, out, err = run(capsys, "kl", "--type", family, "--rank", "2", *weights,
+                             "--emit", "afn")
+        assert_input_error(code, out, err)
+        assert "needs L(s) > 0" in err
+        assert "conjugate" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--emit", "afn"), ("--emit", "dinv"), ("--emit", "cbasis"), ("--emit", "gamma"),
+        ("--emit", "jring"), ("--emit", "phimatrix"), ("--check", "P2,P3,P4,P5,P6,P7,P8,P15"),
+    ], ids=["afn", "dinv", "cbasis", "gamma", "jring", "phimatrix", "check"])
+    def test_no_kl_job_builds_a_tt_algebra(self, capsys, monkeypatch, argv):
+        # the Tt-basis algebra is a test-oracle base: no stage needs it
+        def refuse(self, *args):
+            raise AssertionError("a kl job built a HeckeAlgebra")
+
+        monkeypatch.setattr(klcells.HeckeAlgebra, "__init__", refuse)
+        code, out, err = run(capsys, "kl", "--type", "G2", "--rank", "2", "--weights", "1,2",
+                             *argv)
+        assert code == 0, err
+        json.loads(out)
 
     @pytest.mark.parametrize("family,rank,weights,force,cap", [
         ("A", 2000, "1", False, 400),
@@ -592,6 +618,14 @@ class TestVerifyCommand:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify-decomp", "/nonexistent/file.json")
         assert code == 2
+
+    def test_empty_matrix_is_not_called_ragged(self, tmp_path, capsys):
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps({"rows": []}))
+        code, out, err = run(capsys, "verify-decomp", str(bad))
+        assert_input_error(code, out, err)
+        assert "the matrix has no rows" in err
+        assert "ragged" not in err
 
     def test_schema_violation(self, tmp_path, capsys):
         bad = tmp_path / "noalpha.json"

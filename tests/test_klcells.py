@@ -5,15 +5,17 @@ from functools import lru_cache
 import pytest
 
 from heckekit import cli, klcells
-from heckekit.coxeter import CoxeterType, GroupTooLarge, _cached_group, build, weight_from_ab
+from heckekit.coxeter import (CoxeterType, GroupTooLarge, WeightFunction, _cached_group, build,
+                              weight_from_ab)
 from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
                               det_laurent_matrix, kl_cbasis, strongly_connected_components)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
-                     dim_bipartition, hconst_by_columns, jmap, jring_mul_by_scan, kl_cbasis_all_products,
-                     partner_witnesses, phi_by_cexpand, phi_det_by_elimination,
-                     phi_matrix_by_cexpand, tau, wgraph_by_products)
+                     dim_bipartition, gamma_by_rescan, hconst_by_columns, jmap,
+                     jring_mul_by_scan, kl_cbasis_all_products, partner_witnesses,
+                     phi_by_cexpand, phi_det_by_elimination, phi_matrix_by_cexpand, tau,
+                     wgraph_by_products)
 
 
 def weights_ab(ct, a, b):
@@ -100,10 +102,10 @@ def kl(alg):
 
 
 @lru_cache(maxsize=None)
-def shared_kl(family, rank, a, b=None):
+def shared_kl(family, rank, a, b=None, force=False):
     """One KLData per algebra, for tests that only read it (B3 hconst takes seconds)."""
     ct = CoxeterType(family, rank)
-    return KLData(ct, weights_ab(ct, a, b))
+    return KLData(ct, weights_ab(ct, a, b), force=force)
 
 
 def afn_from_hconst(data):
@@ -125,7 +127,7 @@ def hconst_by_cexpand(data):
     takes seconds); callers only read the table.
     """
     n = len(data.group)
-    alg, W = data.algebra, data.group
+    alg, W = TtAlgebra.of(data), data.group
     table = {}
     for y in range(n):
         col = [data.cbasis[y]]  # col[w] = Tt_w c_y, by increasing length
@@ -142,7 +144,7 @@ def hconst_by_cexpand(data):
 
 def left_cells_by_cexpand(data):
     """Oracle: left cells from the c-coordinates of every c_s c_w with sw > w."""
-    alg, W = data.algebra, data.group
+    alg, W = TtAlgebra.of(data), data.group
     edges = []
     for w in range(len(W)):
         cw = data.cbasis[w]
@@ -153,6 +155,23 @@ def left_cells_by_cexpand(data):
                 targets.update(data.cexpand(prod))
         edges.append(list(targets))
     return strongly_connected_components(edges)
+
+
+def afn_failure_oracle(data, a):
+    """The message of check_afn's first failure under a: the first h_{x,y,z}
+    in the order of hconst with a term below v^-a(z), else the least z that
+    no h_{x,y,z} reaches v^-a(z) at."""
+    name = [w.name() for w in data.group.elements]
+    reached = set()
+    for (x, y), row in data.hconst.items():
+        for z, p in row.items():
+            if p.mindeg < -a[z]:
+                return (f"h_{{{name[x]},{name[y]},{name[z]}}} has a term v^{p.mindeg} "
+                        f"below v^-a = v^{-a[z]}")
+            if p.mindeg == -a[z]:
+                reached.add(z)
+    z = min(set(range(len(name))) - reached)
+    return f"no h_{{x,y,{name[z]}}} reaches v^-a = v^{-a[z]}"
 
 
 def involution_count(group):
@@ -281,20 +300,20 @@ class TestKLBasis:
         ("B", 3, 1, 2), ("B", 3, 1, 1), ("B", 3, 2, 1), ("B", 3, 1, 3)])
     def test_recursion_matches_pushed_solve_oracle(self, family, rank, a, b):
         alg = algebra(family, rank, a, b)
-        assert kl_cbasis(alg) == kl_cbasis_pushed(alg)
+        assert kl_cbasis(alg.group, alg.weights) == kl_cbasis_pushed(alg)
 
     @pytest.mark.parametrize("family,rank,a,b", [
         ("G2", 2, 1, 2), ("B", 3, 2, 1), ("D", 4, 1, None), ("B", 4, 1, 4), ("B", 4, 2, 1)])
     def test_symmetric_recursion_matches_all_products_oracle(self, family, rank, a, b):
         alg = algebra(family, rank, a, b)
-        assert kl_cbasis(alg) == kl_cbasis_all_products(alg)
+        assert kl_cbasis(alg.group, alg.weights) == kl_cbasis_all_products(alg.group, alg.weights)
 
     @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("B", 4, 1, 4)])
     def test_rows_are_symmetric_under_inversion(self, family, rank, a, b):
         # p_{y,w} = p_{y^-1,w^-1}, and the relabelled rows share coefficients
         alg = algebra(family, rank, a, b)
         inv = alg.group.inverse_index
-        basis = kl_cbasis(alg)
+        basis = kl_cbasis(alg.group, alg.weights)
         for w, row in enumerate(basis):
             mirror = basis[inv(w)]
             assert {inv(y): p for y, p in row.items()} == mirror
@@ -303,17 +322,19 @@ class TestKLBasis:
 
     @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("B", 4, 1, 4)])
     def test_equal_coefficients_are_one_object(self, family, rank, a, b):
-        coeffs = [p for row in kl_cbasis(algebra(family, rank, a, b)) for p in row.values()]
+        alg = algebra(family, rank, a, b)
+        coeffs = [p for row in kl_cbasis(alg.group, alg.weights) for p in row.values()]
         assert len({id(p) for p in coeffs}) == len(set(coeffs))
 
     def test_cbasis_stage_calls_the_module_function(self, monkeypatch):
         # perfbench/tracer.py times the stage by rebinding klcells.kl_cbasis
         real = klcells.kl_cbasis
         calls = []
-        monkeypatch.setattr(klcells, "kl_cbasis", lambda alg: calls.append(alg) or real(alg))
+        monkeypatch.setattr(klcells, "kl_cbasis",
+                            lambda *args: calls.append(args) or real(*args))
         data = kl(S3)
-        assert data.cbasis == real(data.algebra)
-        assert calls == [data.algebra]
+        assert data.cbasis == real(data.group, data.weights)
+        assert calls == [(data.group, data.weights)]
 
     def test_w_graph_edges_give_the_c_expansion(self):
         # c_s c_w = c_sw + sum of M^s_{z,w} c_z, each M bar-invariant and
@@ -326,7 +347,7 @@ class TestKLBasis:
                 sw = W.left_table[s][w]
                 if sw < w:
                     continue
-                csw, M = cs_times_cw(alg, basis, s, w)
+                csw, M = cs_times_cw(W, data.weights, basis, s, w)
                 assert csw == basis[sw]
                 cs = alg.element(basis[W.generators[s].index])
                 expected = alg.mul(cs, alg.element(basis[w])).coeffs
@@ -341,7 +362,7 @@ class TestKLBasis:
         # bar invariance, so the properties leave no other choice of c_w.
         for alg in (S3, B2_13):
             W = alg.group
-            for w, row in enumerate(kl_cbasis(alg)):
+            for w, row in enumerate(kl_cbasis(alg.group, alg.weights)):
                 for y in range(len(W)):
                     if y != w and bruhat_leq(W, W.elements[y], W.elements[w]):
                         moved = alg.element(add_into(dict(row), {y: vpow(-1)}))
@@ -512,10 +533,18 @@ class TestAFunction:
         # A4 (120 elements) and D4 (192): the structure constants from the
         # W-graph take about 0.5 s and 2 s, so the a-function from the cells
         # is tied to them past the reach of the cexpand oracle
-        ct = CoxeterType(family, rank)
-        data = KLData(ct, weight_from_ab(ct, 1), force=True)
+        data = shared_kl(family, rank, 1, force=True)
         assert data.afn == afn_from_hconst(data)
         data.check_afn(data.afn)
+
+    @pytest.mark.parametrize("family,rank,a,b,force", [
+        ("G2", 2, 1, 2, False), ("B", 2, 1, 3, False), ("A", 3, 1, None, False),
+        ("B", 3, 1, 2, False), ("D", 4, 1, None, True)])
+    def test_gamma_from_the_check_scan_matches_rescan_oracle(self, family, rank, a, b, force):
+        # value and key order: the P2, P7 and P8 witnesses are the first
+        # failing key in that order
+        data = shared_kl(family, rank, a, b, force)
+        assert list(data.gamma.items()) == list(gamma_by_rescan(data).items())
 
     @pytest.mark.parametrize("step", [1, -1], ids=["raised", "lowered"])
     def test_gamma_rejects_a_moved_afn(self, step):
@@ -528,8 +557,9 @@ class TestAFunction:
             data.hconst = base.hconst
             data.afn = list(base.afn)
             data.afn[z] += step
-            with pytest.raises(PropertyFailure):
+            with pytest.raises(PropertyFailure) as failure:
                 data.gamma
+            assert str(failure.value) == afn_failure_oracle(data, data.afn)
             moved += 1
         assert moved
 
@@ -918,10 +948,22 @@ class TestJRingAndPhi:
 class TestWeightValidation:
     def test_rejects_zero_weight(self):
         ct = CoxeterType("B", 2)
-        with pytest.raises(ValueError):
-            HeckeAlgebra(build(ct), weight_from_ab(ct, 1, 0))
+        with pytest.raises(ValueError, match=r"needs L\(s\) > 0"):
+            KLData(ct, weight_from_ab(ct, 1, 0))
 
     def test_rejects_nonconjugation_invariant(self):
-        from heckekit.coxeter import WeightFunction
-        with pytest.raises(ValueError):
-            HeckeAlgebra(build(CoxeterType("A", 2)), WeightFunction((1, 2)))
+        with pytest.raises(ValueError, match="constant on conjugate generators"):
+            KLData(CoxeterType("A", 2), WeightFunction((1, 2)))
+
+    @pytest.mark.parametrize("family,weights", [
+        ("A", (-1,)), ("A", (0,)), ("B", (1, -2)), ("B", (0, 1)), ("G2", (-1, 1)),
+        ("A", WeightFunction((1, -1))), ("A", WeightFunction((0,)))])
+    def test_any_weight_below_one_is_named_as_such(self, family, weights):
+        # positivity comes before the conjugacy and count checks
+        with pytest.raises(ValueError, match=r"needs L\(s\) > 0"):
+            KLData(CoxeterType(family, 2), weights)
+
+    @pytest.mark.parametrize("values", [(1,), (1, 1, 1)])
+    def test_wrong_count_names_the_expected_count(self, values):
+        with pytest.raises(ValueError, match="A2 needs 2 weights"):
+            KLData(CoxeterType("A", 2), WeightFunction(values))
