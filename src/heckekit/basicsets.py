@@ -131,27 +131,6 @@ def basic_set_sym(params: SpecParams, n: int) -> list[Partition]:
     return [nu for nu in partitions(n) if e_regular(nu, e)]
 
 
-def _specht_index_set(params: SpecParams, n: int, zero: bool,
-                      d: Optional[int]) -> list[Multipartition]:
-    """The Specht-module indexing set of simple modules for type B, given
-    (zero, d) = `fn_zero(params, n)`.
-
-    Without a vanishing factor it is the pairs of e-regular partitions.
-    With one and xi^a = 1, xi^b = -1 is forced and the simples extend the
-    symmetric-group ones.  Otherwise the labels come from the
-    component-order crystal at l = e, the order of xi^a, and charges
-    (0, d mod l), since xi^(b + a d) = -1.
-    """
-    e = e_value(params)
-    if not zero:
-        return [lam for lam in bipartitions(n)
-                if e_regular(lam[0], e) and e_regular(lam[1], e)]
-    if params.xi_power_is_one(params.a):
-        return [(lam1, ()) for lam1 in partitions(n) if e_regular(lam1, e)]
-    p = FockParams(l=e, r=2, u=(0, d % e), node_order=ARIKI)
-    return sorted(fock.uryu_set(p, n))
-
-
 def basic_set_B(params: SpecParams, n: int) -> tuple[list[Multipartition], str]:
     """Canonical basic set for type B_n with weights (a, b), with provenance.
 
@@ -159,30 +138,43 @@ def basic_set_B(params: SpecParams, n: int) -> tuple[list[Multipartition], str]:
     criterion; (3) xi^a = 1 and xi^b = -1; (4) equal weights a = b with the
     product vanishing; (5) b = 0 with the product vanishing.  Anything else
     is not covered and raises.
+
+    Case 1 takes its tag over cases 2 and 3, and its labels from the
+    Specht-module indexing set of the simple modules, as they do.  Without a
+    vanishing factor it is the pairs of e-regular partitions.  With one and
+    xi^a = 1, xi^b = -1 is forced and the simples extend the symmetric-group
+    ones.  Otherwise the labels come from the component-order crystal at
+    l = e, the order of xi^a, and charges (0, d mod l), since
+    xi^(b + a d) = -1.
     """
     check_size("B", n)
     if params.char == 2:
         raise CharTwoUnsupported("type-B dispatch is stated away from char 2")
     a, b, m = params.a, params.b, params.xi_order
     zero, d = fn_zero(params, n)
-
-    if a > 0 and b > (n - 1) * a:
-        return _specht_index_set(params, n, zero, d), "asymptotic/DJM"
-    if not zero or params.xi_power_is_one(a):
-        # a vanishing product with xi^a = 1 forces xi^b = -1
-        return _specht_index_set(params, n, zero, d), "DJ-extension" if zero else "DJ-Morita"
-
-    l = e_value(params)
-    if a == b and a > 0:
-        # vanishing product forces -1 into <xi^a>, so l is even
-        p = FockParams(l=l, r=2, u=(1, l // 2), node_order=FLOTW)
-        return sorted(fock.uryu_set(p, n)), "Jacon-equal"
-    if b == 0 and a > 0:
-        p = FockParams(l=l, r=2, u=(0, l // 2), node_order=FLOTW)
-        return sorted(fock.uryu_set(p, n)), "Jacon-b0"
-
-    raise CaseNotCovered(
-        f"no dispatch case for char={params.char}, m={m}, a={a}, b={b}, n={n}")
+    e = e_value(params)
+    asymptotic = a > 0 and b > (n - 1) * a
+    crystal = None
+    if not zero:
+        labels = [lam for lam in bipartitions(n)
+                  if e_regular(lam[0], e) and e_regular(lam[1], e)]
+        tag = "DJ-Morita"
+    elif params.xi_power_is_one(a):
+        labels = [(lam1, ()) for lam1 in partitions(n) if e_regular(lam1, e)]
+        tag = "DJ-extension"
+    elif asymptotic:
+        crystal, tag = FockParams(l=e, r=2, u=(0, d % e), node_order=ARIKI), "asymptotic/DJM"
+    elif a == b and a > 0:
+        # vanishing product forces -1 into <xi^a>, so e is even
+        crystal, tag = FockParams(l=e, r=2, u=(1, e // 2), node_order=FLOTW), "Jacon-equal"
+    elif b == 0 and a > 0:
+        crystal, tag = FockParams(l=e, r=2, u=(0, e // 2), node_order=FLOTW), "Jacon-b0"
+    else:
+        raise CaseNotCovered(
+            f"no dispatch case for char={params.char}, m={m}, a={a}, b={b}, n={n}")
+    if crystal is not None:
+        labels = sorted(fock.uryu_set(crystal, n))
+    return labels, "asymptotic/DJM" if asymptotic else tag
 
 
 TypeDLabel = tuple  # ("pair", lam, mu) with lam != mu, or ("split", lam, "+"/"-")

@@ -1,5 +1,10 @@
 """Finite Weyl groups of types A, B, D, G2 and F4.
 
+Each family is one description, `CoxeterType.diagram`: its generator
+names, its Cartan bonds and the generators whose standard weight is b.
+The Cartan matrix, the weight check and the standard weights are all read
+from it.
+
 A group is its elements' canonical reduced words, the table of left
 products by generators and the table of inverses.  The elements are
 enumerated in one breadth-first pass by left products s*u, identified by
@@ -63,47 +68,32 @@ class CoxeterType:
         """|W| > cap, without forming |W| for a huge rank: |W| >= 2^(rank-1)."""
         return self.rank > cap.bit_length() or self.order() > cap
 
-    def generator_names(self) -> list[str]:
+    def diagram(self) -> tuple[list[str], list[tuple[int, int, int, int]], tuple[int, ...]]:
+        """The family's one description: the generator names, the Cartan
+        bonds (i, j, A_ij, A_ji) with i < j, and the generators whose
+        standard weight is b (none for A and D, which take one weight)."""
         n = self.rank
+        chain = [(i, i + 1, -1, -1) for i in range(n - 1)]
         if self.family == "A":
-            return [f"s{i}" for i in range(1, n + 1)]
+            return [f"s{i}" for i in range(1, n + 1)], chain, ()
         if self.family == "B":
-            return ["t"] + [f"s{i}" for i in range(1, n)]
+            # generators [t, s1, ..., s_{n-1}], double bond between t and s1
+            return ["t"] + [f"s{i}" for i in range(1, n)], [(0, 1, -2, -1)] + chain[1:], (0,)
         if self.family == "D":
-            return [f"s{i}" for i in range(0, n)]
+            # generators [s0, s1, ..., s_{n-1}]; s0 and s1 both attach to s2.
+            # Rank 2 degenerates to A1 x A1 (s0 and s1 commute).
+            fork = [(0, 2, -1, -1)] if n >= 3 else []
+            return [f"s{i}" for i in range(n)], fork + chain[1:], ()
         if self.family == "G2":
-            return ["s", "t"]
-        return ["s1", "s2", "s3", "s4"]
+            return ["s", "t"], [(0, 1, -1, -3)], (1,)
+        # F4: s1 - s2 = s3 - s4 with the double bond in the middle
+        return ["s1", "s2", "s3", "s4"], [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)], (2, 3)
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
         A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-        def bond(i, j, aij=-1, aji=-1):
-            A[i][j] = aij
-            A[j][i] = aji
-
-        if self.family == "A":
-            for i in range(n - 1):
-                bond(i, i + 1)
-        elif self.family == "B":
-            # generators [t, s1, ..., s_{n-1}], double bond between t and s1
-            bond(0, 1, -2, -1)
-            for i in range(1, n - 1):
-                bond(i, i + 1)
-        elif self.family == "D":
-            # generators [s0, s1, ..., s_{n-1}]; s0 and s1 both attach to s2.
-            # Rank 2 degenerates to A1 x A1 (s0 and s1 commute).
-            if n >= 3:
-                bond(0, 2)
-            for i in range(1, n - 1):
-                bond(i, i + 1)
-        elif self.family == "G2":
-            bond(0, 1, -1, -3)
-        else:  # F4: s1 - s2 = s3 - s4 with the double bond in the middle
-            bond(0, 1)
-            bond(1, 2, -1, -2)
-            bond(2, 3)
+        for i, j, aij, aji in self.diagram()[1]:
+            A[i][j], A[j][i] = aij, aji
         return tuple(tuple(row) for row in A)
 
     def validate_weight(self, weights) -> bool:
@@ -113,9 +103,8 @@ class CoxeterType:
         vals = weights.values if isinstance(weights, WeightFunction) else tuple(weights)
         if len(vals) != self.rank or any(v < 0 for v in vals):
             return False
-        cartan = self.cartan_matrix()
-        return all(vals[i] == vals[j] for i in range(self.rank) for j in range(i)
-                   if cartan[i][j] * cartan[j][i] == 1)
+        return all(vals[i] == vals[j] for i, j, aij, aji in self.diagram()[1]
+                   if aij * aji == 1)
 
     def __str__(self):
         if self.family in ("G2", "F4"):
@@ -174,7 +163,7 @@ class WeylGroup:
         order = ctype.order()
         self.ctype = ctype
         self.rank = ctype.rank
-        self.names = ctype.generator_names()
+        self.names = ctype.diagram()[0]
 
         n, cartan = self.rank, ctype.cartan_matrix()
         ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
@@ -249,22 +238,16 @@ class WeightFunction:
 
 
 def weight_from_ab(ctype: CoxeterType, *weights: int) -> WeightFunction:
-    """Standard weights from a for A and D, or (a, b) for B, G2 and F4: type B
-    gets L(t)=b, L(s_i)=a; G2 gets L(s)=a, L(t)=b; F4 gets L(s1)=L(s2)=a,
-    L(s3)=L(s4)=b; A and D get L(s)=a on every generator.
+    """Standard weights: L = b on the generators that ctype.diagram() lists
+    (t of B, t of G2, s3 and s4 of F4) and L = a on the rest.  The families
+    that list none, A and D, take a alone; the others take (a, b).
     """
-    family = ctype.family
-    arity = 2 if family in ("B", "G2", "F4") else 1
+    b_gens = ctype.diagram()[2]
+    arity = 2 if b_gens else 1
     if len(weights) != arity:
-        raise ValueError(f"type {family} takes {arity} weight(s), got {len(weights)}")
+        raise ValueError(f"type {ctype.family} takes {arity} weight(s), got {len(weights)}")
     a, b = weights[0], weights[-1]
-    if family == "B":
-        return WeightFunction((b,) + (a,) * (ctype.rank - 1))
-    if family == "G2":
-        return WeightFunction((a, b))
-    if family == "F4":
-        return WeightFunction((a, a, b, b))
-    return WeightFunction((a,) * ctype.rank)
+    return WeightFunction(tuple(b if s in b_gens else a for s in range(ctype.rank)))
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from itertools import accumulate
 from typing import Callable, Iterator, Optional
 
 from .laurent import LaurentPoly, add_into, vpow
-from .schur import Partition, _capped_partitions, check_partition, multipartitions
+from .schur import Partition, _capped_partitions, check_partition
 
 Multipartition = tuple[Partition, ...]
 FockVector = dict[Multipartition, LaurentPoly]

@@ -368,6 +368,16 @@ def gamma_by_rescan(data: KLData) -> dict[tuple[int, int, int], int]:
     return out
 
 
+def p4_witness_by_scan(data: KLData) -> Optional[tuple[int, int, int]]:
+    """Oracle for the P4 check: every (x, y, z) with h_{x,y,z} present and
+    a(z) < max(a(x), a(y)), collected over all of hconst in its order; the
+    first of them, or None."""
+    a = data.afn
+    bad = [(x, y, z) for (x, y), row in data.hconst.items() for z in row
+           if a[z] < max(a[x], a[y])]
+    return bad[0] if bad else None
+
+
 def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:
     """Rendering oracle for `kl --emit cbasis [--check ...]`: exit code and
     stdout, the report built as dicts of json_pairs and tt_text

@@ -12,15 +12,14 @@ from importlib import resources
 
 from heckekit.basicsets import DecompMatrix, verify_decomp
 from heckekit.coxeter import CoxeterType, build, weight_from_ab
-from heckekit.fock import (ARIKI, FLOTW, FockParams, crystal, flotw_member,
-                           multipartitions, quantum_E, quantum_F, quantum_K,
-                           unit_vector, uryu_set)
+from heckekit.fock import (ARIKI, FLOTW, FockParams, crystal, flotw_member, quantum_E,
+                           quantum_F, quantum_K, unit_vector, uryu_set)
 from heckekit.klcells import HeckeAlgebra, KLData, kl_cbasis
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import (G2_LABELS, bipartitions, e_regular,
                             f4_invariants, f4_labels, g2_invariants, g2_schur,
                             invariants_A, invariants_asymptotic, invariants_B,
-                            nfun, partitions)
+                            multipartitions, nfun, partitions)
 from oracles import (TtAlgebra, bruhat_leq, cartan_pairing, check_dominance_triangularity,
                      dim_bipartition, dominance_leq, normal_nodes_literal,
                      reduced_word)

@@ -451,11 +451,13 @@ class TestKlCommand:
     ], ids=["A2000", "A1e6", "B1e18", "A3000-force", "A1e6-force", "D1e18-force"])
     def test_a_huge_rank_is_refused_at_once(self, capsys, monkeypatch, family, rank,
                                            weights, force, cap):
-        # |W|, the Cartan matrix and the weights are all rank-sized: none is formed
+        # |W|, the diagram, the Cartan matrix and the weights are all
+        # rank-sized: none is formed
         def rank_sized(*args):
             raise AssertionError("rank-sized work before the caps were checked")
 
         monkeypatch.setattr(CoxeterType, "order", rank_sized)
+        monkeypatch.setattr(CoxeterType, "diagram", rank_sized)
         monkeypatch.setattr(CoxeterType, "cartan_matrix", rank_sized)
         monkeypatch.setattr(klcells, "weight_from_ab", rank_sized)
         before = _cached_group.cache_info()

@@ -203,6 +203,42 @@ def test_weight_arity():
             weight_from_ab(ct, *weights)
 
 
+# Per family: generator names, Cartan matrix, and the standard weights at
+# a = 2 (A, D) or (a, b) = (2, 3).  The Cartan matrices also fix the bond
+# direction, which the group tables and the KL output do not see.
+FAMILY_DATA = [
+    (("A", 1), ["s1"], ((2,),), (2,)),
+    (("A", 2), ["s1", "s2"], ((2, -1), (-1, 2)), (2, 2)),
+    (("A", 3), ["s1", "s2", "s3"],
+     ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (2, 2, 2)),
+    (("A", 4), ["s1", "s2", "s3", "s4"],
+     ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)), (2, 2, 2, 2)),
+    (("B", 2), ["t", "s1"], ((2, -2), (-1, 2)), (3, 2)),
+    (("B", 3), ["t", "s1", "s2"],
+     ((2, -2, 0), (-1, 2, -1), (0, -1, 2)), (3, 2, 2)),
+    (("B", 4), ["t", "s1", "s2", "s3"],
+     ((2, -2, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)), (3, 2, 2, 2)),
+    (("D", 2), ["s0", "s1"], ((2, 0), (0, 2)), (2, 2)),
+    (("D", 3), ["s0", "s1", "s2"],
+     ((2, 0, -1), (0, 2, -1), (-1, -1, 2)), (2, 2, 2)),
+    (("D", 4), ["s0", "s1", "s2", "s3"],
+     ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -1, 2)), (2, 2, 2, 2)),
+    (("G2", 2), ["s", "t"], ((2, -1), (-3, 2)), (2, 3)),
+    (("F4", 4), ["s1", "s2", "s3", "s4"],
+     ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)), (2, 2, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("family_rank,names,cartan,weights", FAMILY_DATA,
+                         ids=[f"{f}{r}" for (f, r), *_ in FAMILY_DATA])
+def test_family_data_is_pinned(family_rank, names, cartan, weights):
+    ct = CoxeterType(*family_rank)
+    assert ct.diagram()[0] == build(ct).names == names
+    assert ct.cartan_matrix() == cartan
+    ab = (2,) if ct.family in ("A", "D") else (2, 3)
+    assert weight_from_ab(ct, *ab).values == weights
+
+
 def _conjugacy_classes_of_generators(ct):
     """Generators up to conjugacy in W, from the peeling oracle's matrices:
     t ~ s iff M_t = M_w M_s M_w^-1 for some w."""

@@ -7,10 +7,9 @@ from heckekit import fock
 from heckekit.fock import (ARIKI, FLOTW, LEVEL_CAP, FockParams, LevelCapExceeded,
                            ParamsOutOfRange, crystal, empty_mp, etilde,
                            flotw_member, ftilde, kleshchev_member, mp_size, mp_text,
-                           multipartitions, quantum_E, quantum_F, quantum_K,
-                           unit_vector, uryu_set)
+                           quantum_E, quantum_F, quantum_K, unit_vector, uryu_set)
 from heckekit.laurent import LaurentPoly, add_into, vpow
-from heckekit.schur import e_regular, partitions
+from heckekit.schur import e_regular, multipartitions, partitions
 from oracles import (Node, above, add_node, addable, cartan_pairing, classical_d,
                      classical_e, classical_f, classical_h, cogood_node, good_node,
                      i_word, icount, ind, kleshchev_member_oracle, ncount,

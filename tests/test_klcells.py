@@ -13,9 +13,9 @@ from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
                      dim_bipartition, gamma_by_rescan, hconst_by_columns, jmap,
-                     jring_mul_by_scan, kl_cbasis_all_products, partner_witnesses,
-                     phi_by_cexpand, phi_det_by_elimination, phi_matrix_by_cexpand, tau,
-                     wgraph_by_products)
+                     jring_mul_by_scan, kl_cbasis_all_products, p4_witness_by_scan,
+                     partner_witnesses, phi_by_cexpand, phi_det_by_elimination,
+                     phi_matrix_by_cexpand, tau, wgraph_by_products)
 
 
 def weights_ab(ct, a, b):
@@ -669,6 +669,25 @@ class TestPropertyChecks:
         data = kl(S3)
         for (x, y, z) in data.gamma:
             assert data.afn[x] == data.afn[y] == data.afn[z]
+
+    @pytest.mark.parametrize("family,rank,a,b", [("B", 2, 1, 3), ("G2", 2, 1, 2)],
+                             ids=["B2", "G2"])
+    def test_p4_fails_on_a_moved_afn(self, family, rank, a, b):
+        # a lowered a(z) fails where z is the product, a raised one where z
+        # is a factor: on the a(x) side or on the a(y) side
+        base = shared_kl(family, rank, a, b)
+        failures = Counter()
+        for step in (-1, 1):
+            for z in range(len(base.group)):
+                data = KLData(base.ctype, base.weights)
+                data.hconst = base.hconst
+                data.afn = list(base.afn)
+                data.afn[z] += step
+                res = data.check_property("P4")
+                expected = p4_witness_by_scan(data)
+                assert (res.passed, res.witness) == (expected is None, expected)
+                failures[step] += not res.passed
+        assert failures[-1] and failures[1]
 
     @pytest.mark.parametrize("alg", [B2_13, algebra("B", 2, 1, 1)], ids=["B2", "B2eq"])
     def test_p15prime_fails_on_a_raised_gamma(self, alg):
