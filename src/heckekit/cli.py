@@ -9,6 +9,7 @@ a strict contract: 0 for success, 1 for a mathematical verification failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,7 +217,16 @@ def _nonneg_int(text: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused.
+
+    A build costs about 1 ms (each add_argument asks the terminal for its
+    size), which a process running main many times would otherwise pay per
+    call.  Reuse is safe because parse_args returns a fresh Namespace each
+    time and help and usage are formatted when printed.  Callers share the
+    one parser, so none may change it.
+    """
     parser = argparse.ArgumentParser(
         prog="heckekit",
         description="Exact Hecke-algebra combinatorics: crystals, basic sets, "
@@ -276,9 +286,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    """Run one command line and return its exit code (0, 1 or 2).
+
+    May be called any number of times in one process: the parser is built
+    by the first call and reused by the later ones.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -354,6 +354,8 @@ class KLData:
         self.weights = weights
         self.force = force
         self._checks: dict[str, CheckResult] = {}
+        # (a, gamma) of the a-function check that afn ran, if it ran one
+        self._checked_gamma: Optional[tuple[list[int], dict]] = None
 
     # -- stage 0: the group ------------------------------------------------------
 
@@ -479,7 +481,8 @@ class KLData:
 
         For unequal weights P1-P15 are conjectures, so the values are checked
         against the structure constants wherever those are built: in gamma,
-        and here when |W| <= AFN_CHECK_CAP.
+        and here when |W| <= AFN_CHECK_CAP, keeping the gamma of that scan
+        for gamma to return.
         """
         a = [0] * len(self.group)
         delta = self.delta
@@ -488,7 +491,7 @@ class KLData:
             for z in cell:
                 a[z] = low
         if len(self.group) <= AFN_CHECK_CAP:
-            self.check_afn(a)
+            self._checked_gamma = (list(a), self.check_afn(a))
         return a
 
     @cached_property
@@ -600,11 +603,16 @@ class KLData:
         """gamma[x, y, z] = coefficient of v^(-a(z)) in h_{x,y,z^-1}, nonzero only.
 
         Read by check_afn, which checks the a-function from the cells
-        against the structure constants in the same scan.  hconst is asked
-        for first, so an over-cap job is refused before the cells are built.
+        against the structure constants in the same scan; when afn has
+        already run that scan on the same values, its gamma is returned.
+        hconst is asked for first, so an over-cap job is refused before the
+        cells are built.
         """
         self.hconst
-        return self.check_afn(self.afn)
+        a = self.afn
+        if self._checked_gamma is not None and self._checked_gamma[0] == a:
+            return self._checked_gamma[1]
+        return self.check_afn(a)
 
     @cached_property
     def gamma_rows(self) -> list[dict[int, dict[int, int]]]:

@@ -1,9 +1,13 @@
+import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -15,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckekit import klcells, schur
+from heckekit import cli, klcells, schur
 from heckekit.cli import main
 from heckekit.coxeter import CoxeterType, _cached_group, weight_from_ab
 from heckekit.fock import ARIKI, FLOTW, FockParams, crystal
 from heckekit.klcells import PROPERTY_NAMES, KLData
-from oracles import kl_cbasis_report
+from oracles import gamma_by_rescan, kl_cbasis_report
 from test_fock import json_oracle
 
 
@@ -373,6 +377,28 @@ class TestKlCommand:
         expected = BENCHMARK_REFERENCE[job]
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
             (expected["exit"], expected["sha256"])
+
+    @pytest.mark.parametrize("argv", [
+        ("--type", "A", "--rank", "3", "--weights", "1", "--check", "P2,P15"),
+        ("--type", "G2", "--rank", "2", "--weights", "1,1", "--emit", "jring"),
+        ("--type", "G2", "--rank", "2", "--weights", "1,2", "--emit", "phimatrix"),
+    ], ids=["A3-check", "G2-jring", "G2-phimatrix"])
+    def test_a_small_group_scans_hconst_for_afn_once(self, capsys, monkeypatch, argv):
+        # afn checks itself under AFN_CHECK_CAP; gamma returns that scan's gamma
+        original = KLData.check_afn
+        checked = []
+
+        def spy(self, a):
+            checked.append(self)
+            return original(self, a)
+
+        monkeypatch.setattr(KLData, "check_afn", spy)
+        code, _, err = run(capsys, "kl", *argv)
+        assert code == 0, err
+        assert len(checked) == 1
+        data = checked[0]
+        assert len(data.group) <= klcells.AFN_CHECK_CAP
+        assert list(data.gamma.items()) == list(gamma_by_rescan(data).items())
 
     def test_group_too_large(self, capsys):
         code, _, _ = run(capsys, "kl", "--type", "F4", "--rank", "4",
@@ -752,6 +778,107 @@ class TestUsage:
         data = run_json(capsys, "basicset", "--type", "B", "--n", "3",
                         "--xi-order", "2", "--char", str(10**18 + 3))
         assert data["tag"] == "Jacon-b0"
+
+
+def fresh_cli():
+    """heckekit.cli executed anew: its own parser and module state, shared
+    with no other call."""
+    spec = importlib.util.spec_from_file_location("heckekit._fresh_cli", cli.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def src_env() -> dict:
+    """The environment of a child Python that imports heckekit from src/, with
+    help and usage wrapped at a fixed width."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+
+
+def count_parsers(monkeypatch) -> list:
+    """A list that grows by one for every argparse.ArgumentParser constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser(self):
+        # a parser built at import would cost every worker's set-up
+        script = ("import argparse\n"
+                  "built = []\n"
+                  "init = argparse.ArgumentParser.__init__\n"
+                  "def counted(self, *args, **kwargs):\n"
+                  "    built.append(self)\n"
+                  "    init(self, *args, **kwargs)\n"
+                  "argparse.ArgumentParser.__init__ = counted\n"
+                  "import heckekit.cli\n"
+                  "print(len(built))\n"
+                  "heckekit.cli.make_parser()\n"
+                  "print(len(built))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        # one parser and one per subcommand, once make_parser is called
+        assert done.stdout.split() == ["0", "6"]
+
+    def test_main_builds_the_tree_once(self, capsys, monkeypatch):
+        cli.make_parser.cache_clear()
+        built = count_parsers(monkeypatch)
+        for argv in (["kl", "--type", "A", "--rank", "2", "--weights", "1", "--emit", "afn"],
+                     ["crystal", "--l", "2", "--r", "2", "--u", "0,1", "--n", "2"],
+                     ["frobnicate"]):
+            run(capsys, *argv)
+        assert len(built) == 6
+        assert {p.prog for p in built} == {"heckekit"} | {
+            f"heckekit {c}" for c in ("crystal", "basicset", "schur", "kl", "verify-decomp")}
+
+    def test_interleaved_calls_match_a_new_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        kl = ["kl", "--type", "B", "--rank", "2", "--weights", "1,2"]
+        sequence = [
+            kl + ["--emit", "afn"],
+            ["kl", "--type", "A", "--rank", "2", "--weights", "1,x"],
+            ["--help"],
+            ["kl", "--type", "C", "--rank", "2", "--weights", "1"],
+            ["crystal", "--l", "3", "--r", "2", "--u", "0,1", "--n", "3"],
+            kl + ["--check", "P2,P15"],
+            kl,
+        ]
+        shared = [run(capsys, *argv) for argv in sequence]
+        for argv, got in zip(sequence, shared):
+            code = fresh_cli().main(argv)
+            captured = capsys.readouterr()
+            assert got == (code, captured.out, captured.err), argv
+        assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0]
+        assert "checks" in json.loads(shared[-2][1])
+        assert "checks" not in json.loads(shared[-1][1])
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("expected,argv", [
+        (0, ["crystal", "--l", "2", "--r", "2", "--u", "0,1", "--n", "3"]),
+        (1, ["verify-decomp", str(resources.files("heckekit.fixtures").joinpath("g2_char2.json"))]),
+        (2, ["kl", "--type", "A", "--rank", "2", "--weights", "1", "--emit", "frobnicate"]),
+    ], ids=["exit0", "exit1", "exit2"])
+    def test_a_process_exits_as_main_returns(self, capsys, monkeypatch, expected, argv):
+        # python -m heckekit.cli runs entry(), which raises SystemExit(main())
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        done = subprocess.run([sys.executable, "-m", "heckekit.cli", *argv], env=src_env(),
+                              capture_output=True, timeout=60)
+        assert done.returncode == code
+        assert done.stdout == out.encode()
+        assert done.stderr.decode() == err
+        assert "Traceback" not in err
 
 
 def readme_cli_lines() -> list[str]:
