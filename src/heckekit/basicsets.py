@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import namedtuple
 
 from . import fock
 from .fock import ARIKI, FLOTW, FockParams, Multipartition
@@ -67,24 +66,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SpecParams:
+class SpecParams(namedtuple("SpecParams", "char xi_order a b")):
     """Field characteristic, order of xi, and the weight integers (a, b)."""
 
-    char: int
-    xi_order: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.char >= PRIME_LIMIT:
+    def __new__(cls, char: int, xi_order: int, a: int, b: int):
+        if char >= PRIME_LIMIT:
             raise ValueError(f"char must be below {PRIME_LIMIT}")
-        if self.char != 0 and not is_prime(self.char):
+        if char != 0 and not is_prime(char):
             raise ValueError("char must be 0 or a prime")
-        if self.xi_order < 1:
+        if xi_order < 1:
             raise ValueError("xi_order must be >= 1")
-        if self.a < 0 or self.b < 0:
+        if a < 0 or b < 0:
             raise ValueError("weights must be nonnegative")
+        return tuple.__new__(cls, (char, xi_order, a, b))
 
     def xi_power_is_one(self, k: int) -> bool:
         return k % self.xi_order == 0
@@ -95,7 +91,7 @@ class SpecParams:
         return m % 2 == 0 and k % m == m // 2
 
 
-def e_value(params: SpecParams) -> Optional[int]:
+def e_value(params: SpecParams) -> int | None:
     """Smallest i >= 2 with 1 + xi^a + ... + xi^((i-1)a) = 0, or None.
 
     When xi^a != 1 this is the multiplicative order of xi^a; when xi^a = 1
@@ -108,7 +104,7 @@ def e_value(params: SpecParams) -> Optional[int]:
     return params.char if params.char > 0 else None
 
 
-def fn_zero(params: SpecParams, n: int) -> tuple[bool, Optional[int]]:
+def fn_zero(params: SpecParams, n: int) -> tuple[bool, int | None]:
     """Does the product of (xi^b + xi^(a i)) over |i| <= n-1 vanish?
 
     Returns (flag, d) where d satisfies xi^(b + a d) = -1 with |d| <= n-1,
@@ -211,33 +207,35 @@ def basic_set_D(params: SpecParams, n: int) -> list[TypeDLabel]:
 # decomposition matrices and verification
 # ---------------------------------------------------------------------------
 
-Label = Union[Multipartition, Partition, str]
+Label = Multipartition | Partition | str
 
 
-@dataclass
 class DecompMatrix:
-    """An ingested decomposition matrix with row alpha-invariants."""
+    """An ingested decomposition matrix with row alpha-invariants.  Two
+    matrices are equal when their rows and meta are."""
 
-    labels: list[Label]
-    alpha: list[int]
-    entries: list[list[int]]
-    dims: Optional[list[Optional[int]]] = None
-    meta: Optional[dict] = None
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.entries) or len(self.alpha) != len(self.labels):
+    def __init__(self, labels: list[Label], alpha: list[int], entries: list[list[int]],
+                 dims: list[int | None] | None = None, meta: dict | None = None):
+        self.labels, self.alpha, self.entries, self.dims, self.meta = \
+            labels, alpha, entries, dims, meta
+        if len(labels) != len(entries) or len(alpha) != len(labels):
             raise ValueError("row data lengths disagree")
-        if self.dims is not None and len(self.dims) != len(self.labels):
+        if dims is not None and len(dims) != len(labels):
             raise ValueError("row data lengths disagree")
-        if not self.entries:
+        if not entries:
             raise ValueError("the matrix has no rows")
-        widths = {len(row) for row in self.entries}
+        widths = {len(row) for row in entries}
         if len(widths) != 1:
             raise ValueError("ragged entry rows")
         (self.ncols,) = widths
         for j in range(self.ncols):
-            if all(row[j] == 0 for row in self.entries):
+            if all(row[j] == 0 for row in entries):
                 raise ValueError(f"column {j} has no nonzero entry")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    __hash__ = None
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecompMatrix":
@@ -247,7 +245,7 @@ class DecompMatrix:
             raise ValueError("expected an object whose 'rows' is a list of objects")
         labels: list[Label] = []
         alpha: list[int] = []
-        dims: list[Optional[int]] = []
+        dims: list[int | None] = []
         entries: list[list[int]] = []
         for row in rows:
             lab = row.get("label")
@@ -289,13 +287,22 @@ def is_int_list(x) -> bool:
     return isinstance(x, list) and all(map(is_int, x))
 
 
-@dataclass
 class BasicSetResult:
-    exists: bool
-    assignment: Optional[list[int]] = None       # column -> row index
-    breve_alpha: Optional[list[int]] = None      # per column
-    witness_column: Optional[int] = None
-    witness_rows: Optional[list[int]] = None
+    """The verdict of `verify_decomp`; two results are equal when their
+    fields are."""
+
+    def __init__(self, exists: bool,
+                 assignment: list[int] | None = None,     # column -> row index
+                 breve_alpha: list[int] | None = None,    # per column
+                 witness_column: int | None = None,
+                 witness_rows: list[int] | None = None):
+        self.exists, self.assignment, self.breve_alpha = exists, assignment, breve_alpha
+        self.witness_column, self.witness_rows = witness_column, witness_rows
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    __hash__ = None
 
     def selected_labels(self, matrix: DecompMatrix) -> list[Label]:
         assert self.exists and self.assignment is not None

@@ -20,7 +20,7 @@ Products and inverses are folds of words through the left table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -35,22 +35,21 @@ GROUP_CAP = 2000
 _FAMILIES = ("A", "B", "D", "G2", "F4")
 
 
-@dataclass(frozen=True)
-class CoxeterType:
-    family: str
-    rank: int
+class CoxeterType(namedtuple("CoxeterType", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "A" and self.rank < 1:
+    def __new__(cls, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family == "A" and rank < 1:
             raise ValueError("type A needs rank >= 1")
-        if self.family in ("B", "D") and self.rank < 2:
-            raise ValueError(f"type {self.family} needs rank >= 2")
-        if self.family == "G2" and self.rank != 2:
+        if family in ("B", "D") and rank < 2:
+            raise ValueError(f"type {family} needs rank >= 2")
+        if family == "G2" and rank != 2:
             raise ValueError("G2 has rank 2")
-        if self.family == "F4" and self.rank != 4:
+        if family == "F4" and rank != 4:
             raise ValueError("F4 has rank 4")
+        return tuple.__new__(cls, (family, rank))
 
     def order(self) -> int:
         n = self.rank
@@ -224,11 +223,10 @@ class WeylGroup:
         return self._inverses[i]
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(namedtuple("WeightFunction", "values")):
     """Weights L(s) per generator, additive along reduced words."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, s: int) -> int:
         return self.values[s]

@@ -1,9 +1,8 @@
 """The level-r Fock space for affine sl_l and its crystal combinatorics.
 
-Multipartitions carry l-residues on their diagram nodes; the quantum
-operators E_i, F_i, K_i act on formal Laurent-coefficient combinations
-with exponents counted against a configurable total order on nodes.  Two
-orders are first class citizens:
+Multipartitions carry l-residues on their diagram nodes, and the addable
+and removable nodes of each residue are read in a configurable total order
+on nodes.  Two orders are first class citizens:
 
 * "flotw": by content b - a + u_c, ties broken towards the larger component;
 * "ariki": by component (larger first), then by row (larger first),
@@ -18,16 +17,14 @@ grows with l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, Optional
 
-from .laurent import LaurentPoly, add_into, vpow
 from .schur import Partition, _capped_partitions, check_partition
 
 Multipartition = tuple[Partition, ...]
-FockVector = dict[Multipartition, LaurentPoly]
 
 FLOTW = "flotw"
 ARIKI = "ariki"
@@ -50,22 +47,19 @@ LEVEL_CAP = 30
 VERTEX_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class FockParams:
-    l: int
-    r: int
-    u: tuple[int, ...]
-    node_order: str = FLOTW
+class FockParams(namedtuple("FockParams", "l r u node_order")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.l < 2:
+    def __new__(cls, l: int, r: int, u: tuple[int, ...], node_order: str = FLOTW):
+        if l < 2:
             raise ValueError("l must be at least 2")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be at least 1")
-        if len(self.u) != self.r:
+        if len(u) != r:
             raise ValueError("u must have one entry per component")
-        if self.node_order not in (FLOTW, ARIKI):
-            raise ValueError(f"unknown node order {self.node_order!r}")
+        if node_order not in (FLOTW, ARIKI):
+            raise ValueError(f"unknown node order {node_order!r}")
+        return tuple.__new__(cls, (l, r, u, node_order))
 
     def flotw_ok(self) -> bool:
         u = self.u
@@ -73,7 +67,7 @@ class FockParams:
             all(u[i] <= u[i + 1] for i in range(self.r - 1)) and u[-1] <= self.l - 1
 
 
-def check_multipartition(mp, r: Optional[int] = None) -> Multipartition:
+def check_multipartition(mp, r: int | None = None) -> Multipartition:
     mp = tuple(check_partition(c) for c in mp)
     if r is not None and len(mp) != r:
         raise ValueError(f"expected {r} components, got {len(mp)}")
@@ -84,70 +78,8 @@ def empty_mp(r: int) -> Multipartition:
     return ((),) * r
 
 
-def mp_size(mp: Multipartition) -> int:
-    return sum(sum(c) for c in mp)
-
-
 def mp_text(mp: Multipartition) -> str:
     return "[" + ",".join("[" + ",".join(map(str, c)) + "]" for c in mp) + "]"
-
-
-# ---------------------------------------------------------------------------
-# quantum operators
-# ---------------------------------------------------------------------------
-
-def unit_vector(mp: Multipartition) -> FockVector:
-    return {mp: LaurentPoly.one()}
-
-
-def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
-    """Sum over removals of an i-node gamma, weighted by v^-N_i^a.
-
-    N_i^a counts addable i-nodes of the smaller diagram above gamma minus
-    removable i-nodes of the larger diagram above gamma.  Removing gamma
-    turns it addable and changes only the (i+-1)-nodes, so N_i^a is #A - #R
-    strictly above gamma in the larger diagram's own i-word.
-    """
-    return _quantum(i, vec, params, False)
-
-
-def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
-    """Sum over additions of an i-node gamma, weighted by v^N_i^b.
-
-    N_i^b counts addable i-nodes of the smaller diagram below gamma minus
-    removable i-nodes of the larger diagram below gamma.  Adding gamma turns
-    it removable and changes only the (i+-1)-nodes, so N_i^b is #A - #R
-    strictly below gamma in the smaller diagram's own i-word.
-    """
-    return _quantum(i, vec, params, True)
-
-
-def _quantum(i: int, vec: FockVector, params: FockParams, add: bool) -> FockVector:
-    """F_i vec (add) or E_i vec (not add): the i-word of each multipartition
-    scanned upwards for F and downwards for E, with #A - #R counted over the
-    nodes passed; each addable (F) or removable (E) node is weighted by v to
-    the count, negated for E."""
-    kind, sign = ("A", 1) if add else ("R", -1)
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        terms = {}
-        count = 0
-        word = _iword(mp, i, params)
-        for entry in (reversed(word) if add else word):
-            if entry[1] == kind:
-                terms[_moved(mp, entry[4], entry[5])] = vpow(sign * count)
-            count += 1 if entry[1] == "A" else -1
-        add_into(out, terms, coeff)
-    return out
-
-
-def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
-    """Scale mp by v^(power N_i), N_i = #A - #R in mp's i-word."""
-    out: FockVector = {}
-    for mp, coeff in vec.items():
-        n = sum(1 if entry[1] == "A" else -1 for entry in _iword(mp, i, params))
-        add_into(out, {mp: coeff * vpow(power * n)})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +194,12 @@ def _slot_targets(mp: Multipartition, params: FockParams, add: bool) -> dict[int
     return slot[3]
 
 
-def etilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
+def etilde(mp: Multipartition, i: int, params: FockParams) -> Multipartition | None:
     """mp minus its good i-node."""
     return _slot_targets(mp, params, False).get(i)
 
 
-def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipartition]:
+def ftilde(mp: Multipartition, i: int, params: FockParams) -> Multipartition | None:
     """mp plus its cogood i-node; the calls on one vertex in `crystal` read
     one `_targets` table."""
     return _slot_targets(mp, params, True).get(i)
@@ -281,17 +213,25 @@ def ftilde(mp: Multipartition, i: int, params: FockParams) -> Optional[Multipart
 _CHUNK = 4096
 
 
-@dataclass
 class CrystalGraph:
     """Levels 0..n of a crystal, each sorted, and the arrows out of every vertex.
 
     arrows[k][p] is the flat tuple (q0, i0, q1, i1, ...) with f~_i
     levels[k][p] = levels[k+1][q] for each pair, in increasing i; the last
-    level has no arrow tuples.
+    level has no arrow tuples.  Two graphs are equal when their params,
+    levels and arrows are.
     """
-    params: FockParams
-    levels: list[list[Multipartition]] = field(default_factory=list)
-    arrows: list[list[tuple[int, ...]]] = field(default_factory=list)
+
+    def __init__(self, params: FockParams, levels: list[list[Multipartition]] | None = None,
+                 arrows: list[list[tuple[int, ...]]] | None = None):
+        self.params = params
+        self.levels = [] if levels is None else levels
+        self.arrows = [] if arrows is None else arrows
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    __hash__ = None
 
     @property
     def vertices(self) -> set[Multipartition]:

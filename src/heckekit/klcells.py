@@ -23,9 +23,8 @@ computation deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Optional
 
 from .coxeter import (CoxeterType, GroupTooLarge, WeylGroup, WeightFunction, build,
                       check_group_cap, weight_from_ab)
@@ -62,16 +61,13 @@ class PropertyFailure(RuntimeError):
     witness, when given, is a tuple of element indices where it fails.
     """
 
-    def __init__(self, message: str, witness: Optional[tuple] = None):
+    def __init__(self, message: str, witness: tuple | None = None):
         super().__init__(message)
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[tuple] = None
+class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed
@@ -215,7 +211,7 @@ def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
     Each component comes out sorted, and the list is sorted by first vertex.
     """
     n = len(edges)
-    order: list[Optional[int]] = [None] * n  # discovery number
+    order: list[int | None] = [None] * n  # discovery number
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
@@ -355,7 +351,7 @@ class KLData:
         self.force = force
         self._checks: dict[str, CheckResult] = {}
         # (a, gamma) of the a-function check that afn ran, if it ran one
-        self._checked_gamma: Optional[tuple[list[int], dict]] = None
+        self._checked_gamma: tuple[list[int], dict] | None = None
 
     # -- stage 0: the group ------------------------------------------------------
 

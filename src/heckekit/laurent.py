@@ -14,7 +14,7 @@ An integer kernel builds a polynomial's map in place as a plain dict
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, MutableMapping, Union
+from collections.abc import Iterable, Mapping, MutableMapping
 
 
 class DivisionByZero(ArithmeticError):
@@ -40,7 +40,7 @@ class LaurentPoly:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         data: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:

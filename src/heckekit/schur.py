@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from importlib import resources
-from typing import Iterator, NamedTuple, Optional
 
 from .laurent import LaurentPoly, vpow
 
@@ -39,9 +40,7 @@ class SizeCapExceeded(ValueError):
     element beyond ELEMENT_CAP."""
 
 
-class InvariantPair(NamedTuple):
-    alpha: int
-    f: int
+InvariantPair = namedtuple("InvariantPair", "alpha f")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def conjugate(nu: Partition) -> Partition:
     return tuple(sum(1 for p in nu if p > j) for j in range(nu[0]))
 
 
-def e_regular(nu: Partition, e: Optional[int]) -> bool:
+def e_regular(nu: Partition, e: int | None) -> bool:
     """No part repeated e or more times; e = None means no constraint."""
     if e is None:
         return True
@@ -361,7 +360,8 @@ def g2_schur(label: str, a: int, b: int) -> LaurentPoly:
 def _load_table(family: str) -> dict:
     """{label: {regime: [f, [cb, ca]]}} of the family's table, in its row order."""
     name = f"{family.lower()}_invariants.json"
-    data = json.loads(resources.files("heckekit.fixtures").joinpath(name).read_text())
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", name)) as fh:
+        data = json.load(fh)
     return {row["label"]: dict(zip(data["regimes"], row["cells"])) for row in data["rows"]}
 
 

@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional
 from heckekit.basicsets import BasicSetResult, DecompMatrix
 from heckekit.cli import _witness
 from heckekit.coxeter import CoxeterType, GroupElement, WeightFunction, WeylGroup
-from heckekit.fock import (ARIKI, FLOTW, FockParams, FockVector, Multipartition, _iword,
-                           check_multipartition, etilde, mp_size)
+from heckekit.fock import (ARIKI, FLOTW, FockParams, Multipartition, _iword, _moved,
+                           check_multipartition, etilde)
 from heckekit.klcells import (CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix,
                               tt_text)
 from heckekit.laurent import LaurentPoly, add_into, add_product_into, vpow
@@ -627,7 +627,7 @@ def schur_element_B_by_symbols(lam: Bipartition, a: int, b: int,
 
 
 # ---------------------------------------------------------------------------
-# the Fock space: nodes, node order, words, classical operators
+# the Fock space: nodes, node order and words
 # ---------------------------------------------------------------------------
 # The Node-based construction below (residue, sort_key, addable, removable,
 # ncount, add_node, remove_node) builds each residue's node lists on its own;
@@ -802,6 +802,74 @@ def normal_nodes_literal(mp: Multipartition, i: int, params: FockParams) -> list
                 break
         if ok:
             out.append(g)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the Fock space: quantum and classical operators
+# ---------------------------------------------------------------------------
+# The operators act on formal Laurent-coefficient combinations of
+# multipartitions; E_i, F_i and K_i count their exponents against the node
+# order of the production word `fock._iword`.  No command reaches them.
+
+FockVector = dict[Multipartition, LaurentPoly]
+
+
+def mp_size(mp: Multipartition) -> int:
+    return sum(sum(c) for c in mp)
+
+
+def unit_vector(mp: Multipartition) -> FockVector:
+    return {mp: LaurentPoly.one()}
+
+
+def quantum_E(i: int, vec: FockVector, params: FockParams) -> FockVector:
+    """Sum over removals of an i-node gamma, weighted by v^-N_i^a.
+
+    N_i^a counts addable i-nodes of the smaller diagram above gamma minus
+    removable i-nodes of the larger diagram above gamma.  Removing gamma
+    turns it addable and changes only the (i+-1)-nodes, so N_i^a is #A - #R
+    strictly above gamma in the larger diagram's own i-word.
+    """
+    return _quantum(i, vec, params, False)
+
+
+def quantum_F(i: int, vec: FockVector, params: FockParams) -> FockVector:
+    """Sum over additions of an i-node gamma, weighted by v^N_i^b.
+
+    N_i^b counts addable i-nodes of the smaller diagram below gamma minus
+    removable i-nodes of the larger diagram below gamma.  Adding gamma turns
+    it removable and changes only the (i+-1)-nodes, so N_i^b is #A - #R
+    strictly below gamma in the smaller diagram's own i-word.
+    """
+    return _quantum(i, vec, params, True)
+
+
+def _quantum(i: int, vec: FockVector, params: FockParams, add: bool) -> FockVector:
+    """F_i vec (add) or E_i vec (not add): the i-word of each multipartition
+    scanned upwards for F and downwards for E, with #A - #R counted over the
+    nodes passed; each addable (F) or removable (E) node is weighted by v to
+    the count, negated for E."""
+    kind, sign = ("A", 1) if add else ("R", -1)
+    out: FockVector = {}
+    for mp, coeff in vec.items():
+        terms = {}
+        count = 0
+        word = _iword(mp, i, params)
+        for entry in (reversed(word) if add else word):
+            if entry[1] == kind:
+                terms[_moved(mp, entry[4], entry[5])] = vpow(sign * count)
+            count += 1 if entry[1] == "A" else -1
+        add_into(out, terms, coeff)
+    return out
+
+
+def quantum_K(i: int, vec: FockVector, params: FockParams, power: int = 1) -> FockVector:
+    """Scale mp by v^(power N_i), N_i = #A - #R in mp's i-word."""
+    out: FockVector = {}
+    for mp, coeff in vec.items():
+        n = sum(1 if entry[1] == "A" else -1 for entry in _iword(mp, i, params))
+        add_into(out, {mp: coeff * vpow(power * n)})
     return out
 
 

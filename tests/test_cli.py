@@ -862,6 +862,22 @@ class TestParserReuse:
         assert "checks" not in json.loads(shared[-1][1])
 
 
+class TestLeanImport:
+    def test_the_cli_loads_no_heavy_stdlib_module(self):
+        # every command and every benchmark worker pays the import: -S keeps
+        # site (and any .pth file) from loading these first, -B writes no bytecode
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+                  "import heckekit.cli, heckekit\n"
+                  "print([n for n in heckekit.__all__ if not hasattr(heckekit, n)])\n"
+                  "print(sorted({'dataclasses', 'inspect', 'typing', 'importlib.resources'}\n"
+                  "             & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "[]"]
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("expected,argv", [
         (0, ["crystal", "--l", "2", "--r", "2", "--u", "0,1", "--n", "3"]),

@@ -6,15 +6,15 @@ import pytest
 from heckekit import fock
 from heckekit.fock import (ARIKI, FLOTW, LEVEL_CAP, FockParams, LevelCapExceeded,
                            ParamsOutOfRange, crystal, empty_mp, etilde,
-                           flotw_member, ftilde, kleshchev_member, mp_size, mp_text,
-                           quantum_E, quantum_F, quantum_K, unit_vector, uryu_set)
+                           flotw_member, ftilde, kleshchev_member, mp_text, uryu_set)
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import e_regular, multipartitions, partitions
 from oracles import (Node, above, add_node, addable, cartan_pairing, classical_d,
                      classical_e, classical_f, classical_h, cogood_node, good_node,
-                     i_word, icount, ind, kleshchev_member_oracle, ncount,
-                     normal_nodes_literal, quantum_D, reduced_word, removable,
-                     remove_node, res, residue, sort_key)
+                     i_word, icount, ind, kleshchev_member_oracle, mp_size, ncount,
+                     normal_nodes_literal, quantum_D, quantum_E, quantum_F, quantum_K,
+                     reduced_word, removable, remove_node, res, residue, sort_key,
+                     unit_vector)
 
 P22 = FockParams(l=2, r=2, u=(0, 1), node_order=FLOTW)
 A22 = FockParams(l=2, r=2, u=(0, 1), node_order=ARIKI)
