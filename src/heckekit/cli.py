@@ -39,7 +39,7 @@ def _cmd_crystal(args) -> int:
                         node_order=args.order)
     graph = fock.crystal(params, args.n)
     if args.format == "dot":
-        sys.stdout.write(graph.to_dot())
+        graph.write_dot(sys.stdout.write)
     else:
         graph.write_json(sys.stdout.write)
         sys.stdout.write("\n")

@@ -17,10 +17,12 @@ grows with l.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .schur import Partition, _capped_partitions, check_partition
 
@@ -41,9 +43,9 @@ class LevelCapExceeded(ValueError):
 #: Largest level bound n for `crystal` and `uryu_set`.
 LEVEL_CAP = 30
 #: Largest vertex count of a `crystal` over all its levels.  The crystal
-#: grows with l until every multipartition is a vertex: at l = 1000, r = 2
-#: the CLI job takes about 2 s and 80 MB at n = 22 (84,012 vertices) and
-#: 3 s and 143 MB at n = 24 (162,385), as a fresh process.
+#: grows with l: at l = 1000, r = 2 the CLI job takes about 1.0 s and 51 MB
+#: at n = 22 (84,012 vertices) and, with the cap lifted, 2.4 s and 82 MB at
+#: n = 24 (162,385), as a fresh process writing JSON.
 VERTEX_CAP = 100_000
 
 
@@ -209,24 +211,37 @@ def ftilde(mp: Multipartition, i: int, params: FockParams) -> Multipartition | N
 # the crystal graph and its vertex sets
 # ---------------------------------------------------------------------------
 
-#: Edge texts per `write` call in `CrystalGraph.write_json`.
+#: Texts (edges, vertex lines or levels) per `write` call of the crystal writers.
 _CHUNK = 4096
+
+
+def _write_joined(write: Callable[[str], object], texts: Iterator[str], sep: str) -> None:
+    """Write sep.join(texts), `_CHUNK` texts at a time."""
+    lead = ""
+    while chunk := list(islice(texts, _CHUNK)):
+        write(lead + sep.join(chunk))
+        lead = sep
 
 
 class CrystalGraph:
     """Levels 0..n of a crystal, each sorted, and the arrows out of every vertex.
 
-    arrows[k][p] is the flat tuple (q0, i0, q1, i1, ...) with f~_i
-    levels[k][p] = levels[k+1][q] for each pair, in increasing i; the last
-    level has no arrow tuples.  Two graphs are equal when their params,
-    levels and arrows are.
+    The arrows out of level k sit in flat per-level containers, source by
+    source in level order and each source's arrows in increasing colour:
+    those of levels[k][p] are the entries ends[k][p] to ends[k][p+1] - 1 of
+    targets[k], the target's position in levels[k+1], and of colours[k],
+    the colour i with f~_i levels[k][p] = levels[k+1][q].  Positions are
+    below VERTEX_CAP, so they and the bounds are machine ints; a colour can
+    be as large as l - 1, so colours[k] is a list.  The last level has no
+    arrows.  Two graphs are equal when their params, levels and arrows are.
     """
 
-    def __init__(self, params: FockParams, levels: list[list[Multipartition]] | None = None,
-                 arrows: list[list[tuple[int, ...]]] | None = None):
+    def __init__(self, params: FockParams):
         self.params = params
-        self.levels = [] if levels is None else levels
-        self.arrows = [] if arrows is None else arrows
+        self.levels: list[list[Multipartition]] = []
+        self.ends: list[array] = []
+        self.targets: list[array] = []
+        self.colours: list[list[int]] = []
 
     def __eq__(self, other):
         return type(other) is type(self) and vars(other) == vars(self)
@@ -243,13 +258,14 @@ class CrystalGraph:
         return set(self._arrows_over(self.levels))
 
     def _arrows_over(self, rows: list[list]) -> Iterator[tuple]:
-        """(rows[k][p], rows[k+1][q], i) for every arrow, in the order of `arrows`;
-        rows holds one entry per vertex, laid out like `levels`."""
-        for src, dst, outs in zip(rows, rows[1:], self.arrows):
-            for p, out in enumerate(outs):
-                pairs = iter(out)
-                for q, i in zip(pairs, pairs):
-                    yield src[p], dst[q], i
+        """(rows[k][p], rows[k+1][q], i) for every arrow, level by level,
+        source by source and by colour; rows holds one entry per vertex,
+        laid out like `levels`."""
+        for src, dst, ends, targets, colours in zip(rows, rows[1:], self.ends,
+                                                     self.targets, self.colours):
+            for p, a in enumerate(src):
+                for j in range(ends[p], ends[p + 1]):
+                    yield a, dst[targets[j]], colours[j]
 
     def write_json(self, write: Callable[[str], object]) -> None:
         """Write the text of `json.dumps({"levels": ..., "edges": ...},
@@ -259,37 +275,35 @@ class CrystalGraph:
         partition: for int lists `str` and `json.dumps` agree.  A vertex
         text is a complete bracketed list, so none is a proper prefix of
         another, and the text order of "[a, b, i]" is the order of (text a,
-        text b), which fixes i.  So the arrows are sorted as the ints
-        (rank a * V + rank b) * l + i, V vertices ranked by text, and
-        rendered `_CHUNK` at a time: no more edge texts are held than that.
+        text b); b fixes i.  So the sources are visited in text order, each
+        source's few arrows are sorted by their target texts, and the edge
+        texts are rendered `_CHUNK` at a time: no list grows with the edges.
         """
         parts = {part for level in self.levels for mp in level for part in mp}
         rendered = {part: str(list(part)) for part in parts}
         texts = ["[" + ", ".join([rendered[part] for part in mp]) + "]"
                  for level in self.levels for mp in level]
         starts = list(accumulate(map(len, self.levels), initial=0))
-        order = sorted(range(len(texts)), key=texts.__getitem__)
-        rank = [0] * len(texts)
-        for k, v in enumerate(order):
-            rank[v] = k
-        V, l = len(texts), self.params.l
-        keys: list[int] = []
-        for k, outs in enumerate(self.arrows):
-            dst = rank[starts[k + 1]:starts[k + 2]]
-            keys += [(top + dst[out[j]]) * l + out[j + 1]
-                     for top, out in zip([x * V for x in rank[starts[k]:starts[k + 1]]], outs)
-                     for j in range(0, len(out), 2)]
-        keys.sort()
-        by_rank = [texts[v] for v in order]
+        order = array("i", sorted(range(len(texts)), key=texts.__getitem__))
+        arrowed = starts[len(self.ends)]
+
+        def edge_texts() -> Iterator[str]:
+            for v in order:
+                if v >= arrowed:
+                    continue
+                k = bisect_right(starts, v) - 1
+                p, base = v - starts[k], starts[k + 1]
+                ends, targets, colours = self.ends[k], self.targets[k], self.colours[k]
+                a = texts[v]
+                for b, i in sorted([(texts[base + targets[j]], colours[j])
+                                    for j in range(ends[p], ends[p + 1])]):
+                    yield f"[{a}, {b}, {i}]"
+
         write('{"edges": [')
-        Vl = V * l
-        for lo in range(0, len(keys), _CHUNK):
-            write((", " if lo else "") + ", ".join(
-                [f"[{by_rank[key // Vl]}, {by_rank[key // l % V]}, {key % l}]"
-                 for key in keys[lo:lo + _CHUNK]]))
+        _write_joined(write, edge_texts(), ", ")
         write('], "levels": [')
-        write(", ".join("[" + ", ".join(texts[lo:hi]) + "]"
-                        for lo, hi in zip(starts, starts[1:])))
+        _write_joined(write, ("[" + ", ".join(texts[lo:hi]) + "]"
+                              for lo, hi in zip(starts, starts[1:])), ", ")
         write("]}")
 
     def to_json(self) -> str:
@@ -298,14 +312,21 @@ class CrystalGraph:
         self.write_json(pieces.append)
         return "".join(pieces)
 
-    def to_dot(self) -> str:
-        """Vertices and then arrows by level, source and colour; levels are sorted."""
+    def write_dot(self, write: Callable[[str], object]) -> None:
+        """Write the DOT text of the graph in pieces: the vertices and then
+        the arrows by level, source and colour; levels are sorted."""
         texts = [[f'"{mp_text(mp)}"' for mp in level] for level in self.levels]
-        lines = ["digraph crystal {", "  rankdir=BT;"]
-        lines += (f"  {text};" for level in texts for text in level)
-        lines += (f'  {a} -> {b} [label="{i}"];' for a, b, i in self._arrows_over(texts))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        write("digraph crystal {\n  rankdir=BT;\n")
+        _write_joined(write, (f"  {text};\n" for level in texts for text in level), "")
+        _write_joined(write, (f'  {a} -> {b} [label="{i}"];\n'
+                              for a, b, i in self._arrows_over(texts)), "")
+        write("}\n")
+
+    def to_dot(self) -> str:
+        """The text that `write_dot` writes."""
+        pieces: list[str] = []
+        self.write_dot(pieces.append)
+        return "".join(pieces)
 
 
 def _check_level(n: int) -> None:
@@ -320,8 +341,9 @@ def crystal(params: FockParams, n: int) -> CrystalGraph:
 
     Each vertex fills the `ftilde` slot once, with one `_targets` pass over
     its cached rims, and `ftilde` is called only at the residues found
-    there, so nothing here loops over the l residues.  Once the finished
-    levels hold more than VERTEX_CAP vertices, LevelCapExceeded is raised.
+    there, so nothing here loops over the l residues.  As soon as the
+    finished levels and the targets met so far hold more than VERTEX_CAP
+    vertices, LevelCapExceeded is raised.
     """
     _check_level(n)
     graph = CrystalGraph(params)
@@ -331,24 +353,25 @@ def crystal(params: FockParams, n: int) -> CrystalGraph:
     for _ in range(n):
         # targets are numbered as first met, then renumbered by sorted position
         met: dict[Multipartition, int] = {}
-        outs = []
+        ends, firsts, colours = array("q", [0]), array("i"), []
+        room = VERTEX_CAP - total
         for mp in current:
-            out = []
-            for i in _slot_targets(mp, params, True):
-                out.append(met.setdefault(ftilde(mp, i, params), len(met)))
-                out.append(i)
-            outs.append(out)
+            out = _slot_targets(mp, params, True)
+            for i in out:
+                firsts.append(met.setdefault(ftilde(mp, i, params), len(met)))
+                if len(met) > room:
+                    raise LevelCapExceeded(f"crystal exceeds the cap of {VERTEX_CAP} vertices "
+                                           f"by level {len(graph.levels)} of {n}")
+            colours += out
+            ends.append(len(colours))
         current = sorted(met)
         total += len(current)
-        if total > VERTEX_CAP:
-            raise LevelCapExceeded(f"crystal exceeds the cap of {VERTEX_CAP} vertices "
-                                   f"by level {len(graph.levels)} of {n}")
         pos = [0] * len(current)
         for q, mp in enumerate(current):
             pos[met[mp]] = q
-        for out in outs:
-            out[::2] = [pos[k] for k in out[::2]]
-        graph.arrows.append([tuple(out) for out in outs])
+        graph.ends.append(ends)
+        graph.targets.append(array("i", map(pos.__getitem__, firsts)))
+        graph.colours.append(colours)
         graph.levels.append(current)
     return graph
 

@@ -139,12 +139,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -157,18 +151,6 @@ class LaurentPoly:
         return _wrap(add_product_into({}, a, b))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""

@@ -78,12 +78,13 @@ def etilde_oracle(mp, i, params):
 
 def crystal_oracle(params, n):
     """Levels and edges of the closure of the empty multipartition under
-    `ftilde_oracle`."""
+    `ftilde_oracle`.  A cogood i-node is an addable i-node, so only the
+    residues of the addable nodes are tried, whatever l is."""
     levels, edges = [[empty_mp(params.r)]], set()
     for _ in range(n):
         nxt = set()
         for mp in levels[-1]:
-            for i in range(params.l):
+            for i in {residue(nd, params) for nd in addable(mp, None, params)}:
                 target = ftilde_oracle(mp, i, params)
                 if target is not None:
                     edges.add((mp, target, i))
@@ -243,6 +244,27 @@ class TestCrystalGraphs:
         monkeypatch.setattr(fock, "VERTEX_CAP", total - 1)
         with pytest.raises(LevelCapExceeded, match="vertices"):
             crystal(P22, 6)
+
+    def test_vertex_cap_refuses_during_the_crossing_level(self, monkeypatch):
+        calls = []
+        real = fock.ftilde
+        monkeypatch.setattr(fock, "ftilde", lambda *args: calls.append(1) or real(*args))
+
+        def calls_of(p, n, cap):
+            calls.clear()
+            monkeypatch.setattr(fock, "VERTEX_CAP", cap)
+            try:
+                crystal(p, n)
+            except LevelCapExceeded as exc:
+                assert str(exc) == f"crystal exceeds the cap of {cap} vertices by level {n} of {n}"
+            return len(calls)
+
+        p = FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW)
+        sizes = [len(level) for level in crystal(p, 5).levels]
+        total = sum(sizes)
+        assert calls_of(p, 5, total - 1) < calls_of(p, 5, total)
+        # refused at the first arrow of the last level, which meets a new vertex
+        assert calls_of(p, 5, total - sizes[-1]) == calls_of(p, 4, total) + 1
 
     def test_negative_level(self):
         with pytest.raises(ValueError, match="negative"):
@@ -423,6 +445,31 @@ class TestSignatureOracle:
     ], ids=["l3-flotw", "l3-ariki"])
     def test_dot_matches_oracle_closure(self, p, n):
         assert crystal(p, n).to_dot() == dot_oracle(*crystal_oracle(p, n))
+
+    @pytest.mark.parametrize("order", [FLOTW, ARIKI])
+    def test_colours_past_any_machine_int(self, order):
+        # a node left of the charge has residue close to l, far past 64 bits
+        p = FockParams(l=10**20, r=2, u=(0, 1), node_order=order)
+        levels, edges = crystal_oracle(p, 6)
+        g = crystal(p, 6)
+        assert g.levels == levels and g.edges == edges
+        assert max(i for _, _, i in edges) == 10**20 - 1
+        assert g.to_json() == json_oracle(g)
+        assert g.to_dot() == dot_oracle(levels, edges)
+
+    def test_writers_write_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(fock, "_CHUNK", 5)
+        p = FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW)
+        levels, edges = crystal_oracle(p, 6)
+        g = crystal(p, 6)
+        pieces = []
+        g.write_dot(pieces.append)
+        assert "".join(pieces) == dot_oracle(levels, edges)
+        assert max(piece.count("\n") for piece in pieces) == 5
+        pieces.clear()
+        g.write_json(pieces.append)
+        assert "".join(pieces) == json_oracle(g)
+        assert pieces.index('], "levels": [') == 1 + -(-len(edges) // 5)
 
     def test_one_slot_cache_keys_on_params(self):
         pf = FockParams(l=3, r=2, u=(0, 1), node_order=FLOTW)

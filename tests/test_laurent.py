@@ -182,9 +182,9 @@ class TestAddInto:
     def test_scale(self):
         acc = {"x": vpow(1)}
         add_into(acc, {"x": vpow(1), "y": vpow(-1)}, vpow(1) - 1)
-        assert acc == {"x": vpow(2), "y": 1 - vpow(-1)}
+        assert acc == {"x": vpow(2), "y": -vpow(-1) + 1}
         add_into(acc, {"x": LaurentPoly.one()}, -vpow(2))
-        assert acc == {"y": 1 - vpow(-1)}
+        assert acc == {"y": -vpow(-1) + 1}
 
     def test_int_values(self):
         acc = {1: 2}

@@ -99,10 +99,12 @@ def test_defaults():
 def test_crystal_graphs_do_not_share_their_lists():
     params = FockParams(l=2, r=1, u=(0,))
     one, two = CrystalGraph(params), CrystalGraph(params)
-    assert one.levels is not two.levels and one.arrows is not two.arrows
-    one.levels.append([((),)])
-    one.arrows.append([(0, 0)])
-    assert two.levels == [] and two.arrows == []
+    names = ("levels", "ends", "targets", "colours")
+    assert set(vars(one)) == {"params", *names}
+    for name in names:
+        assert getattr(one, name) is not getattr(two, name)
+        getattr(one, name).append([0])
+    assert all(getattr(two, name) == [] for name in names)
 
 
 @pytest.mark.parametrize("make,other", [
