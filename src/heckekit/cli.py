@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import basicsets, fock, schur
@@ -18,7 +19,7 @@ from .basicsets import DecompMatrix, SpecParams
 from .coxeter import CoxeterType
 from .fock import ARIKI, FLOTW, FockParams
 from .klcells import (CBASIS_CAP, HCONST_CAP, WITNESS_FIELDS, KLData, PropertyFailure,
-                      coeff_prefix, property_name, tt_text)
+                      property_name)
 
 
 def _parse_bipartition(text: str):
@@ -113,18 +114,23 @@ def _witness(res, name: list[str]) -> list:
 def _write_cbasis(kl: KLData, name: list[str]) -> None:
     """Write the "cbasis" and "cbasis_text" members of the kl report, row by
     row, as `json.dumps(sort_keys=True)` writes them: each w maps to the JSON
-    pairs of c_w by element name, and to the Tt-expansion text.
+    pairs of c_w by element name, and to its Tt-expansion by increasing
+    index as text, "v^-1*Tt_e + Tt_s1".
 
-    Each distinct coefficient is rendered once, as its pairs and its text
-    prefix.  Names, coefficients and texts are ASCII with no quote or
-    backslash, so JSON quotes them as they are.
+    kl_cbasis interns its coefficients, so each distinct one is one object,
+    rendered once and looked up by id: its pairs, and its prefix in the
+    text, "" for 1, "v^-1*" for a monomial and "(v^-1 + v)*" otherwise.
+    Names, coefficients and texts are ASCII with no quote or backslash, so
+    JSON quotes them as they are.
     """
-    rendered: dict = {}  # coefficient -> (its JSON pairs, its prefix in the text)
+    rendered: dict[int, tuple[str, str]] = {}  # id(c) -> (its JSON pairs, its prefix)
     for row in kl.cbasis:
         for c in row.values():
-            if c not in rendered:
+            if id(c) not in rendered:
+                text = c.text()
                 pairs = ", ".join(f'[{e}, "{k}"]' for e, k in c.items())
-                rendered[c] = (f"[{pairs}]", coeff_prefix(c))
+                prefix = "" if text == "1" else f"{text}*" if len(c) == 1 else f"({text})*"
+                rendered[id(c)] = (f"[{pairs}]", prefix)
     quoted = [f'"{n}"' for n in name]
     tt = ["Tt_" + n for n in name]
     order = sorted(range(len(name)), key=name.__getitem__)
@@ -132,12 +138,13 @@ def _write_cbasis(kl: KLData, name: list[str]) -> None:
     write('{"cbasis": {')
     for i, w in enumerate(order):
         row = kl.cbasis[w]
-        terms = ", ".join(f"{quoted[y]}: {rendered[row[y]][0]}"
+        terms = ", ".join(f"{quoted[y]}: {rendered[id(row[y])][0]}"
                           for y in sorted(row, key=name.__getitem__))
         write(f'{", " if i else ""}{quoted[w]}: {{{terms}}}')
     write('}, "cbasis_text": {')
     for i, w in enumerate(order):
-        text = tt_text(tt, kl.cbasis[w], lambda c: rendered[c][1])
+        row = kl.cbasis[w]
+        text = " + ".join(rendered[id(row[y])][1] + tt[y] for y in sorted(row))
         write(f'{", " if i else ""}{quoted[w]}: "{text}"')
     write("}, ")
 
@@ -306,7 +313,20 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    """Run the command line of this process and exit with its code.
+
+    A reader that closes stdout early (`heckekit crystal ... | head`) ends the
+    run with exit 2 and one error line: stdout is pointed at os.devnull, so
+    the interpreter's flush at exit stays quiet.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

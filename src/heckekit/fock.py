@@ -249,10 +249,6 @@ class CrystalGraph:
     __hash__ = None
 
     @property
-    def vertices(self) -> set[Multipartition]:
-        return {mp for level in self.levels for mp in level}
-
-    @property
     def edges(self) -> set[tuple[Multipartition, Multipartition, int]]:
         """The arrows as (source, target, i) triples."""
         return set(self._arrows_over(self.levels))
@@ -306,12 +302,6 @@ class CrystalGraph:
                               for lo, hi in zip(starts, starts[1:])), ", ")
         write("]}")
 
-    def to_json(self) -> str:
-        """The text that `write_json` writes."""
-        pieces: list[str] = []
-        self.write_json(pieces.append)
-        return "".join(pieces)
-
     def write_dot(self, write: Callable[[str], object]) -> None:
         """Write the DOT text of the graph in pieces: the vertices and then
         the arrows by level, source and colour; levels are sorted."""
@@ -321,12 +311,6 @@ class CrystalGraph:
         _write_joined(write, (f'  {a} -> {b} [label="{i}"];\n'
                               for a, b, i in self._arrows_over(texts)), "")
         write("}\n")
-
-    def to_dot(self) -> str:
-        """The text that `write_dot` writes."""
-        pieces: list[str] = []
-        self.write_dot(pieces.append)
-        return "".join(pieces)
 
 
 def _check_level(n: int) -> None:

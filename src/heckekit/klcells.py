@@ -36,25 +36,6 @@ _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 
 
-def coeff_prefix(c: LaurentPoly) -> str:
-    """How c multiplies a basis element in text: "", "v^-1*" or "(v^-1 + v)*"."""
-    if c == _ONE:
-        return ""
-    return f"{c.text()}*" if len(c) == 1 else f"({c.text()})*"
-
-
-def tt_text(names: list[str], coeffs: Coeffs, prefix=coeff_prefix) -> str:
-    """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1".
-
-    names[w] is the text of Tt_w, made once by the caller.  prefix(c)
-    renders a coefficient as coeff_prefix does; a caller that renders many
-    rows may pass one that looks up a memo of it.
-    """
-    if not coeffs:
-        return "0"
-    return " + ".join(prefix(coeffs[w]) + names[w] for w in sorted(coeffs))
-
-
 class PropertyFailure(RuntimeError):
     """A structural property required for the asymptotic ring fails.
 

@@ -14,7 +14,7 @@ An integer kernel builds a polynomial's map in place as a plain dict
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, MutableMapping
+from collections.abc import Mapping, MutableMapping
 
 
 class DivisionByZero(ArithmeticError):
@@ -38,20 +38,10 @@ class LaurentPoly:
     '-v^-2 + v^2'
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        data: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
-            if coeff:
-                c = data.get(exp, 0) + coeff
-                if c:
-                    data[exp] = c
-                elif exp in data:
-                    del data[exp]
-        self._terms = data
-        self._hash = None
+    def __init__(self, terms: Mapping[int, int]):
+        self._terms = {exp: coeff for exp, coeff in terms.items() if coeff}
 
     # -- constructors -------------------------------------------------
 
@@ -79,9 +69,6 @@ class LaurentPoly:
 
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -162,10 +149,6 @@ class LaurentPoly:
         """The involution v -> v^-1 (exponents negated)."""
         return _wrap({-e: c for e, c in self._terms.items()})
 
-    def neg_part(self) -> "LaurentPoly":
-        """Truncation to strictly negative exponents."""
-        return _wrap({e: c for e, c in self._terms.items() if e < 0})
-
     def bar_symmetric_part(self) -> "LaurentPoly":
         """The bar-invariant polynomial that agrees with self in degrees >= 0."""
         data = {e: c for e, c in self._terms.items() if e >= 0}
@@ -218,9 +201,10 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        # a constant hashes as the int it equals
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
+        return hash(frozenset(self._terms.items()))
 
     # -- rendering -------------------------------------------------------
 
@@ -253,7 +237,6 @@ class LaurentPoly:
 def _wrap(data: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = data
-    p._hash = None
     return p
 
 

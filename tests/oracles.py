@@ -18,8 +18,7 @@ from heckekit.cli import _witness
 from heckekit.coxeter import CoxeterType, GroupElement, WeightFunction, WeylGroup
 from heckekit.fock import (ARIKI, FLOTW, FockParams, Multipartition, _iword, _moved,
                            check_multipartition, etilde)
-from heckekit.klcells import (CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix,
-                              tt_text)
+from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
 from heckekit.laurent import LaurentPoly, add_into, add_product_into, vpow
 from heckekit.schur import (Bipartition, DomainError, Partition, check_partition,
                             standard_tableaux)
@@ -138,6 +137,29 @@ def bruhat_leq(W: WeylGroup, y: GroupElement, w: GroupElement) -> bool:
 # ---------------------------------------------------------------------------
 # Hecke algebras and Kazhdan-Lusztig data
 # ---------------------------------------------------------------------------
+
+def neg_part(p: LaurentPoly) -> LaurentPoly:
+    """The truncation of p to its strictly negative exponents."""
+    return LaurentPoly({e: c for e, c in p.items() if e < 0})
+
+
+def _coeff_prefix(c: LaurentPoly) -> str:
+    if c == 1:
+        return ""
+    return f"{c.text()}*" if len(c) == 1 else f"({c.text()})*"
+
+
+def tt_text(names: list[str], coeffs: Coeffs) -> str:
+    """The Tt-expansion as text, by increasing index: "v^-1*Tt_e + Tt_s1".
+
+    names[w] is the text of Tt_w.  A coefficient c is written before its
+    basis element as "" when c = 1, as "v^-1*" when it has one term and as
+    "(v^-1 + v)*" otherwise: a copy of the rule apart from the CLI's own.
+    """
+    if not coeffs:
+        return "0"
+    return " + ".join(_coeff_prefix(coeffs[w]) + names[w] for w in sorted(coeffs))
+
 
 class HeckeElement:
     """A formal A-linear combination of the rescaled basis elements."""
@@ -380,8 +402,8 @@ def p4_witness_by_scan(data: KLData) -> Optional[tuple[int, int, int]]:
 
 def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:
     """Rendering oracle for `kl --emit cbasis [--check ...]`: exit code and
-    stdout, the report built as dicts of json_pairs and tt_text
-    and dumped by json.dumps(sort_keys=True)."""
+    stdout, the report built as dicts of json_pairs and of this module's
+    tt_text, and dumped by json.dumps(sort_keys=True)."""
     results = [data.check_property(c) for c in checks]
     elements = data.group.elements
     name = [w.name() for w in elements]

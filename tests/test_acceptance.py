@@ -118,7 +118,7 @@ def test_criterion_2_crystal_graph_reproduction():
         (((2,), ()), ((3,), ()), 0), (((2,), ()), ((2,), (1,)), 1),
         (((), (2,)), ((1,), (2,)), 0), (((), (2,)), ((), (3,)), 1),
     }
-    assert len(graph.vertices) == 9 and len(graph.edges) == 8
+    assert len({mp for level in graph.levels for mp in level}) == 9 and len(graph.edges) == 8
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(2, f"levels 0..3 crystal graph matches the printed table "
@@ -201,7 +201,7 @@ def test_criterion_6_kl_suite():
             assert res.passed, (fam, res.name, res.witness)
     s3 = datas[0]
     assert set(s3.afn) == {nfun(nu) for nu in partitions(3)} == {0, 1, 3}
-    assert not s3.phi_matrix_det().is_zero()
+    assert s3.phi_matrix_det()
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     report(6, f"c_1/c_s forms, all eight checks on S3 and B2(1,3), a-values "

@@ -24,6 +24,7 @@ from heckekit.cli import main
 from heckekit.coxeter import CoxeterType, _cached_group, weight_from_ab
 from heckekit.fock import ARIKI, FLOTW, FockParams, crystal
 from heckekit.klcells import PROPERTY_NAMES, KLData
+from heckekit.laurent import LaurentPoly
 from oracles import gamma_by_rescan, kl_cbasis_report
 from test_fock import json_oracle
 
@@ -360,6 +361,22 @@ class TestKlCommand:
         data = KLData(ct, weight_from_ab(ct, *map(int, weights.split(","))))
         assert code == 0
         assert (code, out) == kl_cbasis_report(data, checks)
+
+    @pytest.mark.parametrize("family,rank,weights", [("B", 3, "1,2"), ("D", 4, "1")],
+                             ids=["B3", "D4"])
+    def test_cbasis_report_hashes_no_polynomial(self, capsys, monkeypatch, family, rank, weights):
+        # kl_cbasis interns each coefficient, and the report looks them up by id
+        argv = ["kl", "--type", family, "--rank", str(rank), "--weights", weights,
+                "--emit", "cbasis"]
+
+        def refuse(self):
+            raise AssertionError("a LaurentPoly was hashed")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(LaurentPoly, "__hash__", refuse)
+            unhashed = run(capsys, *argv)
+        assert unhashed == run(capsys, *argv)
+        assert unhashed[0] == 0
 
     def test_cbasis_with_a_failing_check_exits_1(self, capsys, monkeypatch):
         raise_gamma(monkeypatch, (1, 1, 1))
@@ -895,6 +912,19 @@ class TestEntryPoint:
         assert done.stdout == out.encode()
         assert done.stderr.decode() == err
         assert "Traceback" not in err
+
+    def test_a_closed_stdout_exits_2_without_a_traceback(self):
+        # `... | head -c 10`: about 465 KB of JSON, most of it written after the close
+        argv = ["crystal", "--l", "4", "--r", "3", "--u", "0,1,3", "--n", "12"]
+        with subprocess.Popen([sys.executable, "-m", "heckekit.cli", *argv], env=src_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def readme_cli_lines() -> list[str]:

@@ -13,9 +13,9 @@ from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
                      dim_bipartition, gamma_by_rescan, hconst_by_columns, jmap,
-                     jring_mul_by_scan, kl_cbasis_all_products, p4_witness_by_scan,
-                     partner_witnesses, phi_by_cexpand, phi_det_by_elimination,
-                     phi_matrix_by_cexpand, tau, wgraph_by_products)
+                     jring_mul_by_scan, kl_cbasis_all_products, neg_part,
+                     p4_witness_by_scan, partner_witnesses, phi_by_cexpand,
+                     phi_det_by_elimination, phi_matrix_by_cexpand, tau, wgraph_by_products)
 
 
 def weights_ab(ct, a, b):
@@ -88,7 +88,7 @@ def kl_cbasis_pushed(alg):
         del rest[w]
         while rest:
             z = max(rest)
-            p = rest[z].neg_part()
+            p = neg_part(rest[z])
             if p:
                 known[z] = p
                 add_into(rest, alg.bar_row(z), p.bar())
@@ -214,7 +214,7 @@ class TestHeckeMultiplication:
         W = S3.group
         assert tau(S3, S3.one()) == LaurentPoly.one()
         for w in W.elements[1:]:
-            assert tau(S3, S3.t(w)).is_zero()
+            assert not tau(S3, S3.t(w))
             assert tau(S3, S3.mul(S3.t(w), S3.t(w.inverse()))) == LaurentPoly.one()
 
     def test_tau_symmetry_random(self):
@@ -867,7 +867,7 @@ class TestJRingAndPhi:
     def test_phi_matrix_det_nonzero(self):
         data = kl(S3)
         det = data.phi_matrix_det()
-        assert not det.is_zero()
+        assert det
         assert det.at_one() != 0
 
     @pytest.mark.parametrize("family,rank,a,b", PHI_GROUPS)
@@ -884,7 +884,7 @@ class TestJRingAndPhi:
         # A2 is the one group here with sum of l(y) odd, so it fixes the sign
         data = shared_kl(family, rank, a, b)
         det = data.phi_matrix_det()
-        assert not det.is_zero()
+        assert det
         assert det == phi_det_by_elimination(data)
 
     # A2: e, s1, s2, s1.s2, s2.s1, s1.s2.s1; the right cells of a = 1 are

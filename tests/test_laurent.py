@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from heckekit.laurent import (DivisionByZero, LaurentPoly, NotDivisible, ZeroPolynomial,
                               add_into, add_product_into, interned, vpow)
+from oracles import neg_part
 
 term_maps = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9).filter(bool), max_size=6)
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
@@ -56,7 +57,7 @@ class TestBasics:
     def test_bar_symmetric_part_differs_by_negative_degrees(self, p):
         m = p.bar_symmetric_part()
         assert m.bar() == m
-        assert (p - m).neg_part() == p - m
+        assert neg_part(p - m) == p - m
 
 
 class TestExactDiv:
@@ -220,6 +221,19 @@ class TestInterned:
         assert hash(p) == hash(vpow(1) + vpow(-1, 2))
         assert interned(table, {1: 1}) is not p
         assert len(table) == 2
+
+
+class TestHash:
+    def test_a_constant_hashes_as_the_int_it_equals(self):
+        five, zero = LaurentPoly.const(5), LaurentPoly.zero()
+        assert five == 5 and 5 in {five} and five in {5}
+        assert zero == 0 and hash(zero) == hash(0) and {zero: "z"}[0] == "z"
+        assert hash(LaurentPoly.one()) == hash(1)
+
+    @given(polys, st.integers())
+    def test_equal_values_hash_equal(self, p, c):
+        assert hash(p) == hash(LaurentPoly(dict(p.items())))
+        assert hash(LaurentPoly.const(c)) == hash(c)
 
 
 class TestRingAxioms:
