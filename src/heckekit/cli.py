@@ -134,12 +134,15 @@ def _write_cbasis(kl: KLData, name: list[str]) -> None:
     quoted = [f'"{n}"' for n in name]
     tt = ["Tt_" + n for n in name]
     order = sorted(range(len(name)), key=name.__getitem__)
+    rank = [0] * len(name)  # rank[w] = position of name[w] in order
+    for i, w in enumerate(order):
+        rank[w] = i
     write = sys.stdout.write
     write('{"cbasis": {')
     for i, w in enumerate(order):
         row = kl.cbasis[w]
         terms = ", ".join(f"{quoted[y]}: {rendered[id(row[y])][0]}"
-                          for y in sorted(row, key=name.__getitem__))
+                          for y in sorted(row, key=rank.__getitem__))
         write(f'{", " if i else ""}{quoted[w]}: {{{terms}}}')
     write('}, "cbasis_text": {')
     for i, w in enumerate(order):
@@ -315,18 +318,29 @@ def main(argv=None) -> int:
 def entry():
     """Run the command line of this process and exit with its code.
 
-    A reader that closes stdout early (`heckekit crystal ... | head`) ends the
-    run with exit 2 and one error line: stdout is pointed at os.devnull, so
-    the interpreter's flush at exit stays quiet.
+    Output that cannot be delivered ends the run with exit 2 and one error
+    line, since exit 1 is a mathematical verdict: a reader that closes
+    stdout early (`heckekit crystal ... | head`), any other failure to write
+    it (`> /dev/full`), and a process started without one (`>&-`).  main
+    reports an unreadable verify-decomp file itself, so an OSError reaching
+    here is taken to come from stdout.  stdout is then pointed at
+    os.devnull, so the interpreter's flush at exit stays quiet.
     """
+    if sys.stdout is None:
+        print("error: stdout is closed", file=sys.stderr)
+        raise SystemExit(2)
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
-        code = 2
-    raise SystemExit(code)
+        message = "stdout was closed before the output was written"
+    except OSError as exc:
+        message = f"cannot write stdout: {exc.strerror or exc}"
+    else:
+        raise SystemExit(code)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -109,16 +109,22 @@ def kl_cbasis(group: WeylGroup, weights: WeightFunction) -> list[Coeffs]:
     Lusztig's recursion (Hecke algebras with unequal parameters, ch. 6), as
     in Geck's PyCox: with s the first letter of w, c_w is c_s c_sw less its
     lower c-terms (csw_terms).  Every c_z it needs has a smaller index,
-    because the canonical index order sorts by length.  The anti-involution
-    Tt_w -> Tt_{w^-1} commutes with bar and keeps L, so p_{y,w} =
-    p_{y^-1,w^-1} (Lusztig, ch. 5-6): the recursion runs only for w with
-    w^-1 >= w, and every other c_w is c_{w^-1} relabelled by y -> y^-1,
-    sharing its coefficients.  Each finished row is wrapped with every
-    coefficient interned, so equal coefficients are one object across the
-    basis.  B4 (384 elements) takes about 0.1 s and F4 (1152) 0.8-1.0 s.
+    because the canonical index order sorts by length.  Since sw < w,
+    c_s c_w = (v^L(s) + v^-L(s)) c_w (Lusztig, ch. 6), that is
+    Tt_s c_w = v^L(s) c_w, so p_{y,w} = v^-L(s) p_{sy,w} whenever sy > y:
+    csw_terms computes only the y with sy < y, and each other coefficient is
+    the shift of its partner's, made once per distinct coefficient and
+    weight.  The anti-involution Tt_w -> Tt_{w^-1} commutes with bar and
+    keeps L, so p_{y,w} = p_{y^-1,w^-1} (Lusztig, ch. 5-6): the recursion
+    runs only for w with w^-1 >= w, and every other c_w is c_{w^-1}
+    relabelled by y -> y^-1, sharing its coefficients.  Each finished row is
+    wrapped with every coefficient interned, so equal coefficients are one
+    object across the basis.  B4 (384 elements) takes about 35-40 ms and F4
+    (1152) 0.3-0.6 s, by weight.
     """
     inv = group.inverse_index
     polys: dict = {}  # one LaurentPoly per distinct coefficient
+    shifted: dict[int, dict[int, LaurentPoly]] = {}  # L -> {id(p): v^-L p, interned}
     basis: list[Coeffs] = [{0: interned(polys, {0: 1})}]
     for w in range(1, len(group)):
         w_inv = inv(w)
@@ -126,32 +132,49 @@ def kl_cbasis(group: WeylGroup, weights: WeightFunction) -> list[Coeffs]:
             basis.append({inv(y): p for y, p in basis[w_inv].items()})
             continue
         s = group.elements[w].word[0]
-        row = csw_terms(group, weights, basis, s, group.left_table[s][w])
-        basis.append({y: interned(polys, t) for y, t in row.items() if t})
+        L = weights(s)
+        table = group.left_table[s]
+        memo = shifted.setdefault(L, {})
+        row = {y: interned(polys, t)
+               for y, t in csw_terms(group, weights, basis, s, table[w]).items() if t}
+        fill = []
+        for y, p in row.items():
+            q = memo.get(id(p))
+            if q is None:
+                q = memo[id(p)] = interned(polys, {e - L: c for e, c in p._terms.items()})
+            fill.append((table[y], q))
+        row.update(fill)
+        basis.append(row)
     return basis
 
 
 def csw_terms(group: WeylGroup, weights: WeightFunction, basis: list[Coeffs], s: int,
               w: int) -> dict[int, dict[int, int]]:
-    """The Tt-coefficients of c_sw as term maps {exponent: coefficient}, for sw > w.
+    """The Tt-coefficients of c_sw at the y with sy < y as term maps
+    {exponent: coefficient}, for sw > w.
 
-    c_s = Tt_s + v^-L(s), so c_s Tt_y = Tt_sy + v^L(s) Tt_y when sy < y and
-    Tt_sy + v^-L(s) Tt_y when sy > y.  Walking down from sw, the coefficient
-    of Tt_z left at each z is p_{z,sw} + M^s_{z,w}: p_{z,sw} has only
-    negative degrees and M is bar-invariant, so its terms of degree >= 0 fix
-    M, and M c_z is taken off.  M^s_{z,w} is zero unless sz < z, so the z
-    with sz > z, whose coefficient has only negative degrees, are skipped as
-    in `KLData.wgraph`.  basis must hold c_z for every index below sw.  Only
-    the new maps are updated in place; the coefficients of basis are read,
-    never changed.  A map may end up empty.
+    The other half is v^-L(s) times this one (see kl_cbasis), so it is never
+    accumulated.  c_s = Tt_s + v^-L(s), so c_s Tt_y = Tt_sy + v^L(s) Tt_y
+    when sy < y and Tt_sy + v^-L(s) Tt_y when sy > y; of these only Tt_sy
+    (sy > y) and v^L(s) Tt_y (sy < y) land in the half.  Walking down from
+    sw, the coefficient of Tt_z left at each z is p_{z,sw} + M^s_{z,w}:
+    p_{z,sw} has only negative degrees and M is bar-invariant, so its terms
+    of degree >= 0 fix M, and M c_z is taken off.  M^s_{z,w} is zero unless
+    sz < z, so the z with sz > z, whose coefficient has only negative
+    degrees, are skipped as in `KLData.wgraph`; every z read is in the half.
+    basis must hold c_z for every index below sw.  Only the new maps are
+    updated in place; the coefficients of basis are read, never changed.  A
+    map may end up empty.
     """
     L = weights(s)
     table = group.left_table[s]
     cw = basis[w]
-    prod = {table[y]: dict(p._terms) for y, p in cw.items()}  # y -> sy is a bijection
+    # sy < y as indices iff as lengths: the canonical order sorts by length
+    prod = {table[y]: dict(p._terms) for y, p in cw.items() if table[y] > y}
+    up = {L: 1}
     for y, p in cw.items():
-        # sy < y as indices iff as lengths: the canonical order sorts by length
-        add_product_into(prod.setdefault(y, {}), p._terms, {L if table[y] < y else -L: 1})
+        if table[y] < y:
+            add_product_into(prod.setdefault(y, {}), p._terms, up)
     for z in range(table[w] - 1, -1, -1):
         if table[z] > z:
             continue
@@ -160,7 +183,8 @@ def csw_terms(group: WeylGroup, weights: WeightFunction, basis: list[Coeffs], s:
             m = {e: -c for e, c in f.items() if e >= 0}  # -M
             m.update([(-e, c) for e, c in m.items() if e])
             for y, p in basis[z].items():
-                add_product_into(prod.setdefault(y, {}), p._terms, m)
+                if table[y] < y:
+                    add_product_into(prod.setdefault(y, {}), p._terms, m)
     return prod
 
 
@@ -256,8 +280,8 @@ def property_name(name: str) -> str:
     return name
 
 
-#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.1 s for
-#: each.  F4 (1152) takes about 0.8-1.0 s and 0.5 s and needs force.
+#: Largest |W| for the c-basis and the cells: B4 (384) takes about 0.04 s for
+#: each.  F4 (1152) takes about 0.3-0.6 s and 0.3 s and needs force.
 CBASIS_CAP = 400
 #: Largest |W| for the |W|^2 structure constants.  They take about 0.07 s
 #: on A4 (120) and 0.3 s on D4 (192), but the jobs that need them cost more,

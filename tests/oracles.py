@@ -297,8 +297,10 @@ def cs_times_cw(group: WeylGroup, weights: WeightFunction, basis: list[Coeffs], 
     of Tt_z left at each z is p_{z,sw} + M[z]: p_{z,sw} has only negative
     degrees and M[z] is bar-invariant, so its terms of degree >= 0 fix M[z].
     basis must hold c_z for every index below sw.  klcells.csw_terms forms
-    the same c_sw on integer term maps, and KLData.wgraph reads the same M
-    off the c-basis without forming the product.
+    only the coefficients of c_sw at the y with sy < y, on integer term maps,
+    and kl_cbasis shifts each by v^-L(s) into the other half, as
+    p_{y,sw} = v^-L(s) p_{sy,sw} when sy > y; KLData.wgraph reads the same
+    M off the c-basis without forming the product.
     """
     L = weights(s)
     table = group.left_table[s]

@@ -926,6 +926,32 @@ class TestEntryPoint:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    # a few hundred bytes, which fail at the final flush, and about 190 KB,
+    # which fail while being written
+    UNWRITABLE = [["crystal", "--l", "2", "--r", "2", "--u", "0,1", "--n", "3"],
+                  ["kl", "--type", "A", "--rank", "4", "--weights", "1", "--emit", "cbasis"]]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=["flush", "write"])
+    def test_a_full_stdout_exits_2_without_a_traceback(self, argv):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "heckekit.cli", *argv], env=src_env(),
+                                  stdout=full, stderr=subprocess.PIPE, timeout=60)
+        err = done.stderr.decode()
+        assert done.returncode == 2
+        assert err == "error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=["small", "large"])
+    def test_a_missing_stdout_exits_2_without_a_traceback(self, argv):
+        # `heckekit ... >&-`: the child starts with fd 1 closed, so sys.stdout is None
+        script = ("import os, sys\n"
+                  "os.close(1)\n"
+                  "os.execv(sys.executable, [sys.executable, '-m', 'heckekit.cli', *sys.argv[1:]])\n")
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=src_env(),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.decode() == "error: stdout is closed\n"
+
 
 def readme_cli_lines() -> list[str]:
     """The `heckekit ...` lines of the sh block under "## CLI" in README.md."""

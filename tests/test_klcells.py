@@ -16,6 +16,7 @@ from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_c
                      jring_mul_by_scan, kl_cbasis_all_products, neg_part,
                      p4_witness_by_scan, partner_witnesses, phi_by_cexpand,
                      phi_det_by_elimination, phi_matrix_by_cexpand, tau, wgraph_by_products)
+from test_schur import REGIMES
 
 
 def weights_ab(ct, a, b):
@@ -319,6 +320,29 @@ class TestKLBasis:
             assert {inv(y): p for y, p in row.items()} == mirror
             if inv(w) < w:
                 assert all(p is mirror[inv(y)] for y, p in row.items())
+
+    @pytest.mark.parametrize("family,rank,a,b", [
+        ("G2", 2, 1, 2), ("G2", 2, 1, 1), ("G2", 2, 2, 1),
+        # the Kazhdan-Lusztig stages need L(s) > 0
+        *[("B", 3, a, b) for a, b in REGIMES if a > 0 and b > 0],
+        ("B", 4, 1, 4), ("B", 4, 2, 1), ("A", 4, 1, None), ("D", 4, 1, None)])
+    def test_every_left_descent_shifts_the_coefficients(self, family, rank, a, b):
+        # c_s c_w = (v^L(s) + v^-L(s)) c_w when sw < w (Lusztig, ch. 6), so
+        # p_{y,w} = v^-L(s) p_{sy,w} whenever sy > y; kl_cbasis fills half of
+        # each row it builds from this, for the first letter of w only
+        alg = algebra(family, rank, a, b)
+        W = alg.group
+        basis = kl_cbasis(W, alg.weights)
+        for s in range(W.rank):
+            table = W.left_table[s]
+            shift = vpow(-alg.weights(s))
+            low = [y for y in range(len(W)) if table[y] > y]
+            for w, row in enumerate(basis):
+                if table[w] > w:
+                    continue
+                for y in low:
+                    p = row.get(table[y])
+                    assert row.get(y) == (None if p is None else p * shift), (w, s, y)
 
     @pytest.mark.parametrize("family,rank,a,b", [("B", 3, 1, 2), ("B", 4, 1, 4)])
     def test_equal_coefficients_are_one_object(self, family, rank, a, b):
