@@ -275,7 +275,11 @@ class DecompMatrix:
     @classmethod
     def load(cls, path) -> "DecompMatrix":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("the JSON is nested deeper than the decoder recurses") from None
+        return cls.from_json_dict(data)
 
 
 def is_int(x) -> bool:

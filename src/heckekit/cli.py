@@ -23,7 +23,10 @@ from .klcells import (CBASIS_CAP, HCONST_CAP, WITNESS_FIELDS, KLData, PropertyFa
 
 
 def _parse_bipartition(text: str):
-    lam = json.loads(text)
+    try:
+        lam = json.loads(text)
+    except RecursionError:  # nested deeper than the decoder recurses
+        lam = None
     if not (isinstance(lam, list) and len(lam) == 2 and all(map(basicsets.is_int_list, lam))):
         raise ValueError(f"--bipartition {text!r} is not a JSON list of two integer lists")
     return tuple(tuple(c) for c in lam)
@@ -162,10 +165,10 @@ def _cmd_kl(args) -> int:
     results = [kl.check_property(c) for c in checks]
     emit = args.emit
     value = getattr(kl, {"phimatrix": "phi_matrix"}.get(emit, emit)) if emit else None
-    name = [w.name() for w in kl.group.elements]
+    name = [kl.group.name(w) for w in range(len(kl.group))]
 
     report: dict = {"type": str(ctype), "weights": list(kl.weights.values),
-                    "elements": {name[w.index]: list(w.word) for w in kl.group.elements}}
+                    "elements": dict(zip(name, map(list, kl.group.words)))}
     if checks:
         report["checks"] = []
         for res in results:

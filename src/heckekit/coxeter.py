@@ -15,6 +15,10 @@ carries its lexicographically smallest reduced word, read off the pass: the
 smallest s reaching w is its first letter.  The enumeration order (by
 length, then word) is the canonical index order used everywhere else.
 Products and inverses are folds of words through the left table.
+
+An element is its index: the identity is 0, the longest element is
+len(W) - 1, the generator s is left_table[s][0] and the length of i is
+len(words[i]).
 """
 
 from __future__ import annotations
@@ -119,44 +123,8 @@ def _reflect_row(M, s, bond):
     return M[:s] + (tuple(row),) + M[s + 1:]
 
 
-class GroupElement:
-    """An element of a WeylGroup: its index and canonical reduced word."""
-
-    __slots__ = ("group", "index", "word")
-
-    def __init__(self, group, index, word):
-        self.group = group
-        self.index = index
-        self.word = word
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def name(self) -> str:
-        if not self.word:
-            return "e"
-        return ".".join(self.group.names[s] for s in self.word)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.mult(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.group.elements[self.group.inverse_index(self.index)]
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement)
-                and self.group is other.group and self.index == other.index)
-
-    def __hash__(self):
-        return hash((id(self.group), self.index))
-
-    def __repr__(self):
-        return f"<{self.name()}>"
-
-
 class WeylGroup:
-    """A fully enumerated finite Weyl group."""
+    """A fully enumerated finite Weyl group, its elements the indices 0 .. len - 1."""
 
     def __init__(self, ctype: CoxeterType):
         order = ctype.order()
@@ -174,7 +142,8 @@ class WeylGroup:
         # so both entries of left_table are filled when s*u is reached.
         bonds = [[(j, -cartan[s][j]) for j in range(n) if j != s and cartan[s][j]]
                  for s in range(n)]
-        words: list[tuple[int, ...]] = [()]
+        #: words[i] = canonical reduced word of element i
+        self.words = words = [()]
         mats = [ident]
         by_matrix = {ident: 0}
         #: left_table[s][i] = index of generator s times element i
@@ -197,18 +166,13 @@ class WeylGroup:
         if len(words) != order:
             raise AssertionError(f"enumerated {len(words)} elements, expected {order}")
 
-        self.elements: list[GroupElement] = [
-            GroupElement(self, idx, word) for idx, word in enumerate(words)]
-        self.identity = self.elements[0]
-        self.longest = self.elements[-1]
-        self.generators = [self.elements[table[0]] for table in self.left_table]
         # w = s1...sk has inverse sk...s1: s1 first, each next letter on the left
         self._inverses = [self._fold(word, 0) for word in words]
 
     # -- core operations -------------------------------------------------
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
 
     def _fold(self, letters, i: int) -> int:
         """Index of the product of the letters, last one leftmost, times element i."""
@@ -216,8 +180,12 @@ class WeylGroup:
             i = self.left_table[s][i]
         return i
 
-    def mult(self, u: GroupElement, v: GroupElement) -> GroupElement:
-        return self.elements[self._fold(reversed(u.word), v.index)]
+    def name(self, i: int) -> str:
+        """The canonical word of element i, as "t.s1.t"; the identity is "e"."""
+        return ".".join(self.names[s] for s in self.words[i]) or "e"
+
+    def mult(self, u: int, v: int) -> int:
+        return self._fold(reversed(self.words[u]), v)
 
     def inverse_index(self, i: int) -> int:
         return self._inverses[i]

@@ -69,9 +69,9 @@ class FockParams(namedtuple("FockParams", "l r u node_order")):
             all(u[i] <= u[i + 1] for i in range(self.r - 1)) and u[-1] <= self.l - 1
 
 
-def check_multipartition(mp, r: int | None = None) -> Multipartition:
+def check_multipartition(mp, r: int) -> Multipartition:
     mp = tuple(check_partition(c) for c in mp)
-    if r is not None and len(mp) != r:
+    if len(mp) != r:
         raise ValueError(f"expected {r} components, got {len(mp)}")
     return mp
 

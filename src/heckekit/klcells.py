@@ -77,10 +77,9 @@ class HeckeAlgebra:
         sy > y instead.
         """
         table = self.group.left_table[s]
-        elements = self.group.elements
         out = {table[y]: c for y, c in coeffs.items()}  # y -> sy is a bijection
-        zeta_terms = {y: c for y, c in coeffs.items()
-                      if (elements[table[y]].length < elements[y].length) != inverse}
+        # sy < y as indices iff as lengths: the canonical order sorts by length
+        zeta_terms = {y: c for y, c in coeffs.items() if (table[y] < y) != inverse}
         return add_into(out, zeta_terms, -self.zeta[s] if inverse else self.zeta[s])
 
     def bar_row(self, w_idx: int) -> Coeffs:
@@ -88,7 +87,7 @@ class HeckeAlgebra:
         cached = self._bar_rows.get(w_idx)
         if cached is not None:
             return cached
-        word = self.group.elements[w_idx].word
+        word = self.group.words[w_idx]
         if not word:
             row: Coeffs = {w_idx: _ONE}
         else:
@@ -131,7 +130,7 @@ def kl_cbasis(group: WeylGroup, weights: WeightFunction) -> list[Coeffs]:
         if w_inv < w:  # same length, so c_{w^-1} is already built
             basis.append({inv(y): p for y, p in basis[w_inv].items()})
             continue
-        s = group.elements[w].word[0]
+        s = group.words[w][0]
         L = weights(s)
         table = group.left_table[s]
         memo = shifted.setdefault(L, {})
@@ -395,12 +394,11 @@ class KLData:
         """(delta, n_z) read off the highest term of the trace of each c_z."""
         delta = []
         nz = []
-        ident = self.group.identity.index
         for z in range(len(self.group)):
-            t = self.cbasis[z].get(ident)
+            t = self.cbasis[z].get(0)  # the coefficient of Tt_e
             if not t:
                 raise PropertyFailure(
-                    f"trace of c_{self.group.elements[z].name()} vanishes; "
+                    f"trace of c_{self.group.name(z)} vanishes; "
                     "delta undefined under positive weights")
             _, _, hi, hic = t.extremal()
             delta.append(-hi)
@@ -525,7 +523,7 @@ class KLData:
         """
         check_cap(self.ctype, HCONST_CAP, "structure constants", self.force)
         n = len(self.group)
-        elements = self.group.elements
+        words = self.group.words
         left_table = self.group.left_table
         # c_s c_w as [(z, term map)], and the -M^s_{z,r} with z != sr, the
         # terms that c_s c_r less c_sr has (read only where sr > r)
@@ -541,7 +539,7 @@ class KLData:
             col = [{y: interned(polys, {0: 1})}]
             cols.append(col)
             for x in range(1, inverses[y] + 1):
-                s = elements[x].word[0]
+                s = words[x][0]
                 r = left_table[s][x]
                 cs = times[s]
                 acc: dict[int, dict[int, int]] = {}
@@ -585,9 +583,9 @@ class KLData:
             for z, p in row.items():
                 lo = p.mindeg
                 if lo < -a[z]:
-                    name = [w.name() for w in self.group.elements]
+                    name = self.group.name
                     raise PropertyFailure(
-                        f"h_{{{name[x]},{name[y]},{name[z]}}} has a term v^{lo} "
+                        f"h_{{{name(x)},{name(y)},{name(z)}}} has a term v^{lo} "
                         f"below v^-a = v^{-a[z]}")
                 if lo == -a[z]:
                     attained[z] = True
@@ -595,8 +593,8 @@ class KLData:
                     out[(x, y, inv[z])] = c
         if not all(attained):
             z = attained.index(False)
-            name = [w.name() for w in self.group.elements]
-            raise PropertyFailure(f"no h_{{x,y,{name[z]}}} reaches v^-a = v^{-a[z]}")
+            raise PropertyFailure(
+                f"no h_{{x,y,{self.group.name(z)}}} reaches v^-a = v^{-a[z]}")
         return out
 
     @cached_property
@@ -792,7 +790,7 @@ class KLData:
         """
         unit = self.jring.unit
         out = {d: vpow(self.weights(s)) * n for d, n in unit.items()}
-        return add_into(out, self.phi_cdagger(self.group.generators[s].index), -1)
+        return add_into(out, self.phi_cdagger(self.group.left_table[s][0]), -1)
 
     @cached_property
     def phi_matrix(self) -> list[list[LaurentPoly]]:
@@ -808,7 +806,7 @@ class KLData:
         gens = [self.phi(s) for s in range(group.rank)]
         cols = [{d: LaurentPoly.const(n) for d, n in ring.unit.items()}]
         for y in range(1, len(group)):
-            s = group.elements[y].word[0]
+            s = group.words[y][0]
             cols.append(ring.mul(gens[s], cols[group.left_table[s][y]]))
         return [[col.get(x, _ZERO) for col in cols] for x in range(len(group))]
 
@@ -835,10 +833,10 @@ class KLData:
             for z in col:
                 if a[z] < a[w] or (a[z] == a[w] and cell_of[z] != cell_of[w]):
                     raise PropertyFailure(
-                        f"phi(c_{group.elements[w].name()}^dagger) has a "
-                        f"t_{group.elements[z].name()} term outside the right-cell "
+                        f"phi(c_{group.name(w)}^dagger) has a "
+                        f"t_{group.name(z)} term outside the right-cell "
                         "block pattern", (z, w))
-        det = LaurentPoly.const(-1 if sum(x.length for x in group.elements) % 2 else 1)
+        det = LaurentPoly.const(-1 if sum(map(len, group.words)) % 2 else 1)
         for cell in right_cells:
             det = det * det_laurent_matrix([[C[w].get(z, _ZERO) for w in cell] for z in cell])
         return det

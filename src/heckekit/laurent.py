@@ -57,10 +57,6 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     # -- basic queries -------------------------------------------------
 
     def items(self):
@@ -307,5 +303,5 @@ def interned(table: dict, terms: dict[int, int]) -> LaurentPoly:
 
 
 def vpow(k: int, coeff: int = 1) -> LaurentPoly:
-    """Shorthand for coeff * v^k."""
-    return LaurentPoly.monomial(k, coeff)
+    """coeff * v^k."""
+    return LaurentPoly({k: coeff})

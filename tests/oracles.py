@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from heckekit.basicsets import BasicSetResult, DecompMatrix
 from heckekit.cli import _witness
-from heckekit.coxeter import CoxeterType, GroupElement, WeightFunction, WeylGroup
+from heckekit.coxeter import CoxeterType, WeightFunction, WeylGroup
 from heckekit.fock import (ARIKI, FLOTW, FockParams, Multipartition, _iword, _moved,
                            check_multipartition, etilde)
 from heckekit.klcells import CheckResult, Coeffs, HeckeAlgebra, KLData, det_laurent_matrix
@@ -100,38 +100,49 @@ def weyl_group_by_peeling(ctype: CoxeterType) -> PeeledGroup:
         inverse_index=[by_matrix[e[3]] for e in entries])
 
 
-def element_from_word(W: WeylGroup, word) -> GroupElement:
-    w = W.identity
+def generator(W: WeylGroup, s: int) -> int:
+    """The index of the generator s."""
+    return W.left_table[s][0]
+
+
+def length(W: WeylGroup, w: int) -> int:
+    return len(W.words[w])
+
+
+def element_from_word(W: WeylGroup, word) -> int:
+    """The index of the product of word, by right products through mult."""
+    w = 0
     for s in word:
-        w = W.mult(w, W.generators[s])
+        w = W.mult(w, generator(W, s))
     return w
 
 
-def lweight(W: WeylGroup, w: GroupElement, weights) -> int:
+def lweight(W: WeylGroup, w: int, weights) -> int:
     vals = weights.values if isinstance(weights, WeightFunction) else weights
-    return sum(vals[s] for s in w.word)
+    return sum(vals[s] for s in W.words[w])
 
 
-def descents_left(W: WeylGroup, w: GroupElement) -> frozenset[int]:
+def descents_left(W: WeylGroup, w: int) -> frozenset[int]:
     return frozenset(s for s in range(W.rank)
-                     if W.elements[W.left_table[s][w.index]].length < w.length)
+                     if length(W, W.left_table[s][w]) < length(W, w))
 
 
-def descents_right(W: WeylGroup, w: GroupElement) -> frozenset[int]:
-    return frozenset(s for s in range(W.rank) if W.mult(w, W.generators[s]).length < w.length)
+def descents_right(W: WeylGroup, w: int) -> frozenset[int]:
+    return frozenset(s for s in range(W.rank)
+                     if length(W, W.mult(w, generator(W, s))) < length(W, w))
 
 
-def bruhat_leq(W: WeylGroup, y: GroupElement, w: GroupElement) -> bool:
+def bruhat_leq(W: WeylGroup, y: int, w: int) -> bool:
     """Bruhat order via the standard descent recursion."""
     while True:
-        if y.index == w.index:
+        if y == w:
             return True
-        if y.length >= w.length:
+        if length(W, y) >= length(W, w):
             return False
         s = min(descents_left(W, w))
-        w = W.elements[W.left_table[s][w.index]]
+        w = W.left_table[s][w]
         if s in descents_left(W, y):
-            y = W.elements[W.left_table[s][y.index]]
+            y = W.left_table[s][y]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +202,8 @@ class HeckeElement:
         return hash(frozenset((w, c) for w, c in self.coeffs.items()))
 
     def __repr__(self):
-        names = ["Tt_" + w.name() for w in self.algebra.group.elements]
+        group = self.algebra.group
+        names = ["Tt_" + group.name(w) for w in range(len(group))]
         return f"HeckeElement({tt_text(names, self.coeffs)})"
 
 
@@ -207,19 +219,18 @@ class TtAlgebra(HeckeAlgebra):
     def of(cls, data: KLData) -> "TtAlgebra":
         return cls(data.group, data.weights)
 
-    def t(self, w) -> HeckeElement:
-        idx = w.index if isinstance(w, GroupElement) else int(w)
-        return HeckeElement(self, {idx: LaurentPoly.one()})
+    def t(self, w: int) -> HeckeElement:
+        return HeckeElement(self, {w: LaurentPoly.one()})
 
     def one(self) -> HeckeElement:
-        return self.t(self.group.identity)
+        return self.t(0)
 
     def element(self, coeffs: Coeffs) -> HeckeElement:
         return HeckeElement(self, coeffs)
 
     def lmul_basis(self, w_idx: int, coeffs: Coeffs) -> Coeffs:
         """Tt_w times an element, by folding the reduced word of w."""
-        for s in reversed(self.group.elements[w_idx].word):
+        for s in reversed(self.group.words[w_idx]):
             coeffs = self._lgen(s, coeffs)
         return coeffs
 
@@ -237,10 +248,10 @@ class TtAlgebra(HeckeAlgebra):
 
     def dagger(self, h: HeckeElement) -> HeckeElement:
         """The A-linear algebra automorphism sending Tt_w to (-1)^l(w) bar(Tt_w)."""
-        elements = self.group.elements
+        words = self.group.words
         out: Coeffs = {}
         for w, c in h.coeffs.items():
-            add_into(out, self.bar_row(w), c if elements[w].length % 2 == 0 else -c)
+            add_into(out, self.bar_row(w), c if len(words[w]) % 2 == 0 else -c)
         return HeckeElement(self, out)
 
 
@@ -277,14 +288,14 @@ def phi_det_by_elimination(data: KLData) -> LaurentPoly:
 
 
 def jmap(alg: TtAlgebra, h: HeckeElement) -> HeckeElement:
-    elements = alg.group.elements
-    return alg.element({w: c.bar() if elements[w].length % 2 == 0 else -c.bar()
+    words = alg.group.words
+    return alg.element({w: c.bar() if len(words[w]) % 2 == 0 else -c.bar()
                         for w, c in h.coeffs.items()})
 
 
 def tau(alg: TtAlgebra, h: HeckeElement) -> LaurentPoly:
     """The symmetrizing trace: coefficient of the identity basis element."""
-    return h.coeffs.get(alg.group.identity.index, LaurentPoly.zero())
+    return h.coeffs.get(0, LaurentPoly.zero())
 
 
 def cs_times_cw(group: WeylGroup, weights: WeightFunction, basis: list[Coeffs], s: int,
@@ -325,7 +336,7 @@ def kl_cbasis_all_products(group: WeylGroup, weights: WeightFunction) -> list[Co
     """
     basis: list[Coeffs] = [{0: LaurentPoly.one()}]
     for w in range(1, len(group)):
-        s = group.elements[w].word[0]
+        s = group.words[w][0]
         basis.append(cs_times_cw(group, weights, basis, s, group.left_table[s][w])[0])
     return basis
 
@@ -353,7 +364,7 @@ def hconst_by_columns(data: KLData) -> dict[tuple[int, int], Coeffs]:
     (y^-1, x^-1).  Rows are summed on term maps and keyed y outer, x inner.
     """
     n = len(data.group)
-    elements, left_table = data.group.elements, data.group.left_table
+    words, left_table = data.group.words, data.group.left_table
     times = [[[(z, m._terms) for z, m in row.items()] for row in rows] for rows in data.wgraph]
     lower = [[[(z, {e: -c for e, c in m._terms.items()}) for z, m in row.items()
                if z != left_table[s][r]] for r, row in enumerate(rows)]
@@ -362,7 +373,7 @@ def hconst_by_columns(data: KLData) -> dict[tuple[int, int], Coeffs]:
     for y in range(n):
         col = [{y: LaurentPoly.one()}]  # col[x] = h(x, y)
         for x in range(1, n):
-            s = elements[x].word[0]
+            s = words[x][0]
             r = left_table[s][x]
             acc: dict[int, dict[int, int]] = {}
             for w, f in col[r].items():
@@ -407,12 +418,12 @@ def kl_cbasis_report(data: KLData, checks=()) -> tuple[int, str]:
     stdout, the report built as dicts of json_pairs and of this module's
     tt_text, and dumped by json.dumps(sort_keys=True)."""
     results = [data.check_property(c) for c in checks]
-    elements = data.group.elements
-    name = [w.name() for w in elements]
+    words = data.group.words
+    name = [data.group.name(w) for w in range(len(words))]
     tt = ["Tt_" + n for n in name]
     report: dict = {
         "type": str(data.ctype), "weights": list(data.weights.values),
-        "elements": {name[w.index]: list(w.word) for w in elements},
+        "elements": {name[w]: list(word) for w, word in enumerate(words)},
         "cbasis": {name[w]: {name[y]: c.json_pairs() for y, c in sorted(row.items())}
                    for w, row in enumerate(data.cbasis)},
         "cbasis_text": {name[w]: tt_text(tt, row) for w, row in enumerate(data.cbasis)}}

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import re
 import hashlib
 import importlib.util
 import io
@@ -226,13 +228,14 @@ class TestSchurCommand:
         assert data["alpha"] == 0 and data["f"] == 1
         assert data["element"][0] == [0, "1"]
 
+    NESTED = "[" * 3000 + "]" * 3000  # deeper than the JSON decoder recurses
     MALFORMED = ["[1]", "[]", "{}", "null", "[[1.5],[]]", '[["a"],[]]', "[[1],[1],[1]]",
-                 "[[1],2]", "[[1],[2]", "[[0],[]]", "[[true],[]]"]
+                 "[[1],2]", "[[1],[2]", "[[0],[]]", "[[true],[]]", NESTED]
 
     # outside type B any --bipartition is refused, a well-formed one too
     @pytest.mark.parametrize("ctype, body", [("B", body) for body in MALFORMED] + [
         ("A", "garbage"), ("G2", "garbage"), ("F4", "[[2,1],[1]]"),
-    ], ids=MALFORMED + ["A-garbage", "G2-garbage", "F4-well-formed"])
+    ], ids=MALFORMED[:-1] + ["nested", "A-garbage", "G2-garbage", "F4-well-formed"])
     def test_malformed_bipartition(self, capsys, ctype, body):
         assert_input_error(*run(capsys, "schur", "--type", ctype, "--a", "1",
                                 "--b", "1", "--bipartition", body))
@@ -660,6 +663,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify-decomp", str(bad))
         assert code == 2 and err
 
+    @pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000,
+                                      '{"rows": ' + "[" * 3000 + "]" * 3000 + "}"],
+                             ids=["list", "rows"])
+    def test_deeply_nested_file(self, tmp_path, capsys, text):
+        # the decoder's RecursionError is an input error, not a verdict
+        bad = tmp_path / "deep.json"
+        bad.write_text(text)
+        assert_input_error(*run(capsys, "verify-decomp", str(bad)))
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify-decomp", "/nonexistent/file.json")
         assert code == 2
@@ -893,6 +905,21 @@ class TestLeanImport:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "[]"]
+
+    def test_the_readme_names_the_stdlib_modules_the_package_imports(self):
+        # the top-level imports of every module, against the start-up sentence
+        imported = set()
+        for path in (REPO_ROOT / "src" / "heckekit").glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.split(".")[0])
+        readme = " ".join((REPO_ROOT / "README.md").read_text().split())
+        sentence = re.search(r"Importing `heckekit\.cli` loads only (.*?) from the standard "
+                             r"library", readme)
+        assert sentence, "README has no start-up sentence"
+        assert imported - {"sys", "__future__"} == set(re.findall(r"`(\w+)`", sentence[1]))
 
 
 class TestEntryPoint:

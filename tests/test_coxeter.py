@@ -6,7 +6,7 @@ from heckekit import coxeter
 from heckekit.coxeter import (CoxeterType, GroupTooLarge, WeightFunction,
                               build, weight_from_ab)
 from oracles import (_mat_mul, bruhat_leq, descents_left, descents_right, element_from_word,
-                     lweight, weyl_group_by_peeling)
+                     generator, length, lweight, weyl_group_by_peeling)
 
 
 def test_classical_orders():
@@ -64,100 +64,115 @@ def test_exceeds_is_the_order_against_the_cap(monkeypatch):
 def test_unique_extremes():
     for ct in (CoxeterType("A", 3), CoxeterType("B", 3), CoxeterType("G2", 2)):
         W = build(ct)
-        lengths = [w.length for w in W.elements]
+        lengths = [len(word) for word in W.words]
         assert lengths.count(0) == 1
         assert lengths.count(max(lengths)) == 1
-        assert W.identity.word == ()
+        assert W.words[0] == ()
+        assert lengths[-1] == max(lengths)
 
 
 def test_generator_involutions():
     W = build(CoxeterType("A", 2))
-    for s in W.generators:
-        assert (s * s) == W.identity
-        assert (s * W.identity) == s
+    for s in range(W.rank):
+        g = generator(W, s)
+        assert W.mult(g, g) == 0
+        assert W.mult(g, 0) == g
+        assert W.words[g] == (s,)
 
 
 def test_length_changes_by_one():
     for ct in (CoxeterType("A", 2), CoxeterType("B", 2), CoxeterType("G2", 2)):
         W = build(ct)
-        for w in W.elements:
-            for s in W.generators:
-                assert abs((s * w).length - w.length) == 1
-                assert abs((w * s).length - w.length) == 1
+        for w in range(len(W)):
+            for s in range(W.rank):
+                g = generator(W, s)
+                assert abs(length(W, W.mult(g, w)) - length(W, w)) == 1
+                assert abs(length(W, W.mult(w, g)) - length(W, w)) == 1
 
 
 def test_poincare_counts():
     # length generating function: S3 -> 1,2,2,1; B2 -> 1,2,2,2,1
     W = build(CoxeterType("A", 2))
     counts = [0] * 4
-    for w in W.elements:
-        counts[w.length] += 1
+    for w in range(len(W)):
+        counts[length(W, w)] += 1
     assert counts == [1, 2, 2, 1]
     W = build(CoxeterType("B", 2))
     counts = [0] * 5
-    for w in W.elements:
-        counts[w.length] += 1
+    for w in range(len(W)):
+        counts[length(W, w)] += 1
     assert counts == [1, 2, 2, 2, 1]
 
 
 def test_normal_forms_are_lex_smallest_reduced():
     W = build(CoxeterType("B", 2))
-    for w in W.elements:
-        assert element_from_word(W, w.word) == w
-        assert len(w.word) == w.length
+    for w, word in enumerate(W.words):
+        assert element_from_word(W, word) == w
+        # reduced: every prefix is as long as its product
+        assert all(length(W, element_from_word(W, word[:k])) == k for k in range(len(word)))
 
 
 def test_mult_and_inverse():
     W = build(CoxeterType("B", 3))
-    s = W.generators
-    w = s[0] * s[1] * s[2] * s[0]
-    assert (w * w.inverse()) == W.identity
-    assert w.inverse().inverse() == w
+    w = element_from_word(W, (0, 1, 2, 0))
+    w_inv = W.inverse_index(w)
+    assert W.mult(w, w_inv) == 0
+    assert W.mult(w_inv, w) == 0
+    assert W.inverse_index(w_inv) == w
     # the reversed word is a reduced word for the inverse
-    assert element_from_word(W, tuple(reversed(w.word))) == w.inverse()
+    assert element_from_word(W, tuple(reversed(W.words[w]))) == w_inv
     # associativity spot check
-    for a in W.elements[:8]:
-        for b in W.elements[:8]:
-            for c in W.elements[:5]:
+    for a in range(8):
+        for b in range(8):
+            for c in range(5):
                 assert W.mult(W.mult(a, b), c) == W.mult(a, W.mult(b, c))
+    # inversion is an involution, and an anti-automorphism
+    for u in range(len(W)):
+        assert W.inverse_index(W.inverse_index(u)) == u
+        assert W.mult(u, W.inverse_index(u)) == 0
+    for u in range(0, len(W), 7):
+        for v in range(0, len(W), 5):
+            assert W.inverse_index(W.mult(u, v)) == \
+                W.mult(W.inverse_index(v), W.inverse_index(u))
 
 
 def _bruhat_subword_oracle(W, y, w):
     """Exhaustive subword check on the canonical reduced word of w."""
-    word = w.word
+    word = W.words[w]
     target = set()
 
     def rec(i, cur):
         if i == len(word):
-            target.add(element_from_word(W, cur).index)
+            target.add(element_from_word(W, cur))
             return
         rec(i + 1, cur)
         rec(i + 1, cur + [word[i]])
 
     rec(0, [])
-    return y.index in target
+    return y in target
 
 
 def test_bruhat_matches_subword_oracle():
     W = build(CoxeterType("A", 2))
-    for y in W.elements:
-        for w in W.elements:
+    n = len(W)
+    for y in range(n):
+        for w in range(n):
             assert bruhat_leq(W, y, w) == _bruhat_subword_oracle(W, y, w)
-    s1, s2 = W.generators
-    assert bruhat_leq(W, s1, W.longest)
-    assert not bruhat_leq(W, s1 * s2, s2 * s1)
-    for w in W.elements:
-        assert bruhat_leq(W, W.identity, w)
+    s1, s2 = generator(W, 0), generator(W, 1)
+    assert bruhat_leq(W, s1, n - 1)
+    assert not bruhat_leq(W, W.mult(s1, s2), W.mult(s2, s1))
+    for w in range(n):
+        assert bruhat_leq(W, 0, w)
         assert bruhat_leq(W, w, w)
 
 
 def test_bruhat_partial_order_refines_length():
     W = build(CoxeterType("B", 2))
-    elems = W.elements
+    elems = range(len(W))
     for y in elems:
         for w in elems:
             if bruhat_leq(W, y, w) and y != w:
-                assert y.length < w.length
+                assert length(W, y) < length(W, w)
             # antisymmetry
             if bruhat_leq(W, y, w) and bruhat_leq(W, w, y):
                 assert y == w
@@ -171,11 +186,14 @@ def test_weights_and_descents():
     W = build(ct)
     L = weight_from_ab(ct, 1, 3)  # a=1 on s1, b=3 on t
     assert L.values == (3, 1)
-    assert lweight(W, W.identity, L) == 0
-    assert lweight(W, W.longest, L) == 2 * 1 + 2 * 3
-    assert W.longest.name() == "t.s1.t.s1"
-    assert descents_left(W, W.longest) == frozenset({0, 1})
-    assert descents_right(W, W.identity) == frozenset()
+    w0 = len(W) - 1
+    assert lweight(W, 0, L) == 0
+    assert lweight(W, w0, L) == 2 * 1 + 2 * 3
+    assert W.name(w0) == "t.s1.t.s1"
+    assert W.name(0) == "e"
+    assert descents_left(W, w0) == frozenset({0, 1})
+    assert descents_right(W, w0) == frozenset({0, 1})
+    assert descents_right(W, 0) == frozenset()
 
 
 def test_validate_weight():
@@ -267,29 +285,29 @@ def test_products_match_the_oracle_matrices(family, rank):
     ct = CoxeterType(family, rank)
     W = build(ct)
     mats = weyl_group_by_peeling(ct).matrices
-    for u in W.elements:
-        for v in W.elements:
-            assert mats[W.mult(u, v).index] == _mat_mul(mats[u.index], mats[v.index])
+    for u in range(len(W)):
+        for v in range(len(W)):
+            assert mats[W.mult(u, v)] == _mat_mul(mats[u], mats[v])
 
 
 def test_inverses_match_the_oracle():
     ct = CoxeterType("F4", 4)
     W = build(ct)
     oracle = weyl_group_by_peeling(ct)
-    assert [u.inverse().index for u in W.elements] == oracle.inverse_index
+    assert [W.inverse_index(u) for u in range(len(W))] == oracle.inverse_index
 
 
 def test_type_b_parabolic_is_symmetric_group():
     """Closure of s1, s2 inside B3 has order 3! = 6."""
     W = build(CoxeterType("B", 3))
-    gens = [W.generators[1], W.generators[2]]
-    seen = {W.identity}
-    frontier = [W.identity]
+    gens = [generator(W, 1), generator(W, 2)]
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for w in frontier:
             for s in gens:
-                x = w * s
+                x = W.mult(w, s)
                 if x not in seen:
                     seen.add(x)
                     nxt.append(x)
@@ -302,7 +320,7 @@ def test_longest_element_b2_weight():
     W = build(ct)
     for (a, b) in [(1, 3), (2, 5)]:
         L = weight_from_ab(ct, a, b)
-        assert lweight(W, W.longest, L) == 2 * a + 2 * b
+        assert lweight(W, len(W) - 1, L) == 2 * a + 2 * b
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -312,8 +330,8 @@ def test_enumeration_matches_the_peeling_oracle(family, rank):
     ct = CoxeterType(family, rank)
     W = coxeter.WeylGroup(ct)
     oracle = weyl_group_by_peeling(ct)
-    assert [w.index for w in W.elements] == list(range(ct.order()))
-    assert [w.word for w in W.elements] == oracle.words
+    assert len(W) == ct.order()
+    assert W.words == oracle.words
     assert W.left_table == oracle.left_table
     assert [W.inverse_index(i) for i in range(len(W))] == oracle.inverse_index
-    assert [g.word for g in W.generators] == [(s,) for s in range(rank)]
+    assert [W.words[generator(W, s)] for s in range(rank)] == [(s,) for s in range(rank)]

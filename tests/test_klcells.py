@@ -12,7 +12,7 @@ from heckekit.klcells import (HCONST_CAP, HeckeAlgebra, KLData, PropertyFailure,
 from heckekit.laurent import LaurentPoly, add_into, vpow
 from heckekit.schur import bipartitions, invariants_B, nfun, partitions
 from oracles import (TtAlgebra, bruhat_leq, check_star_compatibility, cs_times_cw,
-                     dim_bipartition, gamma_by_rescan, hconst_by_columns, jmap,
+                     dim_bipartition, gamma_by_rescan, generator, hconst_by_columns, jmap,
                      jring_mul_by_scan, kl_cbasis_all_products, neg_part,
                      p4_witness_by_scan, partner_witnesses, phi_by_cexpand,
                      phi_det_by_elimination, phi_matrix_by_cexpand, tau, wgraph_by_products)
@@ -45,7 +45,7 @@ def assert_kl_basis(alg, rows):
         for y, p in row.items():
             if y != w:
                 assert p.extremal()[2] < 0  # strictly negative degrees
-                assert bruhat_leq(W, W.elements[y], W.elements[w])
+                assert bruhat_leq(W, y, w)
 
 
 def p15prime_sides(data, x, xp, y, w):
@@ -133,7 +133,7 @@ def hconst_by_cexpand(data):
     for y in range(n):
         col = [data.cbasis[y]]  # col[w] = Tt_w c_y, by increasing length
         for w in range(1, n):
-            s = W.elements[w].word[0]
+            s = W.words[w][0]
             col.append(alg._lgen(s, col[W.left_table[s][w]]))
         for x in range(n):
             acc = {}
@@ -162,7 +162,7 @@ def afn_failure_oracle(data, a):
     """The message of check_afn's first failure under a: the first h_{x,y,z}
     in the order of hconst with a term below v^-a(z), else the least z that
     no h_{x,y,z} reaches v^-a(z) at."""
-    name = [w.name() for w in data.group.elements]
+    name = [data.group.name(w) for w in range(len(data.group))]
     reached = set()
     for (x, y), row in data.hconst.items():
         for z, p in row.items():
@@ -182,9 +182,9 @@ def involution_count(group):
 class TestHeckeMultiplication:
     def test_quadratic_relation(self):
         for alg in (S3, B2_13):
-            for s in alg.group.generators:
-                ts = alg.t(s)
-                expected = alg.one() + ts.scale(alg.zeta[s.word[0]])
+            for s in range(alg.group.rank):
+                ts = alg.t(generator(alg.group, s))
+                expected = alg.one() + ts.scale(alg.zeta[s])
                 assert alg.mul(ts, ts) == expected
 
     def test_identity(self):
@@ -194,12 +194,12 @@ class TestHeckeMultiplication:
 
     def test_tw_times_inverse_supports_identity(self):
         W = S3.group
-        w = W.generators[0] * W.generators[1]
-        prod = S3.mul(S3.t(w), S3.t(w.inverse()))
-        assert prod.coeffs[W.identity.index] == LaurentPoly.one()
+        w = W.mult(generator(W, 0), generator(W, 1))
+        prod = S3.mul(S3.t(w), S3.t(W.inverse_index(w)))
+        assert prod.coeffs[0] == LaurentPoly.one()
         # lower-order support only
         for y in prod.coeffs:
-            assert bruhat_leq(W, W.elements[y], W.longest)
+            assert bruhat_leq(W, y, len(W) - 1)
 
     def test_associativity_random(self):
         rng = random.Random(11)
@@ -214,9 +214,9 @@ class TestHeckeMultiplication:
     def test_tau(self):
         W = S3.group
         assert tau(S3, S3.one()) == LaurentPoly.one()
-        for w in W.elements[1:]:
+        for w in range(1, len(W)):
             assert not tau(S3, S3.t(w))
-            assert tau(S3, S3.mul(S3.t(w), S3.t(w.inverse()))) == LaurentPoly.one()
+            assert tau(S3, S3.mul(S3.t(w), S3.t(W.inverse_index(w)))) == LaurentPoly.one()
 
     def test_tau_symmetry_random(self):
         rng = random.Random(5)
@@ -231,14 +231,13 @@ class TestHeckeMultiplication:
 class TestInvolutions:
     @pytest.mark.parametrize("alg", [S3, B2_13], ids=["S3", "B2"])
     def test_bar_of_generator(self, alg):
-        for s in alg.group.generators:
-            got = alg.bar(alg.t(s))
-            expected = alg.t(s) + alg.one().scale(-alg.zeta[s.word[0]])
-            assert got == expected
+        for s in range(alg.group.rank):
+            ts = alg.t(generator(alg.group, s))
+            assert alg.bar(ts) == ts + alg.one().scale(-alg.zeta[s])
 
     @pytest.mark.parametrize("alg", [S3, B2_13], ids=["S3", "B2"])
     def test_bar_is_involution(self, alg):
-        for w in alg.group.elements:
+        for w in range(len(alg.group)):
             assert alg.bar(alg.bar(alg.t(w))) == alg.t(w)
 
     def test_bar_is_multiplicative(self):
@@ -250,27 +249,28 @@ class TestInvolutions:
             assert S3.bar(S3.mul(h1, h2)) == S3.mul(S3.bar(h1), S3.bar(h2))
 
     def test_jmap_on_generator(self):
-        for s in S3.group.generators:
-            assert jmap(S3, S3.t(s)) == S3.t(s).scale(LaurentPoly.const(-1))
+        for s in range(S3.group.rank):
+            ts = S3.t(generator(S3.group, s))
+            assert jmap(S3, ts) == ts.scale(LaurentPoly.const(-1))
 
     def test_dagger_squares_to_identity_and_bar_factorization(self):
-        for w in S3.group.elements:
+        for w in range(len(S3.group)):
             h = S3.t(w)
             assert S3.dagger(S3.dagger(h)) == h
             assert jmap(S3, S3.dagger(h)) == S3.bar(h)
 
     def test_dagger_is_homomorphism(self):
         W = S3.group
-        for u in W.elements:
-            for v in W.elements:
+        for u in range(len(W)):
+            for v in range(len(W)):
                 lhs = S3.dagger(S3.mul(S3.t(u), S3.t(v)))
                 rhs = S3.mul(S3.dagger(S3.t(u)), S3.dagger(S3.t(v)))
                 assert lhs == rhs
 
     def test_dagger_of_c_s(self):
         data = kl(S3)
-        for s in S3.group.generators:
-            cs = S3.element(data.cbasis[s.index])
+        for s in range(S3.group.rank):
+            cs = S3.element(data.cbasis[generator(S3.group, s)])
             assert S3.dagger(cs) == jmap(S3, cs)
 
 
@@ -279,16 +279,15 @@ class TestKLBasis:
         for alg in (S3, B2_13, G2_EQ):
             data = kl(alg)
             assert data.cbasis[0] == {0: LaurentPoly.one()}
-            for s in alg.group.generators:
-                L = alg.weights(s.word[0])
-                assert data.cbasis[s.index] == \
-                    {s.index: LaurentPoly.one(), 0: vpow(-L)}
+            for s in range(alg.group.rank):
+                g = generator(alg.group, s)
+                assert data.cbasis[g] == {g: LaurentPoly.one(), 0: vpow(-alg.weights(s))}
 
     def test_longest_element_s3(self):
         data = kl(S3)
-        w0 = S3.group.longest
-        assert data.cbasis[w0.index] == \
-            {y.index: vpow(y.length - 3) for y in S3.group.elements}
+        words = S3.group.words
+        assert data.cbasis[len(words) - 1] == \
+            {y: vpow(len(word) - 3) for y, word in enumerate(words)}
 
     @pytest.mark.parametrize("alg", [S3, B2_13, G2_EQ, A3, B3_12],
                              ids=["S3", "B2", "G2", "A3", "B3"])
@@ -373,7 +372,7 @@ class TestKLBasis:
                     continue
                 csw, M = cs_times_cw(W, data.weights, basis, s, w)
                 assert csw == basis[sw]
-                cs = alg.element(basis[W.generators[s].index])
+                cs = alg.element(basis[generator(W, s)])
                 expected = alg.mul(cs, alg.element(basis[w])).coeffs
                 for z, m in M.items():
                     assert m.bar() == m
@@ -388,7 +387,7 @@ class TestKLBasis:
             W = alg.group
             for w, row in enumerate(kl_cbasis(alg.group, alg.weights)):
                 for y in range(len(W)):
-                    if y != w and bruhat_leq(W, W.elements[y], W.elements[w]):
+                    if y != w and bruhat_leq(W, y, w):
                         moved = alg.element(add_into(dict(row), {y: vpow(-1)}))
                         assert alg.bar(moved) != moved
 
@@ -401,7 +400,7 @@ class TestStructureConstants:
 
     def test_h_sss(self):
         data = kl(S3)
-        s = S3.group.generators[0].index
+        s = generator(S3.group, 0)
         assert data.hconst[(s, s)] == {s: vpow(1) + vpow(-1)}
 
     @pytest.mark.parametrize("alg", [S3, B2_13], ids=["S3", "B2"])
@@ -446,7 +445,7 @@ class TestStructureConstants:
         data = shared_kl(family, rank, a, b)
         W, alg = data.group, TtAlgebra.of(data)
         for s in range(W.rank):
-            cs = alg.element(data.cbasis[W.generators[s].index])
+            cs = alg.element(data.cbasis[generator(W, s)])
             for w in range(len(W)):
                 expected = data.cexpand(alg.mul(cs, alg.element(data.cbasis[w])).coeffs)
                 assert data.wgraph[s][w] == expected
@@ -899,8 +898,8 @@ class TestJRingAndPhi:
         data = shared_kl(family, rank, a, b)
         alg = TtAlgebra.of(data)
         assert data.phi_matrix == phi_matrix_by_cexpand(data)
-        for s, g in enumerate(data.group.generators):
-            assert data.phi(s) == phi_by_cexpand(data, alg.t(g))
+        for s in range(data.group.rank):
+            assert data.phi(s) == phi_by_cexpand(data, alg.t(generator(data.group, s)))
 
     @pytest.mark.parametrize("family,rank,a,b",
                              [g for g in PHI_GROUPS if CoxeterType(*g[:2]).order() <= 24])
